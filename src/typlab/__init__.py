@@ -21,12 +21,10 @@ from .ensembles import (
 from .errors import TyplabError
 from .evolution import (
     TimeGrid,
-    TrajectoryRecord,
     evolve_state,
     expectation,
     expectations,
     run_ensemble,
-    run_trajectory,
 )
 from .experiment import RunResult, execute_run
 from .models import (
@@ -46,9 +44,7 @@ from .operators import (
     eigendecompose,
     heisenberg_observable,
     hilbert_schmidt_inner,
-    spectral_moment,
     spectral_moments,
-    validate_hermitian,
 )
 from .rng import RNG_ALGORITHM, SeedStream, child_seed, mix64
 from .stats import (
@@ -84,7 +80,6 @@ __all__ = [
     "StateVector",
     "TimeGrid",
     "TimeSettings",
-    "TrajectoryRecord",
     "TyplabError",
     "assemble_hamiltonian",
     "average_density",
@@ -114,13 +109,10 @@ __all__ = [
     "moment_map",
     "norm_variance_analytic",
     "run_ensemble",
-    "run_trajectory",
     "run_verification",
     "sample_stats",
     "sample_uniform_state",
     "sample_uniform_states",
-    "spectral_moment",
     "spectral_moments",
-    "validate_hermitian",
     "variance_bound",
 ]

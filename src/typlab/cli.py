@@ -8,8 +8,7 @@ Subcommands::
     typlab plot    --stats stats.csv [--trajectories trajectories.csv] --out fig.svg
 
 ``--seed`` overrides the config's base seed, ``--out`` its output
-directory.  The environment variable ``TYPLAB_THREADS`` caps trajectory
-worker parallelism (unset or 0 means the serial default).
+directory.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -75,7 +76,13 @@ def _as_int(value, path: str) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigParseError(f"field '{path}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigParseError(f"field '{path}' must be finite, got {value!r}")
+    return number
 
 
 def _as_str(value, path: str) -> str:
@@ -115,8 +122,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(f"field 'model': {exc}") from exc
 
     d = _as_float(raw["d"], "d")
-    if not -1 < d < 1:
-        raise ConfigParseError(f"field 'd' must satisfy |d| < 1, got {d}")
+    if not 0 <= d < 1:
+        raise ConfigParseError(
+            f"field 'd' must satisfy 0 <= d < 1 (the variance bound needs d >= 0), got {d}"
+        )
 
     m = _as_int(raw["M"], "M")
     if m < 2:

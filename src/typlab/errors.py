@@ -54,10 +54,6 @@ class NegativeMomentError(TyplabError):
     """An even spectral moment argument was negative."""
 
 
-class GridMismatchError(TyplabError):
-    """Trajectory records do not share one time grid."""
-
-
 class TooFewTrajectoriesError(TyplabError):
     """Ensemble statistics need at least two trajectories."""
 

@@ -1,31 +1,28 @@
-"""Exact time evolution through the spectral decomposition, and
-per-trajectory expectation-value time series.
+"""Exact time evolution through the spectral decomposition, and the
+expectation-value time series of a state ensemble.
 
-One eigendecomposition of H is reused for every trajectory and time: a
-state is rotated into the energy eigenbasis once, diagonal phases are
-applied per time point, and the expectation value is evaluated there.  The
-imaginary residue of each expectation value is checked, never silently
-discarded.
+One eigendecomposition of H is reused for every trajectory and time: all
+states are rotated into the energy eigenbasis once, diagonal phases are
+applied per time point, and the rotated-back amplitudes are weighted by the
+diagonal observable, so the series are real by construction.  The general
+expectation values check their imaginary residue, never silently
+discarding it.
 """
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
-from .errors import DimensionMismatchError, NonHermitianResidueError
+from .errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
 from .operators import HermitianOperator, SpectralDecomposition
 from .rng import child_seed
 
 logger = logging.getLogger(__name__)
 
 IMAG_RESIDUE_RTOL = 1e-10
-
-THREADS_ENV_VAR = "TYPLAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -57,25 +54,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return self.times.size
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Expectation-value series of one initial state on a time grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    norm0: float
-    seed: int
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.shape != self.grid.times.shape:
-            raise DimensionMismatchError(
-                f"values shape {vals.shape} does not match grid shape {self.grid.times.shape}"
-            )
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
 
 def evolve_state(dec: SpectralDecomposition, psi: StateVector, t: float) -> StateVector:
@@ -126,117 +104,59 @@ def expectations(a_op: HermitianOperator, states: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _series_in_eigenbasis(
-    eigenvalues: np.ndarray,
-    a_eig: np.ndarray,
-    state_eig: np.ndarray,
-    times: np.ndarray,
-    norm_sq: float,
-) -> np.ndarray:
-    """Expectation series for one eigenbasis state, all times at once."""
-    phases = np.exp(np.outer(-1j * eigenvalues, times))
-    evolved = phases * state_eig[:, None]
-    values = np.sum(evolved.conj() * (a_eig @ evolved), axis=0)
-    worst = float(np.abs(values.imag).max(initial=0.0))
-    if worst > IMAG_RESIDUE_RTOL * norm_sq:
-        raise NonHermitianResidueError(
-            f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} * ||omega||^2"
-        )
-    return values.real
-
-
-def run_trajectory(
-    dec: SpectralDecomposition,
-    a_op: HermitianOperator,
-    omega0: StateVector,
-    grid: TimeGrid,
-) -> TrajectoryRecord:
-    """The series a(t_k) = <omega(t_k)|A|omega(t_k)> for one initial state.
-
-    The state is rotated into the energy eigenbasis once; every time point
-    is a diagonal phase application.  The ``seed`` field is set to -1; use
-    :func:`run_ensemble` for seed-tracked trajectories.
-    """
-    if not (dec.dim == a_op.dim == omega0.dim):
-        raise DimensionMismatchError(
-            f"dims differ: decomposition {dec.dim}, observable {a_op.dim}, "
-            f"state {omega0.dim}"
-        )
-    u = dec.eigenvectors
-    a_eig = u.conj().T @ a_op.matrix @ u
-    state_eig = u.conj().T @ omega0.amplitudes
-    values = _series_in_eigenbasis(
-        dec.eigenvalues, a_eig, state_eig, grid.times, omega0.norm_sq
-    )
-    return TrajectoryRecord(grid=grid, values=values, norm0=omega0.norm_sq, seed=-1)
-
-
-def worker_count(workers: int | None = None) -> int:
-    """Resolve the trajectory worker count (argument, else TYPLAB_THREADS)."""
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "")
-        try:
-            workers = int(raw) if raw else 0
-        except ValueError:
-            logger.warning("ignoring non-integer %s=%r", THREADS_ENV_VAR, raw)
-            workers = 0
-    return max(1, workers)
-
-
 def run_ensemble(
     dec: SpectralDecomposition,
-    a_op: HermitianOperator,
     params: OmegaParams,
     m: int,
     base_seed: int,
     grid: TimeGrid,
-    workers: int | None = None,
-) -> list[TrajectoryRecord]:
-    """M trajectories from deterministically derived per-trajectory seeds.
+) -> np.ndarray:
+    """The (M, T) array a_i(t_k) = <omega_i(t_k)|A|omega_i(t_k)> of M
+    trajectories, with A = ``params.observable``.
 
     Trajectory i samples its uniform state from ``child_seed(base_seed, i)``
-    and applies the deviation map.  Results are ordered by index and do not
-    depend on the worker count or execution order.  Initial values far from
-    the analytic ensemble mean (3 sigma of the variance bound) are logged.
+    and applies the deviation map.  All states are rotated into the energy
+    eigenbasis at once, C = U^dagger [omega_0 ... omega_{M-1}]; at each time
+    point ``a(t) = a_diag . |U (exp(-i w t) * C)|^2`` with the observable's
+    diagonal ``a_diag``, so the values are real by construction.  Only
+    observables diagonal in the H0 basis are supported
+    (:class:`NotDiagonalError` otherwise).  Initial values far from the
+    analytic ensemble mean (3 sigma of the variance bound) are logged with
+    the trajectory's seed.
     """
     if m < 1:
         raise ValueError(f"trajectory count must be >= 1, got {m}")
-    if not (dec.dim == a_op.dim == params.observable.dim):
+    a_op = params.observable
+    if dec.dim != a_op.dim:
         raise DimensionMismatchError(
-            f"dims differ: decomposition {dec.dim}, observable {a_op.dim}, "
-            f"deviation observable {params.observable.dim}"
+            f"decomposition dim {dec.dim} does not match observable dim {a_op.dim}"
         )
+    if not a_op.is_diagonal():
+        raise NotDiagonalError("propagation supports only diagonal observables")
+    a_diag = a_op.real_diagonal()
     n = dec.dim
     u = dec.eigenvectors
-    a_eig = u.conj().T @ a_op.matrix @ u
     seeds = [child_seed(base_seed, i) for i in range(m)]
+    omegas = np.empty((n, m), dtype=np.complex128)
+    for i, seed in enumerate(seeds):
+        omegas[:, i] = make_omega(sample_uniform_state(n, seed), params).amplitudes
+    coeff = u.conj().T @ omegas
 
-    def one(seed: int) -> TrajectoryRecord:
-        psi = sample_uniform_state(n, seed)
-        omega = make_omega(psi, params)
-        state_eig = u.conj().T @ omega.amplitudes
-        values = _series_in_eigenbasis(
-            dec.eigenvalues, a_eig, state_eig, grid.times, omega.norm_sq
-        )
-        return TrajectoryRecord(grid=grid, values=values, norm0=omega.norm_sq, seed=seed)
-
-    count = worker_count(workers)
-    if count > 1:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            records = list(pool.map(one, seeds))
-    else:
-        records = [one(seed) for seed in seeds]
+    values = np.empty((m, len(grid)))
+    for k, t in enumerate(grid.times):
+        evolved = u @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
+        values[:, k] = a_diag @ (evolved.real**2 + evolved.imag**2)
 
     band = params.start_value_band
     if band is not None:
         center, spread = band
-        for record in records:
-            if abs(record.values[0] - center) > spread:
+        for seed, start in zip(seeds, values[:, 0]):
+            if abs(start - center) > spread:
                 logger.warning(
                     "trajectory seed %d starts at %.4f, outside %.4f +/- %.4f",
-                    record.seed,
-                    record.values[0],
+                    seed,
+                    start,
                     center,
                     spread,
                 )
-    return records
+    return values

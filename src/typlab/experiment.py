@@ -22,7 +22,7 @@ import numpy as np
 from .config import ExperimentConfig, config_as_dict
 from .csvio import write_stats_csv, write_trajectories_csv
 from .ensembles import OmegaParams
-from .evolution import TimeGrid, TrajectoryRecord, run_ensemble
+from .evolution import TimeGrid, run_ensemble
 from .models import ModelSystem, build_model
 from .operators import SpectralMoments, eigendecompose, spectral_moments
 from .rng import RNG_ALGORITHM, child_seed
@@ -44,7 +44,7 @@ class RunResult:
 
     config: ExperimentConfig
     model: ModelSystem
-    records: list[TrajectoryRecord]
+    trajectories: np.ndarray
     stats: EnsembleStats
     moments: SpectralMoments
     bound: float
@@ -55,11 +55,7 @@ class RunResult:
     plot_path: Path | None
 
 
-def execute_run(
-    config: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    workers: int | None = None,
-) -> RunResult:
+def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     """Run one experiment and write its outputs.
 
     ``out_dir`` overrides the config's output directory.  All file writes
@@ -72,16 +68,8 @@ def execute_run(
     dec = eigendecompose(model.hamiltonian)
     params = OmegaParams(d=config.d, observable=model.observable)
     grid = TimeGrid.uniform(config.time.t_max, config.time.points)
-    records = run_ensemble(
-        dec,
-        model.observable,
-        params,
-        config.num_trajectories,
-        config.base_seed,
-        grid,
-        workers=workers,
-    )
-    stats = sample_stats(records)
+    trajectories = run_ensemble(dec, params, config.num_trajectories, config.base_seed, grid)
+    stats = sample_stats(trajectories, grid.times)
 
     moments = spectral_moments(model.observable)
     bound = variance_bound(config.d, moments[4], moments[8], config.model.n)
@@ -92,8 +80,7 @@ def execute_run(
     trajectories_path = None
     if config.output.emit_trajectories:
         trajectories_path = out / "trajectories.csv"
-        values = np.stack([record.values for record in records])
-        write_trajectories_csv(trajectories_path, stats.times, values)
+        write_trajectories_csv(trajectories_path, stats.times, trajectories)
 
     meta_path = out / "meta"
     meta = {
@@ -127,15 +114,13 @@ def execute_run(
             "variance": stats.variance,
             "bound": np.full_like(stats.times, bound),
         }
-        trajectories = None
-        if config.output.emit_trajectories:
-            trajectories = (stats.times, np.stack([r.values for r in records]))
-        plot_path.write_text(render_figure(stats_columns, trajectories))
+        shown = (stats.times, trajectories) if config.output.emit_trajectories else None
+        plot_path.write_text(render_figure(stats_columns, shown))
 
     return RunResult(
         config=config,
         model=model,
-        records=records,
+        trajectories=trajectories,
         stats=stats,
         moments=moments,
         bound=bound,

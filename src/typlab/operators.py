@@ -3,7 +3,7 @@
 Construction and validation of Hermitian operators, eigendecomposition,
 spectral moments, the Hilbert-Schmidt inner product, and Heisenberg-picture
 time dependence of observables.  Everything here is dense complex128;
-values are immutable after construction and safe to share across workers.
+values are immutable after construction.
 """
 from __future__ import annotations
 
@@ -72,15 +72,6 @@ class HermitianOperator:
 
     def real_diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
-
-
-def validate_hermitian(matrix: np.ndarray) -> HermitianOperator:
-    """Validate a raw matrix and wrap it as a :class:`HermitianOperator`.
-
-    Raises :class:`NotSquareError` or :class:`NotHermitianError`; the latter
-    reports the largest asymmetry found.
-    """
-    return HermitianOperator(matrix)
 
 
 @dataclass(frozen=True)
@@ -179,25 +170,17 @@ class SpectralMoments:
         return [self.c[i] for i in MOMENT_ORDERS]
 
 
-def spectral_moment(
-    op: HermitianOperator, order: int, dec: SpectralDecomposition | None = None
-) -> float:
-    """c_order = Tr{A^order}/n.
+def spectral_moments(
+    op: HermitianOperator, dec: SpectralDecomposition | None = None
+) -> SpectralMoments:
+    """All moments c_i = Tr{A^i}/n, i = 1..8, in one pass.
 
     Uses repeated matrix multiplication, or the eigenvalue power sum when a
     decomposition is supplied; the two routes agree to 1e-10 relative.  An
     exactly diagonal operator is its own decomposition and is handled
-    without matrix products.
+    without matrix products.  Index the result by order; an order outside
+    1..8 raises :class:`OutOfRangeError`.
     """
-    if order not in MOMENT_ORDERS:
-        raise OutOfRangeError(f"moment order must be in 1..8, got {order}")
-    return spectral_moments(op, dec)[order]
-
-
-def spectral_moments(
-    op: HermitianOperator, dec: SpectralDecomposition | None = None
-) -> SpectralMoments:
-    """All moments c_1..c_8 in one pass."""
     n = op.dim
     if dec is not None:
         if dec.dim != n:

@@ -11,20 +11,11 @@ evaluating the same machinery with the Heisenberg-evolved observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    GridMismatchError,
-    NegativeMomentError,
-    TooFewTrajectoriesError,
-)
+from .errors import DimensionMismatchError, NegativeMomentError, TooFewTrajectoriesError
 from .operators import HermitianOperator, SpectralDecomposition, heisenberg_observable
-
-if TYPE_CHECKING:
-    from .evolution import TrajectoryRecord
 
 
 def ha_uniform(d_op: HermitianOperator) -> float:
@@ -173,7 +164,10 @@ class EnsembleStats:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not (self.times.shape == self.mean.shape == self.variance.shape):
-            raise GridMismatchError("times, mean, and variance must share one shape")
+            raise DimensionMismatchError(
+                f"times {self.times.shape}, mean {self.mean.shape} and variance "
+                f"{self.variance.shape} must share one shape"
+            )
         if self.count < 2:
             raise TooFewTrajectoriesError(
                 f"variance needs at least 2 trajectories, got {self.count}"
@@ -182,22 +176,17 @@ class EnsembleStats:
             raise ValueError("sample variance must be non-negative")
 
 
-def sample_stats(trajectories: Sequence["TrajectoryRecord"]) -> EnsembleStats:
-    """Per-time mean and unbiased (M - 1) sample variance of an ensemble.
+def sample_stats(trajectories: np.ndarray, times: np.ndarray) -> EnsembleStats:
+    """Per-time mean and unbiased (M - 1) sample variance of an (M, T)
+    trajectory array sampled at ``times``.
 
-    All records must carry the identical time grid.  Summation order is
-    fixed by the record order, so repeated runs aggregate identically.
+    Summation runs over the rows in order, so repeated runs aggregate
+    identically.
     """
-    if len(trajectories) < 2:
-        raise TooFewTrajectoriesError(
-            f"need at least 2 trajectories, got {len(trajectories)}"
-        )
-    times = trajectories[0].grid.times
-    for k, record in enumerate(trajectories[1:], start=1):
-        if not np.array_equal(record.grid.times, times):
-            raise GridMismatchError(f"trajectory {k} uses a different time grid")
-    values = np.stack([record.values for record in trajectories])
+    values = np.asarray(trajectories, dtype=np.float64)
     m = values.shape[0]
+    if m < 2:
+        raise TooFewTrajectoriesError(f"need at least 2 trajectories, got {m}")
     mean = values.mean(axis=0)
     centered = values - mean
     variance = (centered**2).sum(axis=0) / (m - 1)

@@ -77,7 +77,6 @@ def _result(name: str, error: float, tolerance: float, measured: str, criterion:
 def run_verification(
     config: ExperimentConfig,
     observable_override: HermitianOperator | None = None,
-    workers: int | None = None,
 ) -> list[CheckResult]:
     """Run every verification check; returns results in a fixed order.
 
@@ -188,10 +187,8 @@ def run_verification(
             "exact HV <= bound + 1e-10 at every grid point",
         )
     )
-    records = run_ensemble(
-        dec, a, params, config.num_trajectories, base, grid, workers=workers
-    )
-    stats = sample_stats(records)
+    trajectories = run_ensemble(dec, params, config.num_trajectories, base, grid)
+    stats = sample_stats(trajectories, grid.times)
     exceed_fraction = float((stats.variance > eq_bound).mean())
     worst_ratio = float((stats.variance / eq_bound).max())
     sampled_ok = exceed_fraction <= BOUND_EXCEED_FRACTION and worst_ratio <= BOUND_EXCEED_FACTOR

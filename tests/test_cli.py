@@ -98,6 +98,15 @@ def test_missing_field_reports_and_fails(tmp_path, capsys):
     assert "time.t_max" in capsys.readouterr().err
 
 
+def test_negative_deviation_fails_at_parse(tmp_path, capsys):
+    cfg = write_config(tmp_path, d=-0.1)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "field 'd'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default_out").exists()
+
+
 def test_moments_table(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["moments", "--config", str(cfg)]) == 0
@@ -139,11 +148,3 @@ def test_plot_empty_csv_fails(tmp_path, capsys):
     assert main(["plot", "--stats", str(empty), "--out", str(tmp_path / "f.svg")]) == 1
     assert "empty" in capsys.readouterr().err
 
-
-def test_threads_env_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["run", "--config", str(cfg), "--out", str(out1)])
-    monkeypatch.setenv("TYPLAB_THREADS", "3")
-    main(["run", "--config", str(cfg), "--out", str(out2)])
-    assert (out1 / "trajectories.csv").read_bytes() == (out2 / "trajectories.csv").read_bytes()

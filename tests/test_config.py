@@ -88,6 +88,32 @@ def test_unknown_model_field_rejected():
         (lambda r: r["output"].__setitem__("emit_plot", "yes"), "output.emit_plot"),
         (lambda r: r.__setitem__("base_seed", 2**64), "base_seed"),
         (lambda r: r.__setitem__("M", True), "M"),
+        pytest.param(lambda r: r.__setitem__("d", -0.1), "field 'd'", id="negative-d"),
+        pytest.param(
+            lambda r: r["model"].__setitem__("v_scale", float("nan")),
+            "field 'model.v_scale' must be finite",
+            id="nan-v_scale",
+        ),
+        pytest.param(
+            lambda r: r["model"].__setitem__("v_scale", float("inf")),
+            "field 'model.v_scale' must be finite",
+            id="inf-v_scale",
+        ),
+        pytest.param(
+            lambda r: r["model"].__setitem__("delta_e", float("inf")),
+            "field 'model.delta_e' must be finite",
+            id="inf-delta_e",
+        ),
+        pytest.param(
+            lambda r: r["time"].__setitem__("t_max", float("inf")),
+            "field 'time.t_max' must be finite",
+            id="inf-t_max",
+        ),
+        pytest.param(
+            lambda r: r["time"].__setitem__("t_max", 10**400),
+            "field 'time.t_max' must be finite",
+            id="huge-int-t_max",
+        ),
     ],
 )
 def test_invalid_values_named(mutate, needle):

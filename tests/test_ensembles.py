@@ -18,7 +18,7 @@ from typlab.ensembles import (
 from typlab.errors import DimensionMismatchError, NotDiagonalError
 from typlab.evolution import expectation, expectations
 from typlab.models import build_observable_pm1
-from typlab.operators import hilbert_schmidt_inner, validate_hermitian
+from typlab.operators import HermitianOperator, hilbert_schmidt_inner
 from typlab.stats import norm_variance_analytic
 
 from conftest import random_hermitian
@@ -64,7 +64,7 @@ class TestOmega:
         assert np.array_equal(omega.amplitudes, psi.amplitudes)
 
     def test_two_dim_closed_form(self):
-        a = validate_hermitian(np.diag([1.0, -1.0]))
+        a = HermitianOperator(np.diag([1.0, -1.0]))
         psi = StateVector(np.array([1.0, 0.0], dtype=complex))
         omega = make_omega(psi, OmegaParams(d=0.1, observable=a))
         assert omega.amplitudes[0] == pytest.approx(1.1 / np.sqrt(1.01), rel=1e-15)

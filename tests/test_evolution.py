@@ -1,21 +1,38 @@
+import logging
+
 import numpy as np
 import pytest
 
+import typlab.evolution
 from typlab.ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
-from typlab.errors import DimensionMismatchError, NonHermitianResidueError
-from typlab.evolution import (
-    TimeGrid,
-    evolve_state,
-    expectation,
-    run_ensemble,
-    run_trajectory,
-    worker_count,
-)
+from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
+from typlab.evolution import TimeGrid, evolve_state, expectation, run_ensemble
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.rng import child_seed
 
 from conftest import random_hermitian
+
+
+def reference_series(dec, a_op, omega, times):
+    """The per-trajectory formula that run_ensemble replaced: the dense
+    A~ = U^dagger A U as a quadratic form on each phase-rotated eigenbasis
+    state, valid for any Hermitian A."""
+    u = dec.eigenvectors
+    a_eig = u.conj().T @ a_op.matrix @ u
+    state_eig = u.conj().T @ omega.amplitudes
+    evolved = np.exp(np.outer(-1j * dec.eigenvalues, times)) * state_eig[:, None]
+    values = np.sum(evolved.conj() * (a_eig @ evolved), axis=0)
+    assert np.abs(values.imag).max() <= 1e-10 * omega.norm_sq
+    return values.real
+
+
+def ensemble_omegas(params, m, base_seed):
+    n = params.observable.dim
+    return [
+        make_omega(sample_uniform_state(n, child_seed(base_seed, i)), params)
+        for i in range(m)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -118,66 +135,80 @@ class TestTrajectories:
         a = build_observable_pm1(n, seed=4)
         h = HermitianOperator(np.diag(np.arange(n) * 0.3).astype(complex))
         dec = eigendecompose(h)
-        omega = make_omega(sample_uniform_state(n, 3), OmegaParams(d=0.1, observable=a))
-        record = run_trajectory(dec, a, omega, TimeGrid.uniform(20.0, 15))
-        assert np.ptp(record.values) <= 1e-10
+        params = OmegaParams(d=0.1, observable=a)
+        values = run_ensemble(dec, params, 3, 3, TimeGrid.uniform(20.0, 15))
+        assert np.ptp(values, axis=1).max() <= 1e-10
 
     def test_schroedinger_equals_heisenberg(self, dense_model):
         model, dec = dense_model
         a = model.observable
         params = OmegaParams(d=0.1, observable=a)
-        omega = make_omega(sample_uniform_state(40, 9), params)
         grid = TimeGrid.uniform(15.0, 7)
-        record = run_trajectory(dec, a, omega, grid)
-        for k, t in enumerate(grid.times):
-            heisenberg = expectation(heisenberg_observable(a, dec, t), omega)
-            assert record.values[k] == pytest.approx(heisenberg, abs=1e-9)
+        values = run_ensemble(dec, params, 2, 9, grid)
+        for omega, series in zip(ensemble_omegas(params, 2, 9), values):
+            for k, t in enumerate(grid.times):
+                heisenberg = expectation(heisenberg_observable(a, dec, t), omega)
+                assert series[k] == pytest.approx(heisenberg, abs=1e-9)
 
     def test_initial_value_matches_plain_expectation(self, dense_model):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
-        omega = make_omega(sample_uniform_state(40, 10), params)
-        record = run_trajectory(dec, model.observable, omega, TimeGrid.uniform(5.0, 4))
-        assert record.values[0] == pytest.approx(expectation(model.observable, omega), abs=1e-12)
-        assert record.norm0 == pytest.approx(omega.norm_sq, rel=1e-14)
+        values = run_ensemble(dec, params, 4, 10, TimeGrid.uniform(5.0, 4))
+        for omega, series in zip(ensemble_omegas(params, 4, 10), values):
+            assert series[0] == pytest.approx(expectation(model.observable, omega), abs=1e-12)
 
 
 class TestEnsembleRuns:
-    def test_single_trajectory_matches_run_trajectory(self, dense_model):
+    @pytest.mark.parametrize("observable", ["model", "identity"])
+    def test_matches_per_trajectory_reference(self, dense_model, observable):
         model, dec = dense_model
-        params = OmegaParams(d=0.1, observable=model.observable)
+        a = model.observable if observable == "model" else HermitianOperator.identity(40)
+        params = OmegaParams(d=0.1, observable=a)
         grid = TimeGrid.uniform(10.0, 12)
-        records = run_ensemble(dec, model.observable, params, 1, base_seed=21, grid=grid)
-        seed0 = child_seed(21, 0)
-        omega = make_omega(sample_uniform_state(40, seed0), params)
-        direct = run_trajectory(dec, model.observable, omega, grid)
-        assert records[0].seed == seed0
-        assert np.array_equal(records[0].values, direct.values)
+        values = run_ensemble(dec, params, 6, base_seed=21, grid=grid)
+        assert values.shape == (6, 12)
+        for omega, series in zip(ensemble_omegas(params, 6, 21), values):
+            reference = reference_series(dec, a, omega, grid.times)
+            assert np.abs(series - reference).max() <= 1e-12
+
+    def test_non_diagonal_observable_rejected(self, dense_model):
+        _, dec = dense_model
+        params = OmegaParams(d=0.1, observable=random_hermitian(40, seed=5))
+        with pytest.raises(NotDiagonalError):
+            run_ensemble(dec, params, 2, 1, TimeGrid.uniform(1.0, 3))
 
     def test_repeat_runs_identical(self, dense_model):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
         grid = TimeGrid.uniform(10.0, 12)
-        a = run_ensemble(dec, model.observable, params, 5, base_seed=33, grid=grid)
-        b = run_ensemble(dec, model.observable, params, 5, base_seed=33, grid=grid)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.values, rb.values)
+        a = run_ensemble(dec, params, 5, base_seed=33, grid=grid)
+        b = run_ensemble(dec, params, 5, base_seed=33, grid=grid)
+        assert np.array_equal(a, b)
 
-    def test_worker_count_does_not_change_results(self, dense_model):
+    def test_out_of_band_start_logged_with_seed(self, dense_model, monkeypatch, caplog):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
-        grid = TimeGrid.uniform(10.0, 12)
-        serial = run_ensemble(dec, model.observable, params, 6, 44, grid, workers=1)
-        threaded = run_ensemble(dec, model.observable, params, 6, 44, grid, workers=3)
-        for ra, rb in zip(serial, threaded):
-            assert np.array_equal(ra.values, rb.values)
+        # an eigenvector of A with eigenvalue +1 starts at (1 + d)^2 / (1 + d^2)
+        plus = np.zeros(40, dtype=complex)
+        plus[int(np.argmax(model.observable.real_diagonal()))] = 1.0
+        outlier = child_seed(8, 1)
+        sample = typlab.evolution.sample_uniform_state
+        monkeypatch.setattr(
+            typlab.evolution,
+            "sample_uniform_state",
+            lambda n, seed: StateVector(plus) if seed == outlier else sample(n, seed),
+        )
+        with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
+            run_ensemble(dec, params, 3, 8, TimeGrid.uniform(1.0, 3))
+        messages = [r.getMessage() for r in caplog.records if r.name == "typlab.evolution"]
+        assert len(messages) == 1
+        assert f"trajectory seed {outlier} starts at 1.1980" in messages[0]
 
-    def test_env_variable_controls_default(self, monkeypatch):
-        monkeypatch.setenv("TYPLAB_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("TYPLAB_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.delenv("TYPLAB_THREADS")
-        assert worker_count() == 1
-        monkeypatch.setenv("TYPLAB_THREADS", "junk")
-        assert worker_count() == 1
+    def test_in_band_ensemble_logs_nothing(self, dense_model, caplog):
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
+            values = run_ensemble(dec, params, 20, 8, TimeGrid.uniform(1.0, 3))
+        center, spread = params.start_value_band
+        assert np.abs(values[:, 0] - center).max() <= spread
+        assert [r for r in caplog.records if r.name == "typlab.evolution"] == []

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from typlab.ensembles import OmegaParams, sample_uniform_states
 from typlab.errors import (
-    GridMismatchError,
+    DimensionMismatchError,
     NegativeMomentError,
     TooFewTrajectoriesError,
 )
-from typlab.evolution import TimeGrid, TrajectoryRecord, expectations, run_ensemble
+from typlab.evolution import TimeGrid, expectations, run_ensemble
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose
 from typlab.stats import (
@@ -170,37 +170,24 @@ class TestExactTimeVariance:
 
 
 class TestSampleStats:
-    def _grid(self):
-        return TimeGrid(np.array([0.0, 1.0, 2.0]))
+    times = np.array([0.0, 1.0, 2.0])
 
     def test_identical_trajectories_zero_variance(self):
-        grid = self._grid()
-        record = TrajectoryRecord(grid=grid, values=np.array([0.2, 0.1, 0.05]), norm0=1.0, seed=1)
-        twin = TrajectoryRecord(grid=grid, values=np.array([0.2, 0.1, 0.05]), norm0=1.0, seed=2)
-        stats = sample_stats([record, twin])
+        values = np.array([[0.2, 0.1, 0.05], [0.2, 0.1, 0.05]])
+        stats = sample_stats(values, self.times)
         assert np.array_equal(stats.variance, np.zeros(3))
         assert np.array_equal(stats.mean, np.array([0.2, 0.1, 0.05]))
 
     def test_grid_mismatch(self):
-        a = TrajectoryRecord(grid=self._grid(), values=np.zeros(3), norm0=1.0, seed=1)
-        b = TrajectoryRecord(
-            grid=TimeGrid(np.array([0.0, 1.0, 3.0])), values=np.zeros(3), norm0=1.0, seed=2
-        )
-        with pytest.raises(GridMismatchError):
-            sample_stats([a, b])
+        with pytest.raises(DimensionMismatchError):
+            sample_stats(np.zeros((2, 4)), self.times)
 
     def test_too_few(self):
-        a = TrajectoryRecord(grid=self._grid(), values=np.zeros(3), norm0=1.0, seed=1)
         with pytest.raises(TooFewTrajectoriesError):
-            sample_stats([a])
+            sample_stats(np.zeros((1, 3)), self.times)
 
     def test_unbiased_divisor(self):
-        grid = self._grid()
-        records = [
-            TrajectoryRecord(grid=grid, values=np.full(3, v), norm0=1.0, seed=i)
-            for i, v in enumerate([0.0, 1.0])
-        ]
-        stats = sample_stats(records)
+        stats = sample_stats(np.array([np.full(3, 0.0), np.full(3, 1.0)]), self.times)
         assert np.allclose(stats.variance, 0.5)  # (M-1) divisor
 
     def test_law_of_large_numbers_initial_mean(self):
@@ -210,8 +197,8 @@ class TestSampleStats:
         model = build_model(spec)
         dec = eigendecompose(model.hamiltonian)
         grid = TimeGrid(np.array([0.0, 1.0]))
-        records = run_ensemble(dec, a, OmegaParams(d=d, observable=a), m, 71, grid)
-        stats = sample_stats(records)
+        values = run_ensemble(dec, OmegaParams(d=d, observable=a), m, 71, grid)
+        stats = sample_stats(values, grid.times)
         band = 3 * np.sqrt(variance_bound(d, 1.0, 1.0, n) / m)
         assert abs(stats.mean[0] - mean_expectation_analytic(d, 0.0)) < band
 
