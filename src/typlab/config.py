@@ -22,6 +22,10 @@ _TIME_KEYS = {"t_max", "points"}
 _OUTPUT_KEYS = {"directory", "emit_trajectories", "emit_plot"}
 _TOP_KEYS = {"model", "d", "M", "time", "base_seed", "output"}
 
+# Propagation evaluates phases exp(-i E t); in double precision their
+# rounding grows like 1e-16 * |E| t, so beyond 1e8 rad it exceeds ~1e-8.
+MAX_PHASE = 1e8
+
 
 @dataclass(frozen=True)
 class TimeSettings:
@@ -141,6 +145,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError(f"field 'time.t_max' must be > 0, got {t_max}")
     if points < 2:
         raise ConfigParseError(f"field 'time.points' must be >= 2, got {points}")
+    # Largest |energy| estimate: the H0 bandwidth plus n times the typical
+    # perturbation element (the constant kind's only nonzero eigenvalue).
+    e_max = (model.n - 1) * model.delta_e + model.n * math.sqrt(model.v_scale)
+    if t_max * e_max > MAX_PHASE:
+        raise ConfigParseError(
+            f"field 'time.t_max' = {t_max:g} reaches phases of {t_max * e_max:.3g} rad "
+            f"(estimated max |energy| {e_max:.3g}), above {MAX_PHASE:.0e}, where their "
+            "rounding exceeds ~1e-8"
+        )
 
     base_seed = _as_int(raw["base_seed"], "base_seed")
     if not 0 <= base_seed < 2**64:

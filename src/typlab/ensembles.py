@@ -53,17 +53,20 @@ class StateVector:
 class OmegaParams:
     """Deviation parameter and observable defining the substitute ensemble.
 
-    ``d`` must satisfy |d| < 1: the reachable mean expectation value
-    saturates well below the extreme eigenvalues, and the closed-form
-    statistics target the small-deviation regime.
+    ``d`` must satisfy 0 <= d < 1: the variance bound is derived for
+    d >= 0 only, the reachable mean expectation value saturates well below
+    the extreme eigenvalues, and the closed-form statistics target the
+    small-deviation regime.  Every ensemble is built through this class,
+    so the rule is enforced here; config parse repeats it only to name the
+    offending field.
     """
 
     d: float
     observable: HermitianOperator
 
     def __post_init__(self):
-        if not np.isfinite(self.d) or abs(self.d) >= 1:
-            raise ValueError(f"deviation parameter must satisfy |d| < 1, got {self.d}")
+        if not 0 <= self.d < 1:  # also rejects NaN
+            raise ValueError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
 
     @cached_property
     def c3_c4(self) -> tuple[float, float]:
@@ -88,12 +91,10 @@ class OmegaParams:
         return 1.0 - spread, 1.0 + spread
 
     @cached_property
-    def start_value_band(self) -> tuple[float, float] | None:
+    def start_value_band(self) -> tuple[float, float]:
         """Analytic mean of initial expectation values and a 3-sigma spread
-        from the variance bound; None when the bound does not apply (d < 0)
-        or the eighth moment is not cheap (non-diagonal observable)."""
-        if self.d < 0 or not self.observable.is_diagonal():
-            return None
+        from the variance bound, for a diagonal observable (propagation
+        rejects any other before it reads the band)."""
         diag = self.observable.real_diagonal()
         c3, c4 = self.c3_c4
         c8 = float(np.mean(diag**8))

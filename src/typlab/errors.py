@@ -47,7 +47,9 @@ class OddDimensionError(TyplabError):
 
 
 class NotDiagonalError(TyplabError):
-    """Commuting-unitary construction needs an exactly diagonal observable."""
+    """An observable is not of the supported form: propagation and the exact
+    variance need it diagonal with entries exactly +1 or -1, and
+    commuting-unitary construction needs it exactly diagonal."""
 
 
 class NegativeMomentError(TyplabError):

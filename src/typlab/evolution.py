@@ -2,11 +2,12 @@
 expectation-value time series of a state ensemble.
 
 One eigendecomposition of H is reused for every trajectory and time: all
-states are rotated into the energy eigenbasis once, diagonal phases are
-applied per time point, and the rotated-back amplitudes are weighted by the
-diagonal observable, so the series are real by construction.  The general
-expectation values check their imaginary residue, never silently
-discarding it.
+states are rotated into the energy eigenbasis once and diagonal phases are
+applied per time point.  The observable is diagonal +/-1, A = 2 P_+ - I, so
+<omega|A|omega> = 2 ||P_+ omega||^2 - ||omega||^2 and only the n_+ rows of
+the eigenvector matrix where A = +1 are rotated back; the series are real
+by construction.  The general expectation values check their imaginary
+residue, never silently discarding it.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
-from .errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
-from .operators import HermitianOperator, SpectralDecomposition
+from .errors import DimensionMismatchError, NonHermitianResidueError
+from .operators import HermitianOperator, SpectralDecomposition, plus_rows
 from .rng import child_seed
 
 logger = logging.getLogger(__name__)
@@ -116,24 +117,20 @@ def run_ensemble(
 
     Trajectory i samples its uniform state from ``child_seed(base_seed, i)``
     and applies the deviation map.  All states are rotated into the energy
-    eigenbasis at once, C = U^dagger [omega_0 ... omega_{M-1}]; at each time
-    point ``a(t) = a_diag . |U (exp(-i w t) * C)|^2`` with the observable's
-    diagonal ``a_diag``, so the values are real by construction.  Only
-    observables diagonal in the H0 basis are supported
-    (:class:`NotDiagonalError` otherwise).  Initial values far from the
-    analytic ensemble mean (3 sigma of the variance bound) are logged with
-    the trajectory's seed.
+    eigenbasis at once, C = U^dagger [omega_0 ... omega_{M-1}].  A must be
+    diagonal with entries +/-1 (:class:`NotDiagonalError` otherwise), so
+    A = 2 P_+ - I and at each time point
+
+        a_i(t) = 2 ||U_+ exp(-i w t) c_i||^2 - ||omega_i||^2
+
+    with U_+ the n_+ rows of U where A = +1: one (n_+ x n) by (n x M)
+    product per time point, and the values are real by construction.
+    Initial values far from the analytic ensemble mean (3 sigma of the
+    variance bound) are logged with the trajectory's seed.
     """
     if m < 1:
         raise ValueError(f"trajectory count must be >= 1, got {m}")
-    a_op = params.observable
-    if dec.dim != a_op.dim:
-        raise DimensionMismatchError(
-            f"decomposition dim {dec.dim} does not match observable dim {a_op.dim}"
-        )
-    if not a_op.is_diagonal():
-        raise NotDiagonalError("propagation supports only diagonal observables")
-    a_diag = a_op.real_diagonal()
+    u_plus = plus_rows(params.observable, dec)
     n = dec.dim
     u = dec.eigenvectors
     seeds = [child_seed(base_seed, i) for i in range(m)]
@@ -141,22 +138,21 @@ def run_ensemble(
     for i, seed in enumerate(seeds):
         omegas[:, i] = make_omega(sample_uniform_state(n, seed), params).amplitudes
     coeff = u.conj().T @ omegas
+    norms_sq = np.sum(omegas.real**2 + omegas.imag**2, axis=0)
 
     values = np.empty((m, len(grid)))
     for k, t in enumerate(grid.times):
-        evolved = u @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
-        values[:, k] = a_diag @ (evolved.real**2 + evolved.imag**2)
+        evolved = u_plus @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
+        values[:, k] = 2.0 * np.sum(evolved.real**2 + evolved.imag**2, axis=0) - norms_sq
 
-    band = params.start_value_band
-    if band is not None:
-        center, spread = band
-        for seed, start in zip(seeds, values[:, 0]):
-            if abs(start - center) > spread:
-                logger.warning(
-                    "trajectory seed %d starts at %.4f, outside %.4f +/- %.4f",
-                    seed,
-                    start,
-                    center,
-                    spread,
-                )
+    center, spread = params.start_value_band
+    for seed, start in zip(seeds, values[:, 0]):
+        if abs(start - center) > spread:
+            logger.warning(
+                "trajectory seed %d starts at %.4f, outside %.4f +/- %.4f",
+                seed,
+                start,
+                center,
+                spread,
+            )
     return values

@@ -1,7 +1,8 @@
 """Dense complex Hermitian operator algebra.
 
 Construction and validation of Hermitian operators, eigendecomposition,
-spectral moments, the Hilbert-Schmidt inner product, and Heisenberg-picture
+spectral moments, the +1 block of the eigenvector matrix for a diagonal
++/-1 observable, the Hilbert-Schmidt inner product, and Heisenberg-picture
 time dependence of observables.  Everything here is dense complex128;
 values are immutable after construction.
 """
@@ -14,9 +15,11 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
+    NotDiagonalError,
     NotHermitianError,
     NotSquareError,
     OutOfRangeError,
+    TyplabError,
 )
 
 HERMITICITY_ATOL = 1e-12
@@ -35,9 +38,10 @@ def _frozen_complex(matrix: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """A validated dense Hermitian matrix.
 
-    Construction is the validation gate: conjugate symmetry must hold to
-    ``HERMITICITY_ATOL`` per entry (which also pins the diagonal's imaginary
-    parts).  The stored array is read-only.
+    Construction is the validation gate: every entry must be finite, and
+    conjugate symmetry must hold to ``HERMITICITY_ATOL`` per entry (which
+    also pins the diagonal's imaginary parts).  The stored array is
+    read-only.
     """
 
     matrix: np.ndarray
@@ -47,7 +51,13 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
         m = np.array(m, dtype=np.complex128, order="C", copy=True)
-        asym = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        # A NaN or infinite entry, on the diagonal or off it, makes its own
+        # difference non-finite, and max() propagates it; NaN would pass the
+        # tolerance comparison below.
+        with np.errstate(invalid="ignore"):
+            asym = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        if not np.isfinite(asym):
+            raise TyplabError("matrix has non-finite entries (NaN or inf)")
         if asym > HERMITICITY_ATOL:
             raise NotHermitianError(asym, HERMITICITY_ATOL)
         diag_imag = float(np.abs(m.diagonal().imag).max()) if m.size else 0.0
@@ -205,6 +215,24 @@ def spectral_moments(
             power = power @ a
             c[i] = float(np.trace(power).real) / n
     return SpectralMoments(c)
+
+
+def plus_rows(a_op: HermitianOperator, dec: SpectralDecomposition) -> np.ndarray:
+    """U_+, the rows of the eigenvector matrix U where the observable is +1.
+
+    The observable must be diagonal with every entry exactly +1 or -1, so
+    that A = 2 P_+ - I with P_+ the projector onto those basis states and
+    U^dagger P_+ U = U_+^dagger U_+; anything else raises
+    :class:`NotDiagonalError`.  The block is (n_+, n) and empty when A = -I.
+    """
+    if a_op.dim != dec.dim:
+        raise DimensionMismatchError(
+            f"observable dim {a_op.dim} does not match decomposition dim {dec.dim}"
+        )
+    diag = a_op.real_diagonal()
+    if not a_op.is_diagonal() or not np.all(np.abs(diag) == 1.0):
+        raise NotDiagonalError("the observable must be diagonal with entries +1 or -1")
+    return dec.eigenvectors[diag > 0]
 
 
 def hilbert_schmidt_inner(x: np.ndarray, y: np.ndarray) -> complex:

@@ -5,8 +5,29 @@ its variance is the spectral variance over n + 1.  Statistics of the
 substitute ensemble follow by mapping the measured operator through
 ``D = (1 + d A) C (1 + d A) / (1 + d^2)`` and reusing the uniform formulas.
 The time-dependent variance admits a closed-form Cauchy-Schwarz upper
-bound in the moments c_4 and c_8; the exact value is also computed here by
-evaluating the same machinery with the Heisenberg-evolved observable.
+bound in the moments c_4 and c_8.
+
+The exact time-dependent variance is ``hv_uniform(moment_map(A(t), A, d))``.
+For a diagonal +/-1 observable, A = 2 P_+ - I with P_+ the projector onto
+its n_+ basis states of eigenvalue +1, A^2 = I, and the variance depends on
+two correlators only: the autocorrelation C(t) = Tr{A A(t)}/n and the
+out-of-time-order correlator F(t) = Tr{(A(t) A)^2}/n.  With
+tau = Tr{A}/n = (2 n_+ - n)/n and alpha = 1 + d^2, (1 + d A)^2 = alpha + 2 d A
+gives
+
+    Tr{D}/n   = tau + 2 d C / alpha
+    Tr{D^2}/n = 1 + 4 d tau / alpha + 4 d^2 F / alpha^2
+    HV(t)     = [1 - tau^2 + 4 d tau (1 - C) / alpha
+                 + 4 d^2 (F - C^2) / alpha^2] / (n + 1).
+
+Both correlators come from the n_+ x n_+ block Y = P_+ e^{-iHt} P_+, in the
+energy eigenbasis ``Y = U_+ e^{-iwt} U_+^dagger`` with U_+ the +1 rows of
+the eigenvector matrix: with G = Y^dagger Y = P_+ P_+(t) P_+,
+Tr{P_+ P_+(t)} = Tr G and Tr{(P_+(t) P_+)^2} = ||G||_F^2, so expanding
+A = 2 P_+ - I,
+
+    C = (4 Tr G - 4 n_+ + n) / n
+    F = (16 ||G||_F^2 - 16 Tr G + n) / n.
 """
 from __future__ import annotations
 
@@ -15,7 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NegativeMomentError, TooFewTrajectoriesError
-from .operators import HermitianOperator, SpectralDecomposition, heisenberg_observable
+from .operators import (
+    HermitianOperator,
+    SpectralDecomposition,
+    heisenberg_observable,
+    plus_rows,
+)
 
 
 def ha_uniform(d_op: HermitianOperator) -> float:
@@ -110,42 +136,43 @@ def exact_hv_series(
     d: float,
     times: np.ndarray,
 ) -> np.ndarray:
-    """:func:`hv_at_time_exact` over a whole time grid, one matrix product
-    per time point.
+    """:func:`hv_at_time_exact` over a whole time grid for a diagonal +/-1
+    observable, from its autocorrelation C(t) and OTOC F(t).
 
-    Works in the energy eigenbasis, where A(t) is an elementwise phase
-    rotation of A~ = U^dagger A U and all traces are basis-invariant:
-    with S = (1 + d A)^2,
+    Per time point it forms the n_+ x n_+ block
+    ``Y = (U_+ e^{-iwt}) U_+^dagger`` and G = Y^dagger Y, then
 
-        Tr{D}   = (Tr{A(t)} + 2d Tr{A A(t)} + d^2 Tr{A^2 A(t)}) / (1 + d^2)
-        Tr{D^2} = Tr{(A(t) S)^2} / (1 + d^2)^2
+        C  = (4 Tr G - 4 n_+ + n) / n
+        F  = (16 ||G||_F^2 - 16 Tr G + n) / n
+        HV = [1 - tau^2 + 4 d tau (1 - C) / alpha
+              + 4 d^2 (F - C^2) / alpha^2] / (n + 1)
 
-    Algebraically identical to the per-time composition; the tests pin the
-    agreement.
+    with tau = (2 n_+ - n)/n and alpha = 1 + d^2 (derivation in the module
+    docstring).  This holds for balanced and unbalanced observables alike,
+    including +/-I.  An observable that is not diagonal with entries +/-1
+    raises :class:`NotDiagonalError`.  The tests pin the agreement with the
+    per-time composition and with the general energy-basis formula.
     """
-    if a_op.dim != dec.dim:
-        raise DimensionMismatchError(
-            f"observable dim {a_op.dim} does not match decomposition dim {dec.dim}"
-        )
-    n = a_op.dim
-    u = dec.eigenvectors
-    a_eig = u.conj().T @ a_op.matrix @ u
-    a_eig_sq = a_eig @ a_eig
-    s_eig = np.eye(n, dtype=np.complex128) + 2.0 * d * a_eig + d**2 * a_eig_sq
+    u_plus = plus_rows(a_op, dec)
+    u_plus_h = u_plus.conj().T
+    n = dec.dim
+    n_plus = u_plus.shape[0]
+    tau = (2 * n_plus - n) / n
     alpha = 1.0 + d**2
 
     out = np.empty(len(times))
     for k, t in enumerate(np.asarray(times, dtype=float)):
-        phase = np.exp(1j * dec.eigenvalues * t)
-        b = (phase[:, None] * a_eig) * phase.conj()[None, :]
-        tr_d = (
-            np.trace(b) + 2.0 * d * np.vdot(a_eig, b) + d**2 * np.vdot(a_eig_sq, b)
-        ).real / alpha
-        x = b @ s_eig
-        tr_d_sq = np.sum(x * x.T).real / alpha**2
-        c1 = tr_d / n
-        c2 = tr_d_sq / n
-        out[k] = (c2 - c1**2) / (n + 1)
+        y = (u_plus * np.exp(-1j * dec.eigenvalues * t)) @ u_plus_h
+        g = y.conj().T @ y
+        tr_g = float(np.trace(g).real)
+        c = (4.0 * tr_g - 4 * n_plus + n) / n
+        f = (16.0 * float(np.vdot(g, g).real) - 16.0 * tr_g + n) / n
+        out[k] = (
+            1.0
+            - tau**2
+            + 4.0 * d * tau * (1.0 - c) / alpha
+            + 4.0 * d**2 * (f - c**2) / alpha**2
+        ) / (n + 1)
     return out
 
 

@@ -21,7 +21,6 @@ from .ensembles import (
     sample_uniform_state,
     sample_uniform_states,
 )
-from .errors import TyplabError
 from .evolution import TimeGrid, evolve_state, expectation, expectations, run_ensemble
 from .models import ModelSpec, build_model
 from .operators import (
@@ -83,12 +82,11 @@ def run_verification(
     ``observable_override`` substitutes the model's observable (a test
     hook for corrupted-observable negative tests).
     """
-    if config.d < 0:
-        raise TyplabError("verification requires d >= 0 (the variance bound does)")
     model = build_model(config.model)
     a = observable_override if observable_override is not None else model.observable
     n = a.dim
     d = config.d
+    params = OmegaParams(d=d, observable=a)
     base = config.base_seed
     results: list[CheckResult] = []
 
@@ -132,7 +130,6 @@ def run_verification(
     )
 
     # Substitute-ensemble norm and expectation statistics.
-    params = OmegaParams(d=d, observable=a)
     c3, c4 = params.c3_c4
     c8 = moments[8]
     eq_norm_var = norm_variance_analytic(d, c3, c4, n)

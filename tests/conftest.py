@@ -23,6 +23,15 @@ def random_state_block(n: int, count: int, seed: int) -> np.ndarray:
     return z[:, :n] + 1j * z[:, n:]
 
 
+def pm1_with_plus_fraction(n: int, fraction: float, seed: int) -> HermitianOperator:
+    """Diagonal +/-1 observable with round(fraction * n) randomly placed +1
+    entries, balanced or not (test helper)."""
+    plus = SeedStream(seed).shuffled_indices(n)[: round(fraction * n)]
+    diag = np.full(n, -1.0)
+    diag[plus] = 1.0
+    return HermitianOperator(np.diag(diag))
+
+
 @pytest.fixture
 def pm1_observable():
     from typlab.models import build_observable_pm1

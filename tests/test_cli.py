@@ -107,6 +107,15 @@ def test_negative_deviation_fails_at_parse(tmp_path, capsys):
     assert not (tmp_path / "default_out").exists()
 
 
+def test_huge_t_max_fails_at_parse(tmp_path, capsys):
+    cfg = write_config(tmp_path, time={"t_max": 1e300, "points": 40})
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "time.t_max" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default_out").exists()
+
+
 def test_moments_table(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["moments", "--config", str(cfg)]) == 0

@@ -114,6 +114,11 @@ def test_unknown_model_field_rejected():
             "field 'time.t_max' must be finite",
             id="huge-int-t_max",
         ),
+        pytest.param(
+            lambda r: r["time"].__setitem__("t_max", 1e9),
+            "field 'time.t_max' = 1e[+]09 reaches phases",
+            id="phase-overflow-t_max",
+        ),
     ],
 )
 def test_invalid_values_named(mutate, needle):

@@ -99,6 +99,8 @@ class TestOmega:
             OmegaParams(d=1.0, observable=a)
         with pytest.raises(ValueError):
             OmegaParams(d=float("nan"), observable=a)
+        with pytest.raises(ValueError):
+            OmegaParams(d=-0.1, observable=a)
 
     def test_out_of_band_norm_logged(self, caplog):
         a = build_observable_pm1(4, seed=1)

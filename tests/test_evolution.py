@@ -1,17 +1,22 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import typlab.evolution
+from typlab.config import load_config
 from typlab.ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
 from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
 from typlab.evolution import TimeGrid, evolve_state, expectation, run_ensemble
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.rng import child_seed
+from typlab.stats import sample_stats
 
-from conftest import random_hermitian
+from conftest import pm1_with_plus_fraction, random_hermitian
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_series(dec, a_op, omega, times):
@@ -159,10 +164,15 @@ class TestTrajectories:
 
 
 class TestEnsembleRuns:
-    @pytest.mark.parametrize("observable", ["model", "identity"])
+    @pytest.mark.parametrize("observable", ["model", "identity", "unbalanced", "minus-identity"])
     def test_matches_per_trajectory_reference(self, dense_model, observable):
         model, dec = dense_model
-        a = model.observable if observable == "model" else HermitianOperator.identity(40)
+        a = {
+            "model": model.observable,
+            "identity": HermitianOperator.identity(40),
+            "unbalanced": pm1_with_plus_fraction(40, 0.7, seed=3),
+            "minus-identity": HermitianOperator(-np.eye(40)),
+        }[observable]
         params = OmegaParams(d=0.1, observable=a)
         grid = TimeGrid.uniform(10.0, 12)
         values = run_ensemble(dec, params, 6, base_seed=21, grid=grid)
@@ -176,6 +186,13 @@ class TestEnsembleRuns:
         params = OmegaParams(d=0.1, observable=random_hermitian(40, seed=5))
         with pytest.raises(NotDiagonalError):
             run_ensemble(dec, params, 2, 1, TimeGrid.uniform(1.0, 3))
+
+    @pytest.mark.parametrize("diagonal", [[2.0, -2.0], [1.0, 0.0], [1.0, -1.0 + 1e-9]])
+    def test_observable_not_pm1_rejected(self, dense_model, diagonal):
+        _, dec = dense_model
+        a = HermitianOperator(np.diag(np.tile(diagonal, 20)))
+        with pytest.raises(NotDiagonalError):
+            run_ensemble(dec, OmegaParams(d=0.1, observable=a), 2, 1, TimeGrid.uniform(1.0, 3))
 
     def test_repeat_runs_identical(self, dense_model):
         model, dec = dense_model
@@ -212,3 +229,33 @@ class TestEnsembleRuns:
         center, spread = params.start_value_band
         assert np.abs(values[:, 0] - center).max() <= spread
         assert [r for r in caplog.records if r.name == "typlab.evolution"] == []
+
+
+def fitted_decay_rate(config_name):
+    """Decay rate of the sampled mean from a log-linear fit over t <= 150,
+    and the Fermi golden rule rate 2 pi v_scale / delta_e of the config."""
+    config = load_config(CONFIGS / config_name)
+    model = build_model(config.model)
+    dec = eigendecompose(model.hamiltonian)
+    grid = TimeGrid.uniform(config.time.t_max, config.time.points)
+    params = OmegaParams(d=config.d, observable=model.observable)
+    values = run_ensemble(dec, params, config.num_trajectories, config.base_seed, grid)
+    mean = sample_stats(values, grid.times).mean
+    early = grid.times <= 150.0
+    slope = np.polyfit(grid.times[early], np.log(mean[early]), 1)[0]
+    golden_rule = 2 * np.pi * config.model.v_scale / config.model.delta_e
+    return -slope, golden_rule
+
+
+class TestRelaxationContrast:
+    """The paper's contrast: a gaussian random perturbation relaxes the
+    mean exponentially at the Fermi golden rule rate, a constant one of the
+    same magnitude hardly relaxes it at all."""
+
+    def test_gaussian_perturbation_relaxes_at_golden_rule_rate(self):
+        rate, golden_rule = fitted_decay_rate("scenario_i.json")
+        assert 0.9 <= rate / golden_rule <= 1.1
+
+    def test_constant_perturbation_does_not_relax(self):
+        rate, golden_rule = fitted_decay_rate("scenario_iii.json")
+        assert rate / golden_rule < 0.05

@@ -9,6 +9,7 @@ from typlab.errors import (
     NotHermitianError,
     NotSquareError,
     OutOfRangeError,
+    TyplabError,
 )
 from typlab.operators import (
     HermitianOperator,
@@ -45,6 +46,26 @@ class TestValidation:
     def test_imaginary_diagonal_rejected(self):
         with pytest.raises(NotHermitianError):
             HermitianOperator(np.diag([1.0 + 1e-6j, 2.0]))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 0): np.nan},
+            {(0, 0): np.inf},
+            {(1, 1): -np.inf},
+            {(0, 0): complex(0.0, np.inf)},
+            {(0, 1): np.nan},
+            {(0, 1): np.inf},
+            {(1, 0): complex(np.inf, -np.inf)},
+            {(0, 1): np.inf, (1, 0): np.inf},
+        ],
+    )
+    def test_non_finite_entries_rejected(self, entries):
+        m = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
+        for entry, value in entries.items():
+            m[entry] = value
+        with pytest.raises(TyplabError, match="non-finite"):
+            HermitianOperator(m)
 
     def test_matrix_is_frozen(self):
         op = HermitianOperator(np.eye(2))

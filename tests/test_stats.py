@@ -7,6 +7,7 @@ from typlab.ensembles import OmegaParams, sample_uniform_states
 from typlab.errors import (
     DimensionMismatchError,
     NegativeMomentError,
+    NotDiagonalError,
     TooFewTrajectoriesError,
 )
 from typlab.evolution import TimeGrid, expectations, run_ensemble
@@ -24,7 +25,34 @@ from typlab.stats import (
     variance_bound,
 )
 
-from conftest import random_hermitian
+from conftest import pm1_with_plus_fraction, random_hermitian
+
+
+def reference_hv_series(a_op, dec, d, times):
+    """The general energy-basis formula that exact_hv_series replaced, valid
+    for any Hermitian A: with A~ = U^dagger A U, B = A~(t) the phase-rotated
+    A~ and S = (1 + d A~)^2,
+
+        Tr{D}   = (Tr{B} + 2d Tr{A~ B} + d^2 Tr{A~^2 B}) / (1 + d^2)
+        Tr{D^2} = Tr{(B S)^2} / (1 + d^2)^2
+    """
+    n = a_op.dim
+    u = dec.eigenvectors
+    a_eig = u.conj().T @ a_op.matrix @ u
+    a_eig_sq = a_eig @ a_eig
+    s_eig = np.eye(n, dtype=np.complex128) + 2.0 * d * a_eig + d**2 * a_eig_sq
+    alpha = 1.0 + d**2
+    out = np.empty(len(times))
+    for k, t in enumerate(np.asarray(times, dtype=float)):
+        phase = np.exp(1j * dec.eigenvalues * t)
+        b = (phase[:, None] * a_eig) * phase.conj()[None, :]
+        tr_d = (
+            np.trace(b) + 2.0 * d * np.vdot(a_eig, b) + d**2 * np.vdot(a_eig_sq, b)
+        ).real / alpha
+        x = b @ s_eig
+        tr_d_sq = np.sum(x * x.T).real / alpha**2
+        out[k] = (tr_d_sq / n - (tr_d / n) ** 2) / (n + 1)
+    return out
 
 
 class TestUniformFormulas:
@@ -167,6 +195,32 @@ class TestExactTimeVariance:
         series = exact_hv_series(model.observable, dec, 0.1, times)
         direct = [hv_at_time_exact(model.observable, dec, 0.1, t) for t in times]
         assert np.allclose(series, direct, rtol=1e-10, atol=1e-16)
+
+    @pytest.mark.parametrize("d", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("observable", ["balanced", "unbalanced", "identity", "minus-identity"])
+    def test_series_matches_general_formula(self, small_model, observable, d):
+        model, dec = small_model
+        a = {
+            "balanced": model.observable,
+            "unbalanced": pm1_with_plus_fraction(60, 0.7, seed=3),
+            "identity": HermitianOperator.identity(60),
+            "minus-identity": HermitianOperator(-np.eye(60)),
+        }[observable]
+        times = np.linspace(0.0, 40.0, 13)
+        series = exact_hv_series(a, dec, d, times)
+        assert np.abs(series - reference_hv_series(a, dec, d, times)).max() <= 1e-12
+
+    @pytest.mark.parametrize("diagonal", [[2.0, -2.0], [1.0, 0.0], [1.0, -1.0 + 1e-9]])
+    def test_observable_not_pm1_rejected(self, small_model, diagonal):
+        _, dec = small_model
+        a = HermitianOperator(np.diag(np.tile(diagonal, 30)))
+        with pytest.raises(NotDiagonalError):
+            exact_hv_series(a, dec, 0.1, np.array([0.0, 1.0]))
+
+    def test_non_diagonal_observable_rejected(self, small_model):
+        _, dec = small_model
+        with pytest.raises(NotDiagonalError):
+            exact_hv_series(random_hermitian(60, seed=5), dec, 0.1, np.array([0.0, 1.0]))
 
 
 class TestSampleStats:
