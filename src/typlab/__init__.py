@@ -11,7 +11,6 @@ from .config import ExperimentConfig, OutputSettings, TimeSettings, load_config
 from .ensembles import (
     OmegaParams,
     StateVector,
-    average_density,
     commuting_unitary,
     make_omega,
     make_omegas,
@@ -43,7 +42,6 @@ from .operators import (
     SpectralMoments,
     eigendecompose,
     heisenberg_observable,
-    hilbert_schmidt_inner,
     spectral_moments,
 )
 from .rng import RNG_ALGORITHM, SeedStream, child_seed, mix64
@@ -82,7 +80,6 @@ __all__ = [
     "TimeSettings",
     "TyplabError",
     "assemble_hamiltonian",
-    "average_density",
     "build_h0",
     "build_model",
     "build_observable_pm1",
@@ -98,7 +95,6 @@ __all__ = [
     "expectations",
     "ha_uniform",
     "heisenberg_observable",
-    "hilbert_schmidt_inner",
     "hv_at_time_exact",
     "hv_uniform",
     "load_config",

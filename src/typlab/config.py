@@ -122,7 +122,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     except ConfigParseError:
         raise
-    except (TyplabError, ValueError) as exc:
+    except TyplabError as exc:
         raise ConfigParseError(f"field 'model': {exc}") from exc
 
     d = _as_float(raw["d"], "d")

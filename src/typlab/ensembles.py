@@ -1,13 +1,13 @@
 """Pure-state ensembles: uniform (Haar) samples, the near-constrained
-substitute ensemble, its analytic average projector, and commuting
-unitaries for invariance tests.
+substitute ensemble, and commuting unitaries for invariance tests.
 
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting
 distribution on the unit sphere is invariant under every unitary.  The
 substitute ensemble applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state
 and is deliberately not renormalized: its norm spread is part of what the
-closed-form statistics describe.
+closed-form statistics describe.  The observable is diagonal +/-1, so the
+map and the commuting unitaries act elementwise through its sign vector.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotDiagonalError
-from .operators import HermitianOperator
+from .errors import DimensionMismatchError, NotDiagonalError, ParameterError
+from .operators import HermitianOperator, pm1_signs
 from .rng import SeedStream
 from .stats import mean_expectation_analytic, norm_variance_analytic, variance_bound
 
@@ -66,7 +66,13 @@ class OmegaParams:
 
     def __post_init__(self):
         if not 0 <= self.d < 1:  # also rejects NaN
-            raise ValueError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
+            raise ParameterError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The observable's real +/-1 diagonal (:func:`pm1_signs`); raises
+        :class:`NotDiagonalError` on first use for any other observable."""
+        return pm1_signs(self.observable)
 
     @cached_property
     def c3_c4(self) -> tuple[float, float]:
@@ -125,14 +131,19 @@ def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
     matters.
     """
     z = SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n)
-    amp = z[:, :n] + 1j * z[:, n:]
+    amp = np.empty((count, n), dtype=np.complex128)
+    amp.real = z[:, :n]
+    amp.imag = z[:, n:]
     return amp / np.linalg.norm(amp, axis=1)[:, None]
 
 
 def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
     """Apply the deviation map ``(1 + d A)/sqrt(1 + d^2)`` to a state.
 
-    No renormalization: the image ensemble is only near-normalized.  A norm
+    A is diagonal +/-1, so the map is elementwise,
+    ``(psi + d * (a * psi)) / sqrt(1 + d^2)`` with ``a = params.signs``
+    (:class:`NotDiagonalError` for any other observable).  No
+    renormalization: the image ensemble is only near-normalized.  A norm
     outside the 10-sigma analytic band is logged, not fatal.
     """
     a = params.observable
@@ -140,7 +151,7 @@ def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
         raise DimensionMismatchError(
             f"state dim {psi.dim} does not match observable dim {a.dim}"
         )
-    amp = (psi.amplitudes + params.d * (a.matrix @ psi.amplitudes)) / np.sqrt(
+    amp = (psi.amplitudes + params.d * (params.signs * psi.amplitudes)) / np.sqrt(
         1.0 + params.d**2
     )
     omega = StateVector(amp)
@@ -156,37 +167,25 @@ def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
 
 
 def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
-    """Vectorized deviation map for a (count, n) block of states."""
+    """:func:`make_omega` for a (count, n) block of states, one per row:
+    the sign vector scales every row elementwise, with the same operations
+    in the same order, so each row equals the single-state result."""
     a = params.observable
     if psis.ndim != 2 or psis.shape[1] != a.dim:
         raise DimensionMismatchError(
             f"state block shape {psis.shape} does not match observable dim {a.dim}"
         )
-    return (psis + params.d * (psis @ a.matrix.T)) / np.sqrt(1.0 + params.d**2)
-
-
-def average_density(params: OmegaParams, n: int) -> HermitianOperator:
-    """Analytic ensemble average of the projector onto an omega state:
-    ``(1 + 2 d A + d^2 A^2) / (n (1 + d^2))``.
-
-    Its trace is ``(1 + d^2 c_2)/(1 + d^2)``, exactly 1 for c_2 = 1.
-    """
-    a = params.observable
-    if n != a.dim:
-        raise DimensionMismatchError(f"n = {n} does not match observable dim {a.dim}")
-    d = params.d
-    mat = np.eye(n, dtype=np.complex128) + 2.0 * d * a.matrix + d**2 * (a.matrix @ a.matrix)
-    return HermitianOperator(mat / (n * (1.0 + d**2)))
+    return (psis + params.d * (params.signs * psis)) / np.sqrt(1.0 + params.d**2)
 
 
 def commuting_unitary(a: HermitianOperator, seed: int) -> np.ndarray:
-    """A random unitary ``e^{iB}`` with diagonal real B, commuting with A.
+    """A random unitary ``e^{iB}`` with diagonal real B, commuting with A,
+    returned as its (n,) diagonal: the phase vector ``exp(i * angles)``.
 
-    Only exactly diagonal observables are supported; the phases are uniform
-    in [0, 2*pi) from the seed's stream, and the commutator with A vanishes
-    identically.
+    Only exactly diagonal observables are supported; the angles are uniform
+    in [0, 2*pi) from the seed's stream.  Apply it to a state elementwise,
+    ``phases * psi``; ``np.diag(phases)`` commutes with A identically.
     """
     if not a.is_diagonal():
         raise NotDiagonalError("commuting unitaries are built only for diagonal observables")
-    phases = np.exp(1j * SeedStream(seed).angles(a.dim))
-    return np.diag(phases)
+    return np.exp(1j * SeedStream(seed).angles(a.dim))

@@ -46,10 +46,18 @@ class OddDimensionError(TyplabError):
     """An even dimension was required (equal counts of +1 and -1 entries)."""
 
 
+class ParameterError(TyplabError, ValueError):
+    """A numeric or named parameter is outside its valid range.
+
+    Also a :class:`ValueError`, the builtin error for a bad argument value.
+    """
+
+
 class NotDiagonalError(TyplabError):
-    """An observable is not of the supported form: propagation and the exact
-    variance need it diagonal with entries exactly +1 or -1, and
-    commuting-unitary construction needs it exactly diagonal."""
+    """An observable is not of the supported form: propagation, the exact
+    variance, the batch expectation values and the deviation map need it
+    diagonal with entries exactly +1 or -1 (they work on its sign vector),
+    and commuting-unitary construction needs it exactly diagonal."""
 
 
 class NegativeMomentError(TyplabError):

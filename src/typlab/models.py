@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, OddDimensionError
+from .errors import InvalidDimensionError, OddDimensionError, ParameterError
 from .operators import HermitianOperator
 from .rng import MASK64, SeedStream, child_seed
 
@@ -52,13 +52,13 @@ class ModelSpec:
         if not self.delta_e > 0:
             raise InvalidDimensionError(f"level spacing must be > 0, got {self.delta_e}")
         if self.v_kind not in V_KINDS:
-            raise ValueError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
+            raise ParameterError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
         if self.v_scale < 0:
-            raise ValueError(f"v_scale must be >= 0, got {self.v_scale}")
+            raise ParameterError(f"v_scale must be >= 0, got {self.v_scale}")
         if not 0 <= int(self.seed) <= MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
         if self.v_diagonal not in V_DIAGONAL_MODES:
-            raise ValueError(
+            raise ParameterError(
                 f"v_diagonal must be one of {V_DIAGONAL_MODES}, got {self.v_diagonal!r}"
             )
 
@@ -104,9 +104,9 @@ def build_v_gaussian(
     upper-triangle imaginary parts, then the diagonal when it is drawn.
     """
     if mean_sq < 0:
-        raise ValueError(f"mean squared magnitude must be >= 0, got {mean_sq}")
+        raise ParameterError(f"mean squared magnitude must be >= 0, got {mean_sq}")
     if diagonal not in V_DIAGONAL_MODES:
-        raise ValueError(f"diagonal must be one of {V_DIAGONAL_MODES}, got {diagonal!r}")
+        raise ParameterError(f"diagonal must be one of {V_DIAGONAL_MODES}, got {diagonal!r}")
     v = np.zeros((n, n), dtype=np.complex128)
     if mean_sq == 0:
         return HermitianOperator(v)
@@ -130,9 +130,9 @@ def build_v_constant(n: int, value_sq: float, diagonal: str = "default") -> Herm
     eigenvalue is n * sqrt(value_sq).
     """
     if value_sq < 0:
-        raise ValueError(f"squared value must be >= 0, got {value_sq}")
+        raise ParameterError(f"squared value must be >= 0, got {value_sq}")
     if diagonal not in V_DIAGONAL_MODES:
-        raise ValueError(f"diagonal must be one of {V_DIAGONAL_MODES}, got {diagonal!r}")
+        raise ParameterError(f"diagonal must be one of {V_DIAGONAL_MODES}, got {diagonal!r}")
     v = np.full((n, n), np.sqrt(value_sq), dtype=np.complex128)
     if diagonal == "zero":
         np.fill_diagonal(v, 0.0)

@@ -1,10 +1,10 @@
 """Dense complex Hermitian operator algebra.
 
 Construction and validation of Hermitian operators, eigendecomposition,
-spectral moments, the +1 block of the eigenvector matrix for a diagonal
-+/-1 observable, the Hilbert-Schmidt inner product, and Heisenberg-picture
-time dependence of observables.  Everything here is dense complex128;
-values are immutable after construction.
+spectral moments, the sign vector of a diagonal +/-1 observable and the +1
+block of the eigenvector matrix, and Heisenberg-picture time dependence of
+observables.  Everything here is dense complex128 apart from the real sign
+vector; values are immutable after construction.
 """
 from __future__ import annotations
 
@@ -217,39 +217,29 @@ def spectral_moments(
     return SpectralMoments(c)
 
 
+def pm1_signs(a_op: HermitianOperator) -> np.ndarray:
+    """The real diagonal of an observable that is diagonal with every entry
+    exactly +1 or -1, so that A = 2 P_+ - I with P_+ the projector onto the
+    +1 basis states; anything else raises :class:`NotDiagonalError`.
+    """
+    signs = a_op.real_diagonal()
+    if not a_op.is_diagonal() or not np.all(np.abs(signs) == 1.0):
+        raise NotDiagonalError("the observable must be diagonal with entries +1 or -1")
+    return signs
+
+
 def plus_rows(a_op: HermitianOperator, dec: SpectralDecomposition) -> np.ndarray:
     """U_+, the rows of the eigenvector matrix U where the observable is +1.
 
-    The observable must be diagonal with every entry exactly +1 or -1, so
-    that A = 2 P_+ - I with P_+ the projector onto those basis states and
-    U^dagger P_+ U = U_+^dagger U_+; anything else raises
-    :class:`NotDiagonalError`.  The block is (n_+, n) and empty when A = -I.
+    The observable must pass :func:`pm1_signs`, so that
+    U^dagger P_+ U = U_+^dagger U_+.  The block is (n_+, n) and empty when
+    A = -I.
     """
     if a_op.dim != dec.dim:
         raise DimensionMismatchError(
             f"observable dim {a_op.dim} does not match decomposition dim {dec.dim}"
         )
-    diag = a_op.real_diagonal()
-    if not a_op.is_diagonal() or not np.all(np.abs(diag) == 1.0):
-        raise NotDiagonalError("the observable must be diagonal with entries +1 or -1")
-    return dec.eigenvectors[diag > 0]
-
-
-def hilbert_schmidt_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr{X^dagger Y} of two square matrices.
-
-    Conjugate-symmetric: ``(X, Y) == conj((Y, X))``.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise NotSquareError(f"X must be square, got shape {x.shape}")
-    if y.ndim != 2 or y.shape[0] != y.shape[1]:
-        raise NotSquareError(f"Y must be square, got shape {y.shape}")
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"shapes differ: {x.shape} vs {y.shape}")
-    # Tr{X^dagger Y} = sum_jk conj(X_jk) Y_jk, elementwise, no matrix product.
-    return complex(np.vdot(x, y))
+    return dec.eigenvectors[pm1_signs(a_op) > 0]
 
 
 def heisenberg_observable(

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 MASK64 = (1 << 64) - 1
 
 RNG_ALGORITHM = "philox4x64-10/u53/box-muller"
@@ -49,7 +51,7 @@ def child_seed(base_seed: int, index: int) -> int:
     indices below 2^64 - 1 give distinct children for a fixed base.
     """
     if index < 0:
-        raise ValueError("child index must be non-negative")
+        raise ParameterError("child index must be non-negative")
     return mix64((base_seed ^ ((index + 1) * _CHILD_KEY)) & MASK64)
 
 
@@ -59,7 +61,7 @@ class SeedStream:
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed <= MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+            raise ParameterError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._bits = np.random.Philox(key=seed)
 

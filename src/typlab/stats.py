@@ -35,7 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NegativeMomentError, TooFewTrajectoriesError
+from .errors import (
+    DimensionMismatchError,
+    NegativeMomentError,
+    ParameterError,
+    TooFewTrajectoriesError,
+)
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
@@ -104,7 +109,7 @@ def variance_bound(d: float, c4: float, c8: float, n: int) -> float:
     if c4 < 0 or c8 < 0:
         raise NegativeMomentError(f"even moments must be >= 0, got c4={c4}, c8={c8}")
     if d < 0:
-        raise ValueError(f"the bound is derived for d >= 0, got d={d}")
+        raise ParameterError(f"the bound is derived for d >= 0, got d={d}")
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
     root_c4 = np.sqrt(c4)
@@ -200,7 +205,7 @@ class EnsembleStats:
                 f"variance needs at least 2 trajectories, got {self.count}"
             )
         if np.any(self.variance < 0):
-            raise ValueError("sample variance must be non-negative")
+            raise ParameterError("sample variance must be non-negative")
 
 
 def sample_stats(trajectories: np.ndarray, times: np.ndarray) -> EnsembleStats:

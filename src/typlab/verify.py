@@ -208,13 +208,15 @@ def run_verification(
     # Per-state invariance under unitaries commuting with the observable.
     state_base = child_seed(base, COMMUTING_STATE_STREAM)
     unitary_base = child_seed(base, COMMUTING_UNITARY_STREAM)
+    phase_vectors = [
+        commuting_unitary(a, child_seed(unitary_base, j)) for j in range(N_COMMUTING_UNITARIES)
+    ]
     worst_shift = 0.0
     for i in range(N_COMMUTING_STATES):
         omega = make_omega(sample_uniform_state(n, child_seed(state_base, i)), params)
         reference = expectation(a, omega)
-        for j in range(N_COMMUTING_UNITARIES):
-            u = commuting_unitary(a, child_seed(unitary_base, j))
-            rotated = type(omega)(u @ omega.amplitudes)
+        for phases in phase_vectors:
+            rotated = type(omega)(phases * omega.amplitudes)
             worst_shift = max(worst_shift, abs(expectation(a, rotated) - reference))
     results.append(
         _result(
@@ -260,7 +262,8 @@ def run_verification(
         )
     )
 
-    # 1/n scaling of the maximal exact HV over matched models.
+    # 1/n scaling of the maximal exact HV over matched models; the size equal
+    # to the config's reuses its model and decomposition.
     max_hv = []
     for size in SCALING_DIMS:
         scale = config.model.n / size
@@ -272,8 +275,11 @@ def run_verification(
             seed=config.model.seed,
             v_diagonal=config.model.v_diagonal,
         )
-        model_k = build_model(spec_k)
-        dec_k = eigendecompose(model_k.hamiltonian)
+        if spec_k == config.model:
+            model_k, dec_k = model, dec
+        else:
+            model_k = build_model(spec_k)
+            dec_k = eigendecompose(model_k.hamiltonian)
         times_k = np.linspace(0.0, config.time.t_max, SCALING_GRID_POINTS)
         max_hv.append(float(exact_hv_series(model_k.observable, dec_k, d, times_k).max()))
     slope = float(np.polyfit(np.log(SCALING_DIMS), np.log(max_hv), 1)[0])

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from typlab.ensembles import OmegaParams
+from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotSquareError
+from typlab.evolution import IMAG_RESIDUE_RTOL
 from typlab.operators import HermitianOperator
 from typlab.rng import SeedStream
 
@@ -30,6 +33,65 @@ def pm1_with_plus_fraction(n: int, fraction: float, seed: int) -> HermitianOpera
     diag = np.full(n, -1.0)
     diag[plus] = 1.0
     return HermitianOperator(np.diag(diag))
+
+
+def dense_expectations(a_op: HermitianOperator, states: np.ndarray) -> np.ndarray:
+    """<phi|A|phi> for each row of a (count, n) block and any Hermitian A,
+    through the dense product, after asserting the imaginary residue is
+    negligible (test helper; the oracle for the sign-vector kernel)."""
+    if states.ndim != 2 or states.shape[1] != a_op.dim:
+        raise DimensionMismatchError(
+            f"state block shape {states.shape} does not match observable dim {a_op.dim}"
+        )
+    applied = states @ a_op.matrix.T
+    values = np.sum(states.conj() * applied, axis=1)
+    norms = np.sum(states.conj() * states, axis=1).real
+    worst = float(np.abs(values.imag).max(initial=0.0))
+    if worst > IMAG_RESIDUE_RTOL * float(norms.max(initial=1.0)):
+        raise NonHermitianResidueError(
+            f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} * ||phi||^2"
+        )
+    return values.real
+
+
+def hilbert_schmidt_inner(x: np.ndarray, y: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product Tr{X^dagger Y} of two square matrices
+    (test helper).
+
+    Conjugate-symmetric: ``(X, Y) == conj((Y, X))``.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise NotSquareError(f"X must be square, got shape {x.shape}")
+    if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        raise NotSquareError(f"Y must be square, got shape {y.shape}")
+    if x.shape != y.shape:
+        raise DimensionMismatchError(f"shapes differ: {x.shape} vs {y.shape}")
+    # Tr{X^dagger Y} = sum_jk conj(X_jk) Y_jk, elementwise, no matrix product.
+    return complex(np.vdot(x, y))
+
+
+def average_density(params: OmegaParams, n: int) -> HermitianOperator:
+    """Analytic ensemble average of the projector onto an omega state:
+    ``(1 + 2 d A + d^2 A^2) / (n (1 + d^2))`` (test helper).
+
+    Its trace is ``(1 + d^2 c_2)/(1 + d^2)``, exactly 1 for c_2 = 1.
+    """
+    a = params.observable
+    if n != a.dim:
+        raise DimensionMismatchError(f"n = {n} does not match observable dim {a.dim}")
+    d = params.d
+    mat = np.eye(n, dtype=np.complex128) + 2.0 * d * a.matrix + d**2 * (a.matrix @ a.matrix)
+    return HermitianOperator(mat / (n * (1.0 + d**2)))
+
+
+# Observables the sign-vector kernels must reject with NotDiagonalError.
+NOT_PM1_OBSERVABLES = {
+    "diag(2,-2)": lambda: HermitianOperator(np.diag([2.0, -2.0])),
+    "diag(1,0)": lambda: HermitianOperator(np.diag([1.0, 0.0])),
+    "dense": lambda: random_hermitian(2, seed=1),
+}
 
 
 @pytest.fixture

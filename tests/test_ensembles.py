@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from typlab.ensembles import (
     OmegaParams,
     StateVector,
-    average_density,
     commuting_unitary,
     make_omega,
     make_omegas,
@@ -18,10 +18,19 @@ from typlab.ensembles import (
 from typlab.errors import DimensionMismatchError, NotDiagonalError
 from typlab.evolution import expectation, expectations
 from typlab.models import build_observable_pm1
-from typlab.operators import HermitianOperator, hilbert_schmidt_inner
+from typlab.operators import HermitianOperator
 from typlab.stats import norm_variance_analytic
 
-from conftest import random_hermitian
+from conftest import (
+    NOT_PM1_OBSERVABLES,
+    average_density,
+    hilbert_schmidt_inner,
+    random_hermitian,
+)
+
+
+def array_sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 class TestUniformSampling:
@@ -49,6 +58,14 @@ class TestUniformSampling:
         a = build_observable_pm1(n, seed=3)
         values = expectations(a, sample_uniform_states(n, count, seed=29))
         assert values.var(ddof=1) == pytest.approx(1.0 / (n + 1), rel=0.10)
+
+    def test_batch_bits_pinned(self):
+        # sha256 of the bytes z_re + 1j * z_im gave: assembling the complex
+        # block in place must not change a bit
+        states = sample_uniform_states(200, 1000, 7)
+        assert array_sha256(states) == (
+            "951800a31df4faba5124aff08bc81d52ae22a7558b95e9654adcc5c0b9e575a8"
+        )
 
     def test_batch_rows_are_normalized(self):
         states = sample_uniform_states(64, 100, seed=5)
@@ -87,6 +104,27 @@ class TestOmega:
         single = make_omega(psi, params)
         batch = make_omegas(psi.amplitudes[None, :], params)
         assert np.allclose(single.amplitudes, batch[0], rtol=0, atol=0)
+
+    def test_bits_pinned(self):
+        # sha256 of the array bytes the dense-matrix kernels produced: the
+        # elementwise kernels must reproduce them bit for bit
+        params = OmegaParams(d=0.1, observable=build_observable_pm1(200, seed=3))
+        omegas = make_omegas(sample_uniform_states(200, 1000, 7), params)
+        assert array_sha256(omegas) == (
+            "d837eb2b24421b2ca0ed547398a7bf43e82c47f8a23788da2e90df394adf8131"
+        )
+        omega = make_omega(sample_uniform_state(200, 9), params)
+        assert array_sha256(omega.amplitudes) == (
+            "95ad2a9c715012518daf4e7fa2d7bde1313c24d47e85a67092b1c5072e888629"
+        )
+
+    @pytest.mark.parametrize("observable", NOT_PM1_OBSERVABLES.values(), ids=NOT_PM1_OBSERVABLES)
+    def test_observable_not_pm1_rejected(self, observable):
+        params = OmegaParams(d=0.1, observable=observable())
+        with pytest.raises(NotDiagonalError):
+            make_omega(sample_uniform_state(2, 0), params)
+        with pytest.raises(NotDiagonalError):
+            make_omegas(sample_uniform_states(2, 3, seed=0), params)
 
     def test_dimension_mismatch(self):
         params = OmegaParams(d=0.1, observable=build_observable_pm1(4, seed=1))
@@ -153,13 +191,16 @@ class TestAverageDensity:
 class TestCommutingUnitary:
     def test_unitary_and_diagonal(self):
         a = build_observable_pm1(12, seed=1)
-        u = commuting_unitary(a, seed=8)
+        phases = commuting_unitary(a, seed=8)
+        assert phases.shape == (12,)
+        # |exp(i theta)| is 1 up to the rounding of cos and sin: within 1 ulp
+        assert np.abs(np.abs(phases) - 1.0).max() <= np.finfo(float).eps
+        u = np.diag(phases)
         assert np.allclose(u @ u.conj().T, np.eye(12), atol=1e-14)
-        assert not np.any(u - np.diag(u.diagonal()))
 
     def test_exact_commutation(self):
         a = build_observable_pm1(20, seed=2)
-        u = commuting_unitary(a, seed=9)
+        u = np.diag(commuting_unitary(a, seed=9))
         assert np.linalg.norm(u @ a.matrix - a.matrix @ u, "fro") == 0.0
 
     def test_expectation_invariance_per_state(self):
@@ -167,8 +208,8 @@ class TestCommutingUnitary:
         params = OmegaParams(d=0.1, observable=a)
         for k in range(20):
             omega = make_omega(sample_uniform_state(30, 100 + k), params)
-            u = commuting_unitary(a, seed=200 + k)
-            rotated = StateVector(u @ omega.amplitudes)
+            phases = commuting_unitary(a, seed=200 + k)
+            rotated = StateVector(phases * omega.amplitudes)
             assert abs(expectation(a, rotated) - expectation(a, omega)) <= 1e-10
 
     def test_general_observable_rejected(self):

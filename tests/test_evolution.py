@@ -6,15 +6,27 @@ import pytest
 
 import typlab.evolution
 from typlab.config import load_config
-from typlab.ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
+from typlab.ensembles import (
+    OmegaParams,
+    StateVector,
+    make_omega,
+    make_omegas,
+    sample_uniform_state,
+    sample_uniform_states,
+)
 from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
-from typlab.evolution import TimeGrid, evolve_state, expectation, run_ensemble
+from typlab.evolution import TimeGrid, evolve_state, expectation, expectations, run_ensemble
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.rng import child_seed
 from typlab.stats import sample_stats
 
-from conftest import pm1_with_plus_fraction, random_hermitian
+from conftest import (
+    NOT_PM1_OBSERVABLES,
+    dense_expectations,
+    pm1_with_plus_fraction,
+    random_hermitian,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,6 +144,30 @@ class TestExpectation:
         a = build_observable_pm1(4, seed=1)
         with pytest.raises(DimensionMismatchError):
             expectation(a, sample_uniform_state(6, 0))
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            lambda: build_observable_pm1(60, seed=4),
+            lambda: pm1_with_plus_fraction(60, 0.7, seed=5),
+            lambda: HermitianOperator.identity(60),
+            lambda: HermitianOperator(-np.eye(60)),
+        ],
+        ids=["balanced", "plus-0.7", "identity", "minus-identity"],
+    )
+    def test_expectations_match_dense_product(self, observable):
+        a = observable()
+        states = sample_uniform_states(60, 500, seed=31)
+        omegas = make_omegas(states, OmegaParams(d=0.3, observable=a))
+        for block in (states, omegas):
+            values = expectations(a, block)
+            assert values.dtype == np.float64
+            assert np.abs(values - dense_expectations(a, block)).max() <= 1e-15
+
+    @pytest.mark.parametrize("observable", NOT_PM1_OBSERVABLES.values(), ids=NOT_PM1_OBSERVABLES)
+    def test_expectations_reject_observable_not_pm1(self, observable):
+        with pytest.raises(NotDiagonalError):
+            expectations(observable(), sample_uniform_states(2, 3, seed=1))
 
 
 class TestTrajectories:

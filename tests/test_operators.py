@@ -15,11 +15,10 @@ from typlab.operators import (
     HermitianOperator,
     eigendecompose,
     heisenberg_observable,
-    hilbert_schmidt_inner,
     spectral_moments,
 )
 
-from conftest import random_hermitian
+from conftest import hilbert_schmidt_inner, random_hermitian
 
 
 class TestValidation:

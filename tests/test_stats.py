@@ -10,7 +10,7 @@ from typlab.errors import (
     NotDiagonalError,
     TooFewTrajectoriesError,
 )
-from typlab.evolution import TimeGrid, expectations, run_ensemble
+from typlab.evolution import TimeGrid, run_ensemble
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose
 from typlab.stats import (
@@ -25,7 +25,7 @@ from typlab.stats import (
     variance_bound,
 )
 
-from conftest import pm1_with_plus_fraction, random_hermitian
+from conftest import dense_expectations, pm1_with_plus_fraction, random_hermitian
 
 
 def reference_hv_series(a_op, dec, d, times):
@@ -72,14 +72,14 @@ class TestUniformFormulas:
     def test_monte_carlo_oracle_mean(self):
         n, count = 50, 100_000
         d_op = random_hermitian(n, seed=13)
-        values = expectations(d_op, sample_uniform_states(n, count, seed=14))
+        values = dense_expectations(d_op, sample_uniform_states(n, count, seed=14))
         se = values.std(ddof=1) / np.sqrt(count)
         assert abs(values.mean() - ha_uniform(d_op)) < 3 * se
 
     def test_monte_carlo_oracle_variance(self):
         n, count = 50, 100_000
         d_op = random_hermitian(n, seed=13)
-        values = expectations(d_op, sample_uniform_states(n, count, seed=15))
+        values = dense_expectations(d_op, sample_uniform_states(n, count, seed=15))
         assert values.var(ddof=1) == pytest.approx(hv_uniform(d_op), rel=0.10)
 
 

@@ -1,9 +1,12 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import typlab.verify
 from typlab.config import load_config, parse_config
+from typlab.errors import TyplabError
 from typlab.operators import HermitianOperator
 from typlab.verify import format_report, run_verification
 
@@ -81,3 +84,26 @@ def test_corrupted_observable_fails_moment_gate():
     assert "c1" in by_name["moment-gate"].measured
     report = format_report(results)
     assert "first failing: moment-gate" in report
+
+
+def test_negative_deviation_raises_typlab_error():
+    # Config parse rejects d < 0 first; a library caller reaches OmegaParams.
+    with pytest.raises(TyplabError, match="0 <= d < 1"):
+        run_verification(replace(load_config(VERIFY_CONFIG), d=-0.1))
+
+
+def test_scaling_check_reuses_the_config_model(monkeypatch):
+    # n = 200 is one of the scaling sizes: its model and decomposition are
+    # the ones the bound checks already built.
+    calls = []
+    original = typlab.verify.eigendecompose
+
+    def counting(op):
+        calls.append(op.dim)
+        return original(op)
+
+    monkeypatch.setattr(typlab.verify, "eigendecompose", counting)
+    results = run_verification(load_config(VERIFY_CONFIG))
+    assert sorted(calls) == [100, 100, 200, 400, 800]
+    scaling = {r.name: r for r in results}["inverse-n-scaling"]
+    assert "slope = -0.997" in scaling.measured
