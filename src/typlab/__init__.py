@@ -30,7 +30,6 @@ from .models import (
     ModelSpec,
     ModelSystem,
     assemble_hamiltonian,
-    build_h0,
     build_model,
     build_observable_pm1,
     build_v_constant,
@@ -80,7 +79,6 @@ __all__ = [
     "TimeSettings",
     "TyplabError",
     "assemble_hamiltonian",
-    "build_h0",
     "build_model",
     "build_observable_pm1",
     "build_v_constant",

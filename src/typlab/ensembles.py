@@ -25,6 +25,8 @@ from .stats import mean_expectation_analytic, norm_variance_analytic, variance_b
 logger = logging.getLogger(__name__)
 
 NORM_BAND_SIGMAS = 10.0
+# Complex amplitudes per block when assembling a batch of uniform states.
+STATE_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,23 @@ def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
     All states come from one stream, drawn as a single (count, 2n) normal
     block; this batch layout differs from repeated single-state calls and
     exists for Monte Carlo estimates where only the joint distribution
-    matters.
+    matters.  The rows are built in the normal block's own buffer: blocks
+    of ``max(1, STATE_BLOCK_VALUES // n)`` rows are copied out, written
+    back as complex amplitudes over the same bytes and normalized in
+    place, so the call needs little memory beyond its result.
     """
+    if n < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
     z = SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n)
-    amp = np.empty((count, n), dtype=np.complex128)
-    amp.real = z[:, :n]
-    amp.imag = z[:, n:]
-    return amp / np.linalg.norm(amp, axis=1)[:, None]
+    amp = z.view(np.complex128)
+    rows = max(1, STATE_BLOCK_VALUES // n)
+    for s in range(0, count, rows):
+        block = z[s : s + rows].copy()
+        out = amp[s : s + rows]
+        out.real = block[:, :n]
+        out.imag = block[:, n:]
+        out /= np.linalg.norm(out, axis=1)[:, None]
+    return amp
 
 
 def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:

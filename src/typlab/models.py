@@ -63,19 +63,6 @@ class ModelSpec:
             )
 
 
-def build_h0(n: int, delta_e: float) -> HermitianOperator:
-    """Diagonal H0 with equidistant levels k * delta_e, k = 0..n-1.
-
-    The spectrum starts at zero; expectation-value dynamics are invariant
-    under a global energy shift.
-    """
-    if n < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {n}")
-    if not delta_e > 0:
-        raise InvalidDimensionError(f"level spacing must be > 0, got {delta_e}")
-    return HermitianOperator(np.diag(np.arange(n) * float(delta_e)).astype(np.complex128))
-
-
 def build_observable_pm1(n: int, seed: int) -> HermitianOperator:
     """Diagonal observable with equally many randomly placed +1 and -1.
 
@@ -148,10 +135,17 @@ def build_perturbation(spec: ModelSpec) -> HermitianOperator:
 
 
 def assemble_hamiltonian(spec: ModelSpec) -> HermitianOperator:
-    """H = H0 + V for the given spec."""
-    h0 = build_h0(spec.n, spec.delta_e)
-    v = build_perturbation(spec)
-    return HermitianOperator(h0.matrix + v.matrix)
+    """H = H0 + V for the given spec.
+
+    H0 is diagonal with equidistant levels ``k * delta_e``, k = 0..n-1,
+    starting at zero (expectation-value dynamics are invariant under a
+    global energy shift).  It is added to the diagonal of a copy of V, so
+    the only n x n arrays are V and H.
+    """
+    h = build_perturbation(spec).matrix.copy()
+    levels = np.arange(spec.n)
+    h[levels, levels] += levels * float(spec.delta_e)
+    return HermitianOperator(h)
 
 
 @dataclass(frozen=True)

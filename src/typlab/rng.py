@@ -8,7 +8,7 @@ stream:
 * uniforms: the high 53 bits of each word, scaled by 2^-53;
 * normals: Box-Muller on uniform pairs, cosine block first (a request for
   ``count`` normals consumes ``ceil(count/2)`` words for each of the two
-  uniform blocks);
+  uniform blocks, drawn together as one run of words);
 * shuffles: descending Fisher-Yates with ``j = floor(u * (i + 1))``;
 * angles: ``2*pi*u``.
 
@@ -16,6 +16,11 @@ numpy's ``Generator`` convenience methods are deliberately not used: their
 mapping from bits to variates may change between numpy releases, whereas
 the raw Philox output and the transforms above are fixed here.  The stream
 identity is recorded in run metadata as :data:`RNG_ALGORITHM`.
+
+:meth:`SeedStream.normal` evaluates Box-Muller in blocks of
+``NORMAL_BLOCK_PAIRS`` pairs and writes the normals over the words it drew.
+Neither the blocking nor the reuse of the word buffer changes a value or
+the stream position, so :data:`RNG_ALGORITHM` is unchanged by it.
 """
 from __future__ import annotations
 
@@ -30,6 +35,16 @@ RNG_ALGORITHM = "philox4x64-10/u53/box-muller"
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 _CHILD_KEY = 0x9E3779B97F4A7C15  # odd, so (i + 1) * key is injective mod 2^64
+
+# Box-Muller pairs per block: each temporary of a block is 64 KiB, below
+# glibc's mmap threshold, so the blocks reuse heap memory and freeing them
+# never raises that threshold for later large allocations.
+NORMAL_BLOCK_PAIRS = 8192
+
+
+def _u53(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the high 53 bits of each 64-bit word."""
+    return (words >> np.uint64(11)) * np.float64(2.0**-53)
 
 
 def mix64(x: int) -> int:
@@ -71,7 +86,7 @@ class SeedStream:
 
     def uniform(self, count: int) -> np.ndarray:
         """Doubles in [0, 1), one word each, from the high 53 bits."""
-        return (self.raw(count) >> np.uint64(11)) * np.float64(2.0**-53)
+        return _u53(self.raw(count))
 
     def normal(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller.
@@ -79,15 +94,29 @@ class SeedStream:
         Draws ``half = ceil(count/2)`` uniforms u1 (mapped to (0, 1] so the
         log stays finite) and ``half`` uniforms u2, then returns the cosine
         block followed by the sine block, truncated to ``count``.
+
+        The ``2 * half`` words come from one draw, which leaves the stream
+        where two draws of ``half`` would.  Pairs are transformed in blocks
+        of ``NORMAL_BLOCK_PAIRS``: block ``[s, e)`` reads u1 from words
+        ``[s, e)`` and u2 from words ``[half + s, half + e)`` and writes its
+        cosines and sines over exactly those words, which no later block
+        reads.  The result is a view of the word buffer, so the call needs
+        no memory beyond its result and one block of temporaries.
         """
         if count == 0:
             return np.empty(0)
         half = (count + 1) // 2
-        u1 = 1.0 - self.uniform(half)
-        u2 = self.uniform(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        return np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:count]
+        words = self.raw(2 * half)
+        out = words.view(np.float64)
+        for s in range(0, half, NORMAL_BLOCK_PAIRS):
+            e = min(s + NORMAL_BLOCK_PAIRS, half)
+            u1 = 1.0 - _u53(words[s:e])
+            u2 = _u53(words[half + s : half + e])
+            radius = np.sqrt(-2.0 * np.log(u1))
+            theta = (2.0 * np.pi) * u2
+            np.multiply(radius, np.cos(theta), out=out[s:e])
+            np.multiply(radius, np.sin(theta), out=out[half + s : half + e])
+        return out[:count]
 
     def angles(self, count: int) -> np.ndarray:
         """Uniform angles in [0, 2*pi)."""

@@ -103,8 +103,10 @@ def run_verification(
     )
 
     # Uniform-ensemble mean and variance against the Monte Carlo estimator.
-    psis = sample_uniform_states(n, N_UNIFORM_SAMPLES, child_seed(base, UNIFORM_MC_STREAM))
-    vals = expectations(a, psis)
+    # The state block is not kept: it is freed before the omega block is built.
+    vals = expectations(
+        a, sample_uniform_states(n, N_UNIFORM_SAMPLES, child_seed(base, UNIFORM_MC_STREAM))
+    )
     ha = ha_uniform(a)
     hv = hv_uniform(a)
     se = float(vals.std(ddof=1)) / np.sqrt(N_UNIFORM_SAMPLES)

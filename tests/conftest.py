@@ -3,7 +3,12 @@ import pytest
 from hypothesis import settings
 
 from typlab.ensembles import OmegaParams
-from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotSquareError
+from typlab.errors import (
+    DimensionMismatchError,
+    InvalidDimensionError,
+    NonHermitianResidueError,
+    NotSquareError,
+)
 from typlab.evolution import IMAG_RESIDUE_RTOL
 from typlab.operators import HermitianOperator
 from typlab.rng import SeedStream
@@ -18,6 +23,16 @@ def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianOperator
     z = stream.normal(2 * n * n)
     x = (z[: n * n] + 1j * z[n * n :]).reshape(n, n)
     return HermitianOperator(scale * 0.5 * (x + x.conj().T))
+
+
+def build_h0(n: int, delta_e: float) -> HermitianOperator:
+    """Diagonal H0 with equidistant levels k * delta_e, k = 0..n-1 (test
+    helper; the dense H0 that ``assemble_hamiltonian`` adds in place)."""
+    if n < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {n}")
+    if not delta_e > 0:
+        raise InvalidDimensionError(f"level spacing must be > 0, got {delta_e}")
+    return HermitianOperator(np.diag(np.arange(n) * float(delta_e)).astype(np.complex128))
 
 
 def random_state_block(n: int, count: int, seed: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,33 @@ class TestUniformSampling:
         assert array_sha256(states) == (
             "951800a31df4faba5124aff08bc81d52ae22a7558b95e9654adcc5c0b9e575a8"
         )
+
+    @pytest.mark.parametrize(
+        "n, count, seed, digest",
+        [
+            # n above the block size: one row per block
+            (9000, 3, 11, "7e95152704885044f2ebd10c3db2976d007a9821bfc58d73ee69689a7f706c09"),
+            # odd n and odd count, the last block shorter than the others
+            (201, 77, 13, "f4e85874f3cbec37292e12bc3ff829a6e17873f2eb748334449fb11e4315f792"),
+        ],
+    )
+    def test_batch_bits_pinned_at_block_edges(self, n, count, seed, digest):
+        # sha256 of the bytes the whole-array assembly produced
+        assert array_sha256(sample_uniform_states(n, count, seed)) == digest
+
+    def test_batch_peak_memory_near_result_size(self):
+        tracemalloc.start()
+        try:
+            states = sample_uniform_states(200, 20_000, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * states.nbytes
+
+    def test_zero_dimension_rejected(self):
+        for sample in (lambda: sample_uniform_state(0, 1), lambda: sample_uniform_states(0, 3, 1)):
+            with pytest.raises(DimensionMismatchError):
+                sample()
 
     def test_batch_rows_are_normalized(self):
         states = sample_uniform_states(64, 100, seed=5)

@@ -5,13 +5,15 @@ from typlab.errors import InvalidDimensionError, OddDimensionError
 from typlab.models import (
     ModelSpec,
     assemble_hamiltonian,
-    build_h0,
     build_model,
     build_observable_pm1,
+    build_perturbation,
     build_v_constant,
     build_v_gaussian,
 )
 from typlab.operators import HermitianOperator, spectral_moments
+
+from conftest import build_h0
 
 
 class TestBuildH0:
@@ -142,6 +144,22 @@ class TestAssemble:
         h = assemble_hamiltonian(spec)
         HermitianOperator(h.matrix)
         assert np.any(h.matrix - np.diag(h.matrix.diagonal()))  # dense
+
+    @pytest.mark.parametrize(
+        "v_kind, v_scale, v_diagonal",
+        [
+            ("gaussian", 1e-6, "default"),
+            ("gaussian", 1e-6, "zero"),
+            ("constant", 4e-8, "default"),
+            ("constant", 4e-8, "zero"),
+        ],
+    )
+    def test_bytes_equal_dense_sum(self, v_kind, v_scale, v_diagonal):
+        spec = ModelSpec(
+            n=40, delta_e=1e-3, v_kind=v_kind, v_scale=v_scale, seed=9, v_diagonal=v_diagonal
+        )
+        dense = build_h0(spec.n, spec.delta_e).matrix + build_perturbation(spec).matrix
+        assert assemble_hamiltonian(spec).matrix.tobytes() == dense.tobytes()
 
     def test_bit_identical_for_equal_specs(self):
         spec = ModelSpec(n=40, delta_e=1e-3, v_kind="gaussian", v_scale=1e-6, seed=123)

@@ -77,6 +77,23 @@ class TestValidation:
         assert op.dim == n
 
 
+class TestIsDiagonal:
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ({}, True),
+            ({(0, 0): 0.0, (1, 1): 0.0}, True),  # zeros on the diagonal
+            ({(0, 2): 1e-13}, False),  # one off-diagonal entry, within tolerance
+            ({(0, 0): 0.0, (1, 2): 0.5, (2, 1): 0.5}, False),
+        ],
+    )
+    def test_off_diagonal_entries_detected(self, entries, expected):
+        m = np.diag([1.0, -1.0, 2.0]).astype(complex)
+        for entry, value in entries.items():
+            m[entry] = value
+        assert HermitianOperator(m).is_diagonal() is expected
+
+
 class TestSpectralMoments:
     def test_pm1_moments(self):
         a = HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0]))

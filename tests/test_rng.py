@@ -1,9 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from typlab.rng import MASK64, SeedStream, child_seed, mix64
+from typlab.rng import MASK64, NORMAL_BLOCK_PAIRS, SeedStream, child_seed, mix64
+
+
+def reference_normal(stream: SeedStream, count: int) -> np.ndarray:
+    """Box-Muller from two separate uniform draws, on whole arrays (the
+    unblocked reference for ``SeedStream.normal``)."""
+    if count == 0:
+        return np.empty(0)
+    half = (count + 1) // 2
+    u1 = 1.0 - stream.uniform(half)
+    u2 = stream.uniform(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    return np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:count]
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -63,6 +78,49 @@ def test_normal_odd_count():
     z = SeedStream(3).normal(5)
     assert z.shape == (5,)
     assert np.all(np.isfinite(z))
+
+
+# sha256 of the bytes of SeedStream(2024).normal(count) and of the normal(7)
+# drawn next on the same stream, as the unblocked Box-Muller produced them.
+# The counts straddle one block of NORMAL_BLOCK_PAIRS pairs (16384 normals);
+# 40001 spans three blocks and ends on an odd count.
+NORMAL_PINS = {
+    16383: (
+        "2e13b0ee51b57d17a7284d44aa35af3134885860440b6800f495eef6d415c6d9",
+        "33c2ac5bd9c6fe335804f022eb45b108478cf7df64070bb04c8703a7a17d8e36",
+    ),
+    16384: (
+        "e1c998974396e51b9e0214091ccac91889b82352caa9fe6f0ee60eb5374396f6",
+        "33c2ac5bd9c6fe335804f022eb45b108478cf7df64070bb04c8703a7a17d8e36",
+    ),
+    16385: (
+        "b096bca6c79a726197df5a71d5198cabb3253dbfce42e1853e8b1a7686ccaccf",
+        "16c3119333d63442e6015f49e3c50b31f302b3b5c2218dfc84405b1417fd5de2",
+    ),
+    40001: (
+        "8952f75c8197112525e7780152f203344f5bd24c6ecd192532bbf6cac16ba80d",
+        "3298a4ed7a921850493d1b47115909cfac2b428a7b35b8dcbb0da4b4d39eda7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("count", sorted(NORMAL_PINS))
+def test_normal_bits_pinned_across_blocks(count):
+    stream = SeedStream(2024)
+    values, following = stream.normal(count), stream.normal(7)
+    digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (values, following))
+    assert digests == NORMAL_PINS[count]
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, 2, 3, 5, 2 * NORMAL_BLOCK_PAIRS - 2, 2 * NORMAL_BLOCK_PAIRS + 1]
+    + [2 * NORMAL_BLOCK_PAIRS + 2, 100_001],
+)
+def test_normal_matches_unblocked_reference(count):
+    stream, reference = SeedStream(77), SeedStream(77)
+    assert np.array_equal(stream.normal(count), reference_normal(reference, count))
+    assert np.array_equal(stream.raw(3), reference.raw(3))  # same stream position
 
 
 def test_angles_range():
