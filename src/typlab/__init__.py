@@ -47,11 +47,7 @@ from .rng import RNG_ALGORITHM, SeedStream, child_seed, mix64
 from .stats import (
     EnsembleStats,
     exact_hv_series,
-    ha_uniform,
-    hv_at_time_exact,
-    hv_uniform,
     mean_expectation_analytic,
-    moment_map,
     norm_variance_analytic,
     sample_stats,
     variance_bound,
@@ -91,16 +87,12 @@ __all__ = [
     "execute_run",
     "expectation",
     "expectations",
-    "ha_uniform",
     "heisenberg_observable",
-    "hv_at_time_exact",
-    "hv_uniform",
     "load_config",
     "make_omega",
     "make_omegas",
     "mean_expectation_analytic",
     "mix64",
-    "moment_map",
     "norm_variance_analytic",
     "run_ensemble",
     "run_verification",

@@ -3,18 +3,21 @@ parameters.
 
 Unknown keys are errors (they are usually typos in physics parameters),
 missing keys are errors, and every value is type- and range-checked before
-any work starts.  All failures raise :class:`ConfigParseError` naming the
-offending field.
+any work starts, including a bound on the dimension: a run's dense
+matrices must fit in physical memory.  All failures raise
+:class:`ConfigParseError` naming the offending field.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigParseError, TyplabError
 from .models import ModelSpec
+from .operators import PEAK_MATRICES
 
 _MODEL_KEYS = {"n", "delta_e", "v_kind", "v_scale", "seed"}
 _MODEL_OPTIONAL_KEYS = {"v_diagonal"}
@@ -25,6 +28,14 @@ _TOP_KEYS = {"model", "d", "M", "time", "base_seed", "output"}
 # Propagation evaluates phases exp(-i E t); in double precision their
 # rounding grows like 1e-16 * |E| t, so beyond 1e8 rad it exceeds ~1e-8.
 MAX_PHASE = 1e8
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise
     except TyplabError as exc:
         raise ConfigParseError(f"field 'model': {exc}") from exc
+    footprint, memory = PEAK_MATRICES * 16 * model.n**2, _physical_memory()
+    if memory is not None and footprint > memory:
+        raise ConfigParseError(
+            f"field 'model.n' = {model.n} needs about {footprint / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
 
     d = _as_float(raw["d"], "d")
     if not 0 <= d < 1:

@@ -6,8 +6,9 @@ components as independent standard normals and normalizing; the resulting
 distribution on the unit sphere is invariant under every unitary.  The
 substitute ensemble applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state
 and is deliberately not renormalized: its norm spread is part of what the
-closed-form statistics describe.  The observable is diagonal +/-1, so the
-map and the commuting unitaries act elementwise through its sign vector.
+closed-form statistics describe.  The observable is diagonal +/-1 and is
+carried as its sign vector, so the map acts elementwise; :class:`OmegaParams`
+is the one place that checks that form.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NotDiagonalError, ParameterError
-from .operators import HermitianOperator, pm1_signs
 from .rng import SeedStream
 from .stats import mean_expectation_analytic, norm_variance_analytic, variance_bound
 
@@ -55,59 +55,57 @@ class StateVector:
 class OmegaParams:
     """Deviation parameter and observable defining the substitute ensemble.
 
-    ``d`` must satisfy 0 <= d < 1: the variance bound is derived for
-    d >= 0 only, the reachable mean expectation value saturates well below
-    the extreme eigenvalues, and the closed-form statistics target the
-    small-deviation regime.  Every ensemble is built through this class,
-    so the rule is enforced here; config parse repeats it only to name the
-    offending field.
+    ``observable`` is the sign vector of a diagonal observable, A = 2 P_+ - I:
+    1-d, every entry exactly +1 or -1 (hence finite), stored as a read-only
+    float64 copy; anything else, a matrix included, raises
+    :class:`NotDiagonalError`.  ``d`` must satisfy 0 <= d < 1: the variance
+    bound is derived for d >= 0 only, the reachable mean expectation value
+    saturates well below the extreme eigenvalues, and the closed-form
+    statistics target the small-deviation regime.  Every ensemble,
+    propagation and exact variance reads the observable through this class,
+    so both rules are enforced here; config parse repeats the rule on d only
+    to name the offending field.
     """
 
     d: float
-    observable: HermitianOperator
+    observable: np.ndarray
 
     def __post_init__(self):
         if not 0 <= self.d < 1:  # also rejects NaN
             raise ParameterError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """The observable's real +/-1 diagonal (:func:`pm1_signs`); raises
-        :class:`NotDiagonalError` on first use for any other observable."""
-        return pm1_signs(self.observable)
+        a = np.asarray(self.observable)
+        if a.ndim != 1 or a.dtype.kind not in "iuf" or not np.all(np.abs(a) == 1):
+            raise NotDiagonalError(
+                f"the observable must be a sign vector of entries +1 or -1, "
+                f"got an array of shape {a.shape} and dtype {a.dtype}"
+            )
+        signs = a.astype(np.float64)
+        signs.flags.writeable = False
+        object.__setattr__(self, "observable", signs)
 
     @cached_property
     def c3_c4(self) -> tuple[float, float]:
         """Third and fourth spectral moments of the observable."""
         a = self.observable
-        n = a.dim
-        if a.is_diagonal():
-            diag = a.real_diagonal()
-            return float(np.mean(diag**3)), float(np.mean(diag**4))
-        a2 = a.matrix @ a.matrix
-        c3 = float(np.vdot(a.matrix, a2).real) / n
-        c4 = float(np.vdot(a2, a2).real) / n
-        return c3, c4
+        return float(np.mean(a**3)), float(np.mean(a**4))
 
     @cached_property
     def norm_sq_band(self) -> tuple[float, float]:
         """Soft plausibility band for omega norms: 1 +/- 10 sqrt(norm HV)."""
         c3, c4 = self.c3_c4
         spread = NORM_BAND_SIGMAS * np.sqrt(
-            norm_variance_analytic(self.d, c3, c4, self.observable.dim)
+            norm_variance_analytic(self.d, c3, c4, self.observable.size)
         )
         return 1.0 - spread, 1.0 + spread
 
     @cached_property
     def start_value_band(self) -> tuple[float, float]:
         """Analytic mean of initial expectation values and a 3-sigma spread
-        from the variance bound, for a diagonal observable (propagation
-        rejects any other before it reads the band)."""
-        diag = self.observable.real_diagonal()
+        from the variance bound."""
         c3, c4 = self.c3_c4
-        c8 = float(np.mean(diag**8))
+        c8 = float(np.mean(self.observable**8))
         center = mean_expectation_analytic(self.d, c3)
-        spread = 3.0 * np.sqrt(variance_bound(self.d, c4, c8, self.observable.dim))
+        spread = 3.0 * np.sqrt(variance_bound(self.d, c4, c8, self.observable.size))
         return center, spread
 
 
@@ -153,19 +151,16 @@ def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
     """Apply the deviation map ``(1 + d A)/sqrt(1 + d^2)`` to a state.
 
     A is diagonal +/-1, so the map is elementwise,
-    ``(psi + d * (a * psi)) / sqrt(1 + d^2)`` with ``a = params.signs``
-    (:class:`NotDiagonalError` for any other observable).  No
-    renormalization: the image ensemble is only near-normalized.  A norm
+    ``(psi + d * (a * psi)) / sqrt(1 + d^2)`` with ``a = params.observable``.
+    No renormalization: the image ensemble is only near-normalized.  A norm
     outside the 10-sigma analytic band is logged, not fatal.
     """
     a = params.observable
-    if psi.dim != a.dim:
+    if psi.dim != a.size:
         raise DimensionMismatchError(
-            f"state dim {psi.dim} does not match observable dim {a.dim}"
+            f"state dim {psi.dim} does not match observable dim {a.size}"
         )
-    amp = (psi.amplitudes + params.d * (params.signs * psi.amplitudes)) / np.sqrt(
-        1.0 + params.d**2
-    )
+    amp = (psi.amplitudes + params.d * (a * psi.amplitudes)) / np.sqrt(1.0 + params.d**2)
     omega = StateVector(amp)
     low, high = params.norm_sq_band
     if not low <= omega.norm_sq <= high:
@@ -183,21 +178,23 @@ def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
     the sign vector scales every row elementwise, with the same operations
     in the same order, so each row equals the single-state result."""
     a = params.observable
-    if psis.ndim != 2 or psis.shape[1] != a.dim:
+    if psis.ndim != 2 or psis.shape[1] != a.size:
         raise DimensionMismatchError(
-            f"state block shape {psis.shape} does not match observable dim {a.dim}"
+            f"state block shape {psis.shape} does not match observable dim {a.size}"
         )
-    return (psis + params.d * (params.signs * psis)) / np.sqrt(1.0 + params.d**2)
+    return (psis + params.d * (a * psis)) / np.sqrt(1.0 + params.d**2)
 
 
-def commuting_unitary(a: HermitianOperator, seed: int) -> np.ndarray:
-    """A random unitary ``e^{iB}`` with diagonal real B, commuting with A,
-    returned as its (n,) diagonal: the phase vector ``exp(i * angles)``.
+def commuting_unitary(signs: np.ndarray, seed: int) -> np.ndarray:
+    """A random unitary ``e^{iB}`` with diagonal real B, commuting with the
+    diagonal observable of sign vector ``signs``, returned as its (n,)
+    diagonal: the phase vector ``exp(i * angles)``.
 
-    Only exactly diagonal observables are supported; the angles are uniform
-    in [0, 2*pi) from the seed's stream.  Apply it to a state elementwise,
-    ``phases * psi``; ``np.diag(phases)`` commutes with A identically.
+    The angles are uniform in [0, 2*pi) from the seed's stream.  Apply it
+    to a state elementwise, ``phases * psi``; ``np.diag(phases)`` commutes
+    with A identically.  A matrix in place of the sign vector raises
+    :class:`NotDiagonalError`.
     """
-    if not a.is_diagonal():
-        raise NotDiagonalError("commuting unitaries are built only for diagonal observables")
-    return np.exp(1j * SeedStream(seed).angles(a.dim))
+    if np.ndim(signs) != 1:
+        raise NotDiagonalError(f"expected a sign vector, got shape {np.shape(signs)}")
+    return np.exp(1j * SeedStream(seed).angles(len(signs)))

@@ -54,10 +54,10 @@ class ParameterError(TyplabError, ValueError):
 
 
 class NotDiagonalError(TyplabError):
-    """An observable is not of the supported form: propagation, the exact
-    variance, the batch expectation values and the deviation map need it
-    diagonal with entries exactly +1 or -1 (they work on its sign vector),
-    and commuting-unitary construction needs it exactly diagonal."""
+    """An observable is not of the supported form: a sign vector, the 1-d
+    diagonal of a diagonal observable with every entry exactly +1 or -1
+    (:class:`~typlab.ensembles.OmegaParams` checks it), or a matrix was
+    passed where such a vector is read."""
 
 
 class NegativeMomentError(TyplabError):

@@ -3,9 +3,10 @@ expectation-value time series of a state ensemble.
 
 One eigendecomposition of H is reused for every trajectory and time: all
 states are rotated into the energy eigenbasis once and diagonal phases are
-applied per time point.  The observable is diagonal +/-1, A = 2 P_+ - I, so
+applied per time point.  The observable is diagonal +/-1 and is read as its
+sign vector a, A = 2 P_+ - I, so
 <omega|A|omega> = 2 ||P_+ omega||^2 - ||omega||^2 and only the n_+ rows of
-the eigenvector matrix where A = +1 are rotated back; the series are real
+the eigenvector matrix where a = +1 are rotated back; the series are real
 by construction.  The batch expectation values are likewise the sign-weighted
 squared amplitudes, real by construction.  The single-state
 :func:`expectation` takes any Hermitian operator (the picture-equivalence
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
-from .errors import DimensionMismatchError, NonHermitianResidueError, ParameterError
-from .operators import HermitianOperator, SpectralDecomposition, plus_rows, pm1_signs
+from .errors import (
+    DimensionMismatchError, NonHermitianResidueError, NotDiagonalError, ParameterError
+)
+from .operators import HermitianOperator, SpectralDecomposition, plus_rows
 from .rng import child_seed
 
 logger = logging.getLogger(__name__)
@@ -91,18 +94,21 @@ def expectation(a_op: HermitianOperator, phi: StateVector) -> float:
     return value.real
 
 
-def expectations(a_op: HermitianOperator, states: np.ndarray) -> np.ndarray:
-    """<phi|A|phi> for each row of a (count, n) block of states.
+def expectations(signs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<phi|A|phi> for each row of a (count, n) block of states, with A the
+    diagonal observable of sign vector ``signs``.
 
-    A must be diagonal with entries +/-1 (:class:`NotDiagonalError`
-    otherwise), so the value is ``sum_j a_j |phi_j|^2`` with ``a`` its sign
-    vector: no n x n product, and real by construction.
+    The value is ``sum_j a_j |phi_j|^2``: no n x n product, and real by
+    construction.  A matrix in place of the sign vector raises
+    :class:`NotDiagonalError`.
     """
-    if states.ndim != 2 or states.shape[1] != a_op.dim:
+    if np.ndim(signs) != 1:
+        raise NotDiagonalError(f"expected a sign vector, got shape {np.shape(signs)}")
+    if states.ndim != 2 or states.shape[1] != len(signs):
         raise DimensionMismatchError(
-            f"state block shape {states.shape} does not match observable dim {a_op.dim}"
+            f"state block shape {states.shape} does not match observable dim {len(signs)}"
         )
-    return (states.real**2 + states.imag**2) @ pm1_signs(a_op)
+    return (states.real**2 + states.imag**2) @ signs
 
 
 def run_ensemble(
@@ -117,9 +123,9 @@ def run_ensemble(
 
     Trajectory i samples its uniform state from ``child_seed(base_seed, i)``
     and applies the deviation map.  All states are rotated into the energy
-    eigenbasis at once, C = U^dagger [omega_0 ... omega_{M-1}].  A must be
-    diagonal with entries +/-1 (:class:`NotDiagonalError` otherwise), so
-    A = 2 P_+ - I and at each time point
+    eigenbasis at once, C = U^dagger [omega_0 ... omega_{M-1}].  The
+    observable is the validated sign vector ``params.observable``,
+    A = 2 P_+ - I, so at each time point
 
         a_i(t) = 2 ||U_+ exp(-i w t) c_i||^2 - ||omega_i||^2
 

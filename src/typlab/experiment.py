@@ -8,12 +8,17 @@ Outputs per run directory:
 * ``trajectories.csv`` (optional) -- ``t,traj_0,...,traj_{M-1}``;
 * ``meta`` -- JSON record of the config echo, RNG algorithm identifier,
   seed derivation rule, all derived seeds, the observable's spectral
-  moments, and the analytic ensemble values;
+  moments, the analytic ensemble values, and the eigendecomposition's
+  relative unitarity and reconstruction residuals (``health``);
 * ``plot.svg`` (optional) -- trajectories, mean, and the variance inset.
+
+Each file is written under a temporary name and renamed, so a failed run
+leaves no partial file and, failing before its statistics exist, no directory.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,14 +60,24 @@ class RunResult:
     plot_path: Path | None
 
 
+def _write_atomically(path: Path, write, *args) -> None:
+    """``write(tmp, *args)`` to a temporary name beside ``path``, then rename
+    it into place; a failed write leaves no file behind."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp, *args)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     """Run one experiment and write its outputs.
 
-    ``out_dir`` overrides the config's output directory.  All file writes
-    happen after aggregation, single-writer.
+    ``out_dir`` overrides the config's output directory.  The directory is
+    created and every file written after aggregation, single-writer.
     """
     out = Path(out_dir if out_dir is not None else config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
 
     model = build_model(config.model)
     dec = eigendecompose(model.hamiltonian)
@@ -71,18 +86,8 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
     trajectories = run_ensemble(dec, params, config.num_trajectories, config.base_seed, grid)
     stats = sample_stats(trajectories, grid.times)
 
-    moments = spectral_moments(model.observable)
+    moments = spectral_moments(params.observable)
     bound = variance_bound(config.d, moments[4], moments[8], config.model.n)
-
-    stats_path = out / "stats.csv"
-    write_stats_csv(stats_path, stats.times, stats.mean, stats.variance, bound)
-
-    trajectories_path = None
-    if config.output.emit_trajectories:
-        trajectories_path = out / "trajectories.csv"
-        write_trajectories_csv(trajectories_path, stats.times, trajectories)
-
-    meta_path = out / "meta"
     meta = {
         "config": config_as_dict(config),
         "rng_algorithm": RNG_ALGORITHM,
@@ -102,8 +107,23 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
             "mean_expectation": mean_expectation_analytic(config.d, moments[3]),
             "variance_bound": bound,
         },
+        "health": {
+            "unitarity_residual": dec.unitarity_residual,
+            "reconstruction_residual": dec.reconstruction_residual,
+        },
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+    out.mkdir(parents=True, exist_ok=True)
+    stats_path = out / "stats.csv"
+    _write_atomically(stats_path, write_stats_csv, stats.times, stats.mean, stats.variance, bound)
+
+    trajectories_path = None
+    if config.output.emit_trajectories:
+        trajectories_path = out / "trajectories.csv"
+        _write_atomically(trajectories_path, write_trajectories_csv, stats.times, trajectories)
+
+    meta_path = out / "meta"
+    _write_atomically(meta_path, Path.write_text, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     plot_path = None
     if config.output.emit_plot:
@@ -115,7 +135,7 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
             "bound": np.full_like(stats.times, bound),
         }
         shown = (stats.times, trajectories) if config.output.emit_trajectories else None
-        plot_path.write_text(render_figure(stats_columns, shown))
+        _write_atomically(plot_path, Path.write_text, render_figure(stats_columns, shown))
 
     return RunResult(
         config=config,

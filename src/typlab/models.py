@@ -2,10 +2,11 @@
 perturbation variants.
 
 Everything is built in the eigenbasis of H0, where the observable is
-diagonal.  All construction is deterministic under a :class:`ModelSpec`
-seed; the observable placement and the perturbation entries draw from
-separate child streams of that seed (indices ``OBSERVABLE_STREAM`` and
-``PERTURBATION_STREAM``).
+diagonal; it is carried as its sign vector, the (n,) vector of its +/-1
+diagonal entries, and never as a dense matrix.  All construction is
+deterministic under a :class:`ModelSpec` seed; the observable placement
+and the perturbation entries draw from separate child streams of that seed
+(indices ``OBSERVABLE_STREAM`` and ``PERTURBATION_STREAM``).
 """
 from __future__ import annotations
 
@@ -63,8 +64,19 @@ class ModelSpec:
             )
 
 
-def build_observable_pm1(n: int, seed: int) -> HermitianOperator:
-    """Diagonal observable with equally many randomly placed +1 and -1.
+class SignVector(np.ndarray):
+    """A read-only (n,) float64 sign vector.  ``matrix`` builds its dense
+    diagonal form on each use, for code written against dense operators
+    such as ``perfbench/oracle.py``; typlab itself never builds it."""
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(np.asarray(self)).astype(np.complex128)
+
+
+def build_observable_pm1(n: int, seed: int) -> SignVector:
+    """Sign vector of a diagonal observable with equally many randomly
+    placed +1 and -1 entries.
 
     The +1 entries go to the first n/2 positions of a seeded shuffle of
     ``arange(n)``.  By construction c_1 = 0 and c_2 = 1 exactly.
@@ -74,7 +86,9 @@ def build_observable_pm1(n: int, seed: int) -> HermitianOperator:
     perm = SeedStream(seed).shuffled_indices(n)
     diag = np.full(n, -1.0)
     diag[perm[: n // 2]] = 1.0
-    return HermitianOperator(np.diag(diag).astype(np.complex128))
+    signs = diag.view(SignVector)
+    signs.flags.writeable = False
+    return signs
 
 
 def build_v_gaussian(
@@ -89,6 +103,8 @@ def build_v_gaussian(
 
     Stream consumption order: upper-triangle real parts (row-major j < k),
     upper-triangle imaginary parts, then the diagonal when it is drawn.
+    The scaled draws are written into both triangles by index, so the only
+    n x n array is V itself.
     """
     if mean_sq < 0:
         raise ParameterError(f"mean squared magnitude must be >= 0, got {mean_sq}")
@@ -100,11 +116,12 @@ def build_v_gaussian(
     stream = SeedStream(seed)
     m = n * (n - 1) // 2
     rows, cols = np.triu_indices(n, k=1)
-    x = stream.normal(m)
-    y = stream.normal(m)
+    x, y = stream.normal(m), stream.normal(m)
     sigma = np.sqrt(mean_sq / 2.0)
-    v[rows, cols] = sigma * (x + 1j * y)
-    v += v.conj().T
+    v.real[rows, cols] = v.real[cols, rows] = np.multiply(x, sigma, out=x)
+    v.imag[rows, cols] = np.multiply(y, sigma, out=y)
+    v.imag[cols, rows] = np.negative(y, out=y)
+    del rows, cols, x, y  # freed before validation copies V
     if diagonal == "default":
         np.fill_diagonal(v, np.sqrt(mean_sq) * stream.normal(n))
     return HermitianOperator(v)
@@ -150,17 +167,18 @@ def assemble_hamiltonian(spec: ModelSpec) -> HermitianOperator:
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """A built model: observable, Hamiltonian, and the seeds that made them."""
+    """A built model: the observable's sign vector, the Hamiltonian, and the
+    seeds that made them."""
 
     spec: ModelSpec
-    observable: HermitianOperator
+    observable: SignVector
     hamiltonian: HermitianOperator
     observable_seed: int
     perturbation_seed: int
 
 
 def build_model(spec: ModelSpec) -> ModelSystem:
-    """Build the observable and Hamiltonian for a spec."""
+    """Build the observable's sign vector and the Hamiltonian for a spec."""
     return ModelSystem(
         spec=spec,
         observable=build_observable_pm1(spec.n, child_seed(spec.seed, OBSERVABLE_STREAM)),

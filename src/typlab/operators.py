@@ -1,21 +1,26 @@
 """Dense complex Hermitian operator algebra.
 
-Construction and validation of Hermitian operators, eigendecomposition,
-spectral moments, the sign vector of a diagonal +/-1 observable and the +1
-block of the eigenvector matrix, and Heisenberg-picture time dependence of
-observables.  Everything here is dense complex128 apart from the real sign
-vector; values are immutable after construction.
+Construction and validation of Hermitian operators, eigendecomposition with
+its residual checks, spectral moments of a real spectrum, the +1 block of
+the eigenvector matrix for a diagonal +/-1 observable given by its sign
+vector, and Heisenberg-picture time dependence of observables.  Operators
+are dense complex128; values are immutable after construction.
+
+Memory contract: set-up holds no n x n temporary beyond ``eigh``'s own.
+Validation works on row panels of ``VALIDATION_PANEL_ENTRIES`` entries,
+``eigh``'s eigenvectors are kept without a copy and the residual checks
+subtract I and H in place, so a run peaks below ``PEAK_MATRICES`` dense
+n x n complex matrices of 16 n^2 bytes (5.5 by peak RSS at n = 1200).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
-    NotDiagonalError,
     NotHermitianError,
     NotSquareError,
     OutOfRangeError,
@@ -26,12 +31,27 @@ HERMITICITY_ATOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-8
 UNITARITY_RTOL = 1e-10
 MOMENT_ORDERS = tuple(range(1, 9))
+VALIDATION_PANEL_ENTRIES = 1 << 16
+PEAK_MATRICES = 6
 
 
-def _frozen_complex(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=np.complex128, order="C", copy=True)
-    out.flags.writeable = False
-    return out
+def _max_asymmetry(m: np.ndarray) -> float:
+    """max |M - M^dagger| over all entries, one row panel at a time.  A NaN
+    or infinite entry makes its own difference non-finite, and the first
+    such panel maximum is returned at once: NaN would pass a tolerance test.
+    """
+    n = m.shape[0]
+    rows = max(1, VALIDATION_PANEL_ENTRIES // max(n, 1))
+    worst = 0.0
+    with np.errstate(invalid="ignore"):
+        for s in range(0, n, rows):
+            diff = m[:, s : s + rows].T.conj()
+            np.subtract(m[s : s + rows], diff, out=diff)
+            panel = float(np.abs(diff).max())
+            if not np.isfinite(panel):
+                return panel
+            worst = max(worst, panel)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -40,8 +60,8 @@ class HermitianOperator:
 
     Construction is the validation gate: every entry must be finite, and
     conjugate symmetry must hold to ``HERMITICITY_ATOL`` per entry (which
-    also pins the diagonal's imaginary parts).  The stored array is
-    read-only.
+    also pins the diagonal's imaginary parts).  The stored array is a
+    read-only copy, and the checks add only row-panel temporaries to it.
     """
 
     matrix: np.ndarray
@@ -51,11 +71,7 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
         m = np.array(m, dtype=np.complex128, order="C", copy=True)
-        # A NaN or infinite entry, on the diagonal or off it, makes its own
-        # difference non-finite, and max() propagates it; NaN would pass the
-        # tolerance comparison below.
-        with np.errstate(invalid="ignore"):
-            asym = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        asym = _max_asymmetry(m)
         if not np.isfinite(asym):
             raise TyplabError("matrix has non-finite entries (NaN or inf)")
         if asym > HERMITICITY_ATOL:
@@ -70,40 +86,33 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "HermitianOperator":
-        return cls(np.eye(n, dtype=np.complex128))
-
-    def is_diagonal(self) -> bool:
-        """True when every off-diagonal entry is exactly zero.
-
-        Counts nonzero real and imaginary parts over the whole matrix and
-        over its diagonal, so no n x n copy is made; counting the float64
-        view is faster than counting complex entries.
-        """
-        diag = self.matrix.diagonal()
-        nonzero_diag = np.count_nonzero(diag.real) + np.count_nonzero(diag.imag)
-        return bool(np.count_nonzero(self.matrix.view(np.float64)) == nonzero_diag)
-
-    def real_diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and unitary eigenvector matrix of an operator.
 
-    Columns of ``eigenvectors`` are the eigenvectors.  Unitarity is checked
-    at construction; the reconstruction residual against the source operator
-    is checked by :func:`eigendecompose`.
+    Columns of ``eigenvectors`` are the eigenvectors.  A writeable array is
+    copied, so the caller's later writes cannot reach the decomposition; a
+    read-only one that owns its memory (from :func:`eigendecompose`) is not.
+    Construction checks unitarity, and given ``source`` H the reconstruction,
+    raising :class:`ConvergenceError`; it keeps ``unitarity_residual`` =
+    ||U^dagger U - I||_F / sqrt(n) <= ``UNITARITY_RTOL`` and
+    ``reconstruction_residual`` = ||U diag(w) U^dagger - H||_F / ||H||_F
+    <= ``RECONSTRUCTION_RTOL`` (None without a source).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    source: InitVar[HermitianOperator | None] = None
+    unitarity_residual: float = field(init=False)
+    reconstruction_residual: float | None = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, source):
         w = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-        u = _frozen_complex(self.eigenvectors)
+        u = np.asarray(self.eigenvectors)
+        if u.flags.writeable or not u.flags.owndata or u.dtype != np.complex128:
+            u = np.array(u, dtype=np.complex128, order="C", copy=True)
+        u.flags.writeable = False
         n = u.shape[0]
         if w.ndim != 1 or u.ndim != 2 or u.shape != (n, n) or w.shape[0] != n:
             raise DimensionMismatchError(
@@ -113,17 +122,38 @@ class SpectralDecomposition:
             raise ConvergenceError("eigenvalues contain non-finite entries")
         if np.any(np.diff(w) < 0):
             raise ConvergenceError("eigenvalues are not sorted ascending")
-        gram_residual = float(
-            np.linalg.norm(u.conj().T @ u - np.eye(n), ord="fro")
-        )
+        gram = u.conj().T @ u
+        gram[np.diag_indices(n)] -= 1.0
+        gram_residual = float(np.linalg.norm(gram))
+        del gram
         if gram_residual > UNITARITY_RTOL * np.sqrt(n):
             raise ConvergenceError(
                 f"eigenvector matrix is not unitary: ||U^dagger U - I||_F = "
                 f"{gram_residual:.3e} at dim {n}"
             )
+        reconstruction = None
+        if source is not None:
+            h = source.matrix
+            if h.shape != u.shape:
+                raise DimensionMismatchError(f"operator dim {source.dim} does not match {n}")
+            h_norm = max(float(np.linalg.norm(h)), 1e-300)
+            scaled = u.conj().T
+            scaled *= w[:, None]
+            back = u @ scaled
+            back -= h
+            residual = float(np.linalg.norm(back))
+            if residual > RECONSTRUCTION_RTOL * h_norm:
+                raise ConvergenceError(
+                    f"reconstruction residual {residual:.3e} exceeds "
+                    f"{RECONSTRUCTION_RTOL:.0e} * ||H||_F = {RECONSTRUCTION_RTOL * h_norm:.3e} "
+                    f"at dim {n}"
+                )
+            reconstruction = residual / h_norm
         w.flags.writeable = False
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", u)
+        object.__setattr__(self, "unitarity_residual", gram_residual / np.sqrt(max(n, 1)))
+        object.__setattr__(self, "reconstruction_residual", reconstruction)
 
     @property
     def dim(self) -> int:
@@ -135,24 +165,15 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
 
     The result satisfies ``||U diag(w) U^dagger - H||_F <= 1e-8 ||H||_F``;
     a solver failure or a residual above that raises
-    :class:`ConvergenceError` with the dimension and residual.
+    :class:`ConvergenceError` with the dimension and residual.  ``eigh``'s
+    eigenvectors are frozen and kept without a copy.
     """
-    h = op.matrix
-    n = op.dim
     try:
-        w, u = np.linalg.eigh(h)
+        w, u = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge at dim {n}: {exc}") from exc
-    dec = SpectralDecomposition(w, u)
-    h_norm = float(np.linalg.norm(h, ord="fro"))
-    residual = float(np.linalg.norm((u * w) @ u.conj().T - h, ord="fro"))
-    if residual > RECONSTRUCTION_RTOL * max(h_norm, 1e-300):
-        raise ConvergenceError(
-            f"reconstruction residual {residual:.3e} exceeds "
-            f"{RECONSTRUCTION_RTOL:.0e} * ||H||_F = {RECONSTRUCTION_RTOL * h_norm:.3e} "
-            f"at dim {n}"
-        )
-    return dec
+        raise ConvergenceError(f"eigh did not converge at dim {op.dim}: {exc}") from exc
+    u.flags.writeable = False
+    return SpectralDecomposition(w, u, source=op)
 
 
 @dataclass(frozen=True)
@@ -185,66 +206,32 @@ class SpectralMoments:
         return [self.c[i] for i in MOMENT_ORDERS]
 
 
-def spectral_moments(
-    op: HermitianOperator, dec: SpectralDecomposition | None = None
-) -> SpectralMoments:
-    """All moments c_i = Tr{A^i}/n, i = 1..8, in one pass.
-
-    Uses repeated matrix multiplication, or the eigenvalue power sum when a
-    decomposition is supplied; the two routes agree to 1e-10 relative.  An
-    exactly diagonal operator is its own decomposition and is handled
-    without matrix products.  Index the result by order; an order outside
-    1..8 raises :class:`OutOfRangeError`.
+def spectral_moments(spectrum: np.ndarray) -> SpectralMoments:
+    """All moments c_i = Tr{A^i}/n = mean(lambda^i), i = 1..8, of an
+    operator given by its real spectrum: the sign vector for the model's
+    diagonal +/-1 observable, the eigenvalues for any other operator.
+    Index the result by order; an order outside 1..8 raises
+    :class:`OutOfRangeError`.
     """
-    n = op.dim
-    if dec is not None:
-        if dec.dim != n:
-            raise DimensionMismatchError(
-                f"decomposition dim {dec.dim} does not match operator dim {n}"
-            )
-        spectrum = dec.eigenvalues
-    elif op.is_diagonal():
-        spectrum = op.real_diagonal()
-    else:
-        spectrum = None
-
-    c: dict[int, float] = {}
-    if spectrum is not None:
-        for i in MOMENT_ORDERS:
-            c[i] = float(np.mean(spectrum**i))
-    else:
-        a = op.matrix
-        power = a
-        c[1] = float(np.trace(power).real) / n
-        for i in MOMENT_ORDERS[1:]:
-            power = power @ a
-            c[i] = float(np.trace(power).real) / n
-    return SpectralMoments(c)
+    values = np.asarray(spectrum, dtype=np.float64)
+    if values.ndim != 1:
+        raise DimensionMismatchError(f"expected a 1-d spectrum, got shape {values.shape}")
+    return SpectralMoments({i: float(np.mean(values**i)) for i in MOMENT_ORDERS})
 
 
-def pm1_signs(a_op: HermitianOperator) -> np.ndarray:
-    """The real diagonal of an observable that is diagonal with every entry
-    exactly +1 or -1, so that A = 2 P_+ - I with P_+ the projector onto the
-    +1 basis states; anything else raises :class:`NotDiagonalError`.
-    """
-    signs = a_op.real_diagonal()
-    if not a_op.is_diagonal() or not np.all(np.abs(signs) == 1.0):
-        raise NotDiagonalError("the observable must be diagonal with entries +1 or -1")
-    return signs
-
-
-def plus_rows(a_op: HermitianOperator, dec: SpectralDecomposition) -> np.ndarray:
+def plus_rows(signs: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     """U_+, the rows of the eigenvector matrix U where the observable is +1.
 
-    The observable must pass :func:`pm1_signs`, so that
-    U^dagger P_+ U = U_+^dagger U_+.  The block is (n_+, n) and empty when
-    A = -I.
+    ``signs`` is the observable's +/-1 sign vector as
+    :class:`~typlab.ensembles.OmegaParams` validates it, A = 2 P_+ - I, so
+    that U^dagger P_+ U = U_+^dagger U_+.  The block is (n_+, n) and empty
+    when A = -I.
     """
-    if a_op.dim != dec.dim:
+    if np.shape(signs) != (dec.dim,):
         raise DimensionMismatchError(
-            f"observable dim {a_op.dim} does not match decomposition dim {dec.dim}"
+            f"sign vector shape {np.shape(signs)} does not match decomposition dim {dec.dim}"
         )
-    return dec.eigenvectors[pm1_signs(a_op) > 0]
+    return dec.eigenvectors[signs > 0]
 
 
 def heisenberg_observable(

@@ -7,8 +7,9 @@ substitute ensemble follow by mapping the measured operator through
 The time-dependent variance admits a closed-form Cauchy-Schwarz upper
 bound in the moments c_4 and c_8.
 
-The exact time-dependent variance is ``hv_uniform(moment_map(A(t), A, d))``.
-For a diagonal +/-1 observable, A = 2 P_+ - I with P_+ the projector onto
+The exact time-dependent variance is the uniform-ensemble variance of
+``D(t) = (1 + d A) A(t) (1 + d A) / (1 + d^2)``.  The observable is diagonal
++/-1, read as its sign vector: A = 2 P_+ - I with P_+ the projector onto
 its n_+ basis states of eigenvalue +1, A^2 = I, and the variance depends on
 two correlators only: the autocorrelation C(t) = Tr{A A(t)}/n and the
 out-of-time-order correlator F(t) = Tr{(A(t) A)^2}/n.  With
@@ -32,6 +33,7 @@ A = 2 P_+ - I,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,50 +43,19 @@ from .errors import (
     ParameterError,
     TooFewTrajectoriesError,
 )
-from .operators import (
-    HermitianOperator,
-    SpectralDecomposition,
-    heisenberg_observable,
-    plus_rows,
-)
+from .operators import SpectralDecomposition, plus_rows
 
-
-def ha_uniform(d_op: HermitianOperator) -> float:
-    """Uniform-ensemble mean of the expectation value: Tr{D}/n."""
-    return float(np.trace(d_op.matrix).real) / d_op.dim
-
-
-def hv_uniform(d_op: HermitianOperator) -> float:
-    """Uniform-ensemble variance: (c_2 - c_1^2)/(n + 1)."""
-    n = d_op.dim
-    c1 = float(np.trace(d_op.matrix).real) / n
-    # Tr{D^2} = ||D||_F^2 for Hermitian D; no matrix product needed.
-    c2 = float(np.vdot(d_op.matrix, d_op.matrix).real) / n
-    return (c2 - c1**2) / (n + 1)
-
-
-def moment_map(c_op: HermitianOperator, a_op: HermitianOperator, d: float) -> HermitianOperator:
-    """Map a measured operator to its uniform-ensemble equivalent:
-    ``D = (1 + d A) C (1 + d A) / (1 + d^2)``.
-
-    Moments of the substitute ensemble's expectation values of C equal
-    uniform-ensemble moments of D.
-    """
-    if c_op.dim != a_op.dim:
-        raise DimensionMismatchError(
-            f"operator dims differ: {c_op.dim} vs {a_op.dim}"
-        )
-    shift = np.eye(a_op.dim, dtype=np.complex128) + d * a_op.matrix
-    mapped = shift @ c_op.matrix @ shift / (1.0 + d**2)
-    return HermitianOperator(0.5 * (mapped + mapped.conj().T))
+if TYPE_CHECKING:
+    from .ensembles import OmegaParams
 
 
 def norm_variance_analytic(d: float, c3: float, c4: float, n: int) -> float:
     """Variance of omega norms:
     ``(4 d^2 + 4 d^3 c_3 + d^4 (c_4 - 1)) / ((n + 1) (1 + d^2)^2)``.
 
-    Agrees with ``hv_uniform(moment_map(I, A, d))`` for a trace-free,
-    c_2 = 1 observable.
+    It is the uniform-ensemble variance of ``(1 + d A)^2 / (1 + d^2)``, the
+    identity mapped through D; the tests check the two agree for a
+    trace-free, c_2 = 1 observable.
     """
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
@@ -124,25 +95,11 @@ def variance_bound(d: float, c4: float, c8: float, n: int) -> float:
     return float(numerator) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
-def hv_at_time_exact(
-    a_op: HermitianOperator, dec: SpectralDecomposition, d: float, t: float
-) -> float:
-    """Exact expectation-value variance at time t:
-    ``hv_uniform(moment_map(A(t), A, d))``.
-
-    Always below :func:`variance_bound` (to rounding) for d >= 0.
-    """
-    return hv_uniform(moment_map(heisenberg_observable(a_op, dec, t), a_op, d))
-
-
 def exact_hv_series(
-    a_op: HermitianOperator,
-    dec: SpectralDecomposition,
-    d: float,
-    times: np.ndarray,
+    dec: SpectralDecomposition, params: OmegaParams, times: np.ndarray
 ) -> np.ndarray:
-    """:func:`hv_at_time_exact` over a whole time grid for a diagonal +/-1
-    observable, from its autocorrelation C(t) and OTOC F(t).
+    """The exact expectation-value variance of the substitute ensemble
+    ``params`` at each time, from the autocorrelation C(t) and the OTOC F(t).
 
     Per time point it forms the n_+ x n_+ block
     ``Y = (U_+ e^{-iwt}) U_+^dagger`` and G = Y^dagger Y, then
@@ -154,11 +111,12 @@ def exact_hv_series(
 
     with tau = (2 n_+ - n)/n and alpha = 1 + d^2 (derivation in the module
     docstring).  This holds for balanced and unbalanced observables alike,
-    including +/-I.  An observable that is not diagonal with entries +/-1
-    raises :class:`NotDiagonalError`.  The tests pin the agreement with the
-    per-time composition and with the general energy-basis formula.
+    including +/-I.  It stays below :func:`variance_bound` (to rounding)
+    for d >= 0.  The tests pin the agreement with the dense per-time
+    composition and with the general energy-basis formula.
     """
-    u_plus = plus_rows(a_op, dec)
+    d = params.d
+    u_plus = plus_rows(params.observable, dec)
     u_plus_h = u_plus.conj().T
     n = dec.dim
     n_plus = u_plus.shape[0]

@@ -33,8 +33,6 @@ from .experiment import moment_flags
 from .rng import child_seed
 from .stats import (
     exact_hv_series,
-    ha_uniform,
-    hv_uniform,
     mean_expectation_analytic,
     norm_variance_analytic,
     sample_stats,
@@ -75,18 +73,20 @@ def _result(name: str, error: float, tolerance: float, measured: str, criterion:
 
 def run_verification(
     config: ExperimentConfig,
-    observable_override: HermitianOperator | None = None,
+    observable_override: np.ndarray | None = None,
 ) -> list[CheckResult]:
     """Run every verification check; returns results in a fixed order.
 
-    ``observable_override`` substitutes the model's observable (a test
-    hook for corrupted-observable negative tests).
+    ``observable_override`` substitutes a sign vector for the model's
+    observable (a test hook for corrupted-observable negative tests).
     """
     model = build_model(config.model)
-    a = observable_override if observable_override is not None else model.observable
-    n = a.dim
     d = config.d
-    params = OmegaParams(d=d, observable=a)
+    params = OmegaParams(
+        d=d, observable=model.observable if observable_override is None else observable_override
+    )
+    a = params.observable
+    n = a.size
     base = config.base_seed
     results: list[CheckResult] = []
 
@@ -102,13 +102,14 @@ def run_verification(
         )
     )
 
-    # Uniform-ensemble mean and variance against the Monte Carlo estimator.
-    # The state block is not kept: it is freed before the omega block is built.
+    # Uniform-ensemble mean c1 and variance (c2 - c1^2)/(n + 1) against the
+    # Monte Carlo estimator.  The state block is not kept: it is freed
+    # before the omega block is built.
     vals = expectations(
         a, sample_uniform_states(n, N_UNIFORM_SAMPLES, child_seed(base, UNIFORM_MC_STREAM))
     )
-    ha = ha_uniform(a)
-    hv = hv_uniform(a)
+    ha = moments[1]
+    hv = (moments[2] - moments[1] ** 2) / (n + 1)
     se = float(vals.std(ddof=1)) / np.sqrt(N_UNIFORM_SAMPLES)
     err = abs(float(vals.mean()) - ha)
     results.append(
@@ -140,7 +141,7 @@ def run_verification(
     omegas = make_omegas(
         sample_uniform_states(n, N_OMEGA_SAMPLES, child_seed(base, OMEGA_MC_STREAM)), params
     )
-    norms = np.sum(omegas.conj() * omegas, axis=1).real
+    norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
     tol = max(3 * np.sqrt(eq_norm_var / N_OMEGA_SAMPLES), 1e-12)
     results.append(
         _result(
@@ -175,7 +176,7 @@ def run_verification(
     # Bound domination, exact and sampled, on the config's grid.
     dec = eigendecompose(model.hamiltonian)
     grid = TimeGrid.uniform(config.time.t_max, config.time.points)
-    series = exact_hv_series(a, dec, d, grid.times)
+    series = exact_hv_series(dec, params, grid.times)
     worst = float((series - eq_bound).max())
     results.append(
         _result(
@@ -210,16 +211,17 @@ def run_verification(
     # Per-state invariance under unitaries commuting with the observable.
     state_base = child_seed(base, COMMUTING_STATE_STREAM)
     unitary_base = child_seed(base, COMMUTING_UNITARY_STREAM)
-    phase_vectors = [
-        commuting_unitary(a, child_seed(unitary_base, j)) for j in range(N_COMMUTING_UNITARIES)
-    ]
+    omegas = np.array(
+        [
+            make_omega(sample_uniform_state(n, child_seed(state_base, i)), params).amplitudes
+            for i in range(N_COMMUTING_STATES)
+        ]
+    )
+    reference = expectations(a, omegas)
     worst_shift = 0.0
-    for i in range(N_COMMUTING_STATES):
-        omega = make_omega(sample_uniform_state(n, child_seed(state_base, i)), params)
-        reference = expectation(a, omega)
-        for phases in phase_vectors:
-            rotated = type(omega)(phases * omega.amplitudes)
-            worst_shift = max(worst_shift, abs(expectation(a, rotated) - reference))
+    for j in range(N_COMMUTING_UNITARIES):
+        rotated = commuting_unitary(a, child_seed(unitary_base, j)) * omegas
+        worst_shift = max(worst_shift, float(np.abs(expectations(a, rotated) - reference).max()))
     results.append(
         _result(
             "commuting-invariance",
@@ -243,16 +245,16 @@ def run_verification(
     pe_model = build_model(pe_spec)
     pe_dec = eigendecompose(pe_model.hamiltonian)
     pe_params = OmegaParams(d=d, observable=pe_model.observable)
+    # The one dense observable: the Heisenberg picture needs A as a matrix.
+    pe_a = HermitianOperator(np.diag(pe_params.observable))
     pe_base = child_seed(base, PICTURE_STATE_STREAM)
     pe_times = np.linspace(0.0, config.time.t_max, 8)
     worst_pe = 0.0
     for i in range(N_PICTURE_STATES):
         omega = make_omega(sample_uniform_state(n_pe, child_seed(pe_base, i)), pe_params)
         for t in pe_times:
-            schroedinger = expectation(pe_model.observable, evolve_state(pe_dec, omega, t))
-            heisenberg = expectation(
-                heisenberg_observable(pe_model.observable, pe_dec, t), omega
-            )
+            schroedinger = expectation(pe_a, evolve_state(pe_dec, omega, t))
+            heisenberg = expectation(heisenberg_observable(pe_a, pe_dec, t), omega)
             worst_pe = max(worst_pe, abs(schroedinger - heisenberg))
     results.append(
         _result(
@@ -283,7 +285,8 @@ def run_verification(
             model_k = build_model(spec_k)
             dec_k = eigendecompose(model_k.hamiltonian)
         times_k = np.linspace(0.0, config.time.t_max, SCALING_GRID_POINTS)
-        max_hv.append(float(exact_hv_series(model_k.observable, dec_k, d, times_k).max()))
+        params_k = OmegaParams(d=d, observable=model_k.observable)
+        max_hv.append(float(exact_hv_series(dec_k, params_k, times_k).max()))
     slope = float(np.polyfit(np.log(SCALING_DIMS), np.log(max_hv), 1)[0])
     results.append(
         CheckResult(

@@ -10,7 +10,7 @@ from typlab.errors import (
     NotSquareError,
 )
 from typlab.evolution import IMAG_RESIDUE_RTOL
-from typlab.operators import HermitianOperator
+from typlab.operators import HermitianOperator, SpectralDecomposition, heisenberg_observable
 from typlab.rng import SeedStream
 
 settings.register_profile("numeric", max_examples=25, deadline=None)
@@ -41,13 +41,70 @@ def random_state_block(n: int, count: int, seed: int) -> np.ndarray:
     return z[:, :n] + 1j * z[:, n:]
 
 
-def pm1_with_plus_fraction(n: int, fraction: float, seed: int) -> HermitianOperator:
-    """Diagonal +/-1 observable with round(fraction * n) randomly placed +1
-    entries, balanced or not (test helper)."""
+def pm1_with_plus_fraction(n: int, fraction: float, seed: int) -> np.ndarray:
+    """Sign vector of a diagonal +/-1 observable with round(fraction * n)
+    randomly placed +1 entries, balanced or not (test helper)."""
     plus = SeedStream(seed).shuffled_indices(n)[: round(fraction * n)]
     diag = np.full(n, -1.0)
     diag[plus] = 1.0
-    return HermitianOperator(np.diag(diag))
+    return diag
+
+
+def dense_observable(signs: np.ndarray) -> HermitianOperator:
+    """The dense diagonal operator of a sign vector (test helper; the form
+    the dense-operator oracles below take)."""
+    return HermitianOperator(np.diag(np.asarray(signs, dtype=float)))
+
+
+def is_diagonal(op: HermitianOperator) -> bool:
+    """True when every off-diagonal entry of an operator is exactly zero
+    (test helper).
+
+    Counts nonzero real and imaginary parts over the whole matrix and over
+    its diagonal, so no n x n copy is made.
+    """
+    diag = op.matrix.diagonal()
+    nonzero_diag = np.count_nonzero(diag.real) + np.count_nonzero(diag.imag)
+    return bool(np.count_nonzero(op.matrix.view(np.float64)) == nonzero_diag)
+
+
+def ha_uniform(d_op: HermitianOperator) -> float:
+    """Uniform-ensemble mean of the expectation value of any Hermitian D:
+    Tr{D}/n (test helper; the dense closed form)."""
+    return float(np.trace(d_op.matrix).real) / d_op.dim
+
+
+def hv_uniform(d_op: HermitianOperator) -> float:
+    """Uniform-ensemble variance of the expectation value of any Hermitian
+    D: (c_2 - c_1^2)/(n + 1) (test helper; the dense closed form)."""
+    n = d_op.dim
+    c1 = float(np.trace(d_op.matrix).real) / n
+    # Tr{D^2} = ||D||_F^2 for Hermitian D; no matrix product needed.
+    c2 = float(np.vdot(d_op.matrix, d_op.matrix).real) / n
+    return (c2 - c1**2) / (n + 1)
+
+
+def moment_map(c_op: HermitianOperator, a_op: HermitianOperator, d: float) -> HermitianOperator:
+    """Map a measured operator to its uniform-ensemble equivalent:
+    ``D = (1 + d A) C (1 + d A) / (1 + d^2)`` (test helper).
+
+    Moments of the substitute ensemble's expectation values of C equal
+    uniform-ensemble moments of D.
+    """
+    if c_op.dim != a_op.dim:
+        raise DimensionMismatchError(f"operator dims differ: {c_op.dim} vs {a_op.dim}")
+    shift = np.eye(a_op.dim, dtype=np.complex128) + d * a_op.matrix
+    mapped = shift @ c_op.matrix @ shift / (1.0 + d**2)
+    return HermitianOperator(0.5 * (mapped + mapped.conj().T))
+
+
+def hv_at_time_exact(
+    a_op: HermitianOperator, dec: SpectralDecomposition, d: float, t: float
+) -> float:
+    """Exact expectation-value variance at time t for any Hermitian A,
+    ``hv_uniform(moment_map(A(t), A, d))`` (test helper; the dense
+    per-time composition that ``exact_hv_series`` replaces)."""
+    return hv_uniform(moment_map(heisenberg_observable(a_op, dec, t), a_op, d))
 
 
 def dense_expectations(a_op: HermitianOperator, states: np.ndarray) -> np.ndarray:
@@ -93,19 +150,25 @@ def average_density(params: OmegaParams, n: int) -> HermitianOperator:
 
     Its trace is ``(1 + d^2 c_2)/(1 + d^2)``, exactly 1 for c_2 = 1.
     """
-    a = params.observable
-    if n != a.dim:
-        raise DimensionMismatchError(f"n = {n} does not match observable dim {a.dim}")
+    a = np.diag(params.observable)
+    if n != a.shape[0]:
+        raise DimensionMismatchError(f"n = {n} does not match observable dim {a.shape[0]}")
     d = params.d
-    mat = np.eye(n, dtype=np.complex128) + 2.0 * d * a.matrix + d**2 * (a.matrix @ a.matrix)
+    mat = np.eye(n, dtype=np.complex128) + 2.0 * d * a + d**2 * (a @ a)
     return HermitianOperator(mat / (n * (1.0 + d**2)))
 
 
-# Observables the sign-vector kernels must reject with NotDiagonalError.
+# Observables the sign-vector gate (OmegaParams) must reject with
+# NotDiagonalError: entries other than exactly +/-1, and matrices.
 NOT_PM1_OBSERVABLES = {
-    "diag(2,-2)": lambda: HermitianOperator(np.diag([2.0, -2.0])),
-    "diag(1,0)": lambda: HermitianOperator(np.diag([1.0, 0.0])),
+    "diag(2,-2)": lambda: np.array([2.0, -2.0]),
+    "diag(1,0)": lambda: np.array([1.0, 0.0]),
     "dense": lambda: random_hermitian(2, seed=1),
+    "nan": lambda: np.array([1.0, np.nan]),
+    "inf": lambda: np.array([np.inf, -1.0]),
+    "near-one": lambda: np.array([1.0, -1.0 + 1e-9]),
+    "complex": lambda: np.array([1.0, -1.0 + 0j]),
+    "matrix": lambda: np.diag([1.0, -1.0]),
 }
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from typlab.cli import main
 from typlab.csvio import read_stats_csv
+from typlab.errors import ConvergenceError
+from typlab.operators import RECONSTRUCTION_RTOL, UNITARITY_RTOL
 
 REPO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -76,6 +78,35 @@ def test_meta_records_reproducibility_data(tmp_path):
     assert meta["spectral_moments"]["c1"] == 0.0
     assert meta["spectral_moments"]["c2"] == 1.0
     assert meta["analytic"]["variance_bound"] > 0
+    health = meta["health"]
+    assert 0.0 <= health["unitarity_residual"] <= UNITARITY_RTOL
+    assert 0.0 <= health["reconstruction_residual"] <= RECONSTRUCTION_RTOL
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    import typlab.experiment
+
+    def failing(op):
+        raise ConvergenceError(f"eigh did not converge at dim {op.dim}")
+
+    monkeypatch.setattr(typlab.experiment, "eigendecompose", failing)
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_leaves_only_its_output_files(tmp_path):
+    out = tmp_path / "a"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "meta",
+        "plot.svg",
+        "stats.csv",
+        "trajectories.csv",
+    ]
 
 
 def test_forced_identical_seeds_zero_variance(tmp_path, monkeypatch):

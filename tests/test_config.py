@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -148,3 +149,16 @@ def test_overrides():
     # original untouched
     assert cfg.output.directory == "out"
     assert cfg.base_seed == 5
+
+
+def test_dimension_beyond_physical_memory_fails_at_parse():
+    raw = valid_raw()
+    raw["model"]["n"] = 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigParseError, match="model.n"):
+            parse_config(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from typlab.models import (
 )
 from typlab.operators import HermitianOperator, spectral_moments
 
-from conftest import build_h0
+from conftest import build_h0, is_diagonal
 
 
 class TestBuildH0:
@@ -38,28 +40,38 @@ class TestBuildH0:
 
 class TestObservable:
     def test_two_dim_arrangements(self):
-        diag = build_observable_pm1(2, seed=0).matrix.diagonal().real
-        assert sorted(diag.tolist()) == [-1.0, 1.0]
+        assert sorted(build_observable_pm1(2, seed=0).tolist()) == [-1.0, 1.0]
+
+    def test_read_only_float_vector(self):
+        a = build_observable_pm1(10, seed=4)
+        assert a.shape == (10,) and a.dtype == np.float64
+        with pytest.raises(ValueError):
+            a[0] = 3.0
+
+    def test_dense_form_is_the_diagonal(self):
+        a = build_observable_pm1(10, seed=4)
+        assert np.array_equal(a.matrix, np.diag(np.asarray(a)))
+        assert is_diagonal(HermitianOperator(a.matrix))
 
     def test_paper_scale_moments_exact(self):
-        # full paper dimension; the diagonal fast path keeps this cheap
+        # full paper dimension; the sign vector keeps this cheap
         a = build_observable_pm1(6000, seed=99)
         m = spectral_moments(a)
         assert m.as_list() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_balanced_counts(self):
-        diag = build_observable_pm1(40, seed=5).matrix.diagonal().real
+        diag = build_observable_pm1(40, seed=5)
         assert int((diag == 1.0).sum()) == 20
         assert int((diag == -1.0).sum()) == 20
 
     def test_deterministic(self):
         a = build_observable_pm1(30, seed=77)
         b = build_observable_pm1(30, seed=77)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_placement(self):
-        a = build_observable_pm1(30, seed=1).matrix.diagonal().real
-        b = build_observable_pm1(30, seed=2).matrix.diagonal().real
+        a = build_observable_pm1(30, seed=1)
+        b = build_observable_pm1(30, seed=2)
         assert not np.array_equal(a, b)
 
     def test_odd_dimension_rejected(self):
@@ -166,7 +178,19 @@ class TestAssemble:
         a = build_model(spec)
         b = build_model(spec)
         assert np.array_equal(a.hamiltonian.matrix, b.hamiltonian.matrix)
-        assert np.array_equal(a.observable.matrix, b.observable.matrix)
+        assert np.array_equal(a.observable, b.observable)
+
+    def test_build_peak_memory(self):
+        # run_large_n's model: the peak stays within 3.5 dense matrices
+        n = 1200
+        spec = ModelSpec(n=n, delta_e=4.165e-4, v_kind="gaussian", v_scale=5.625e-7, seed=7)
+        tracemalloc.start()
+        try:
+            build_model(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 16 * n**2
 
     def test_observable_and_perturbation_use_distinct_streams(self):
         spec = ModelSpec(n=40, delta_e=1e-3, v_kind="gaussian", v_scale=1e-6, seed=123)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,13 +14,28 @@ from typlab.errors import (
     TyplabError,
 )
 from typlab.operators import (
+    RECONSTRUCTION_RTOL,
+    UNITARITY_RTOL,
+    VALIDATION_PANEL_ENTRIES,
     HermitianOperator,
+    SpectralDecomposition,
     eigendecompose,
     heisenberg_observable,
     spectral_moments,
 )
 
-from conftest import hilbert_schmidt_inner, random_hermitian
+from conftest import hilbert_schmidt_inner, is_diagonal, random_hermitian
+
+
+def power_trace_moments(op: HermitianOperator) -> list[float]:
+    """c_i = Tr{A^i}/n, i = 1..8, by repeated matrix products: the oracle
+    for the eigenvalue power sums."""
+    power = op.matrix
+    moments = [float(np.trace(power).real) / op.dim]
+    for _ in range(7):
+        power = power @ op.matrix
+        moments.append(float(np.trace(power).real) / op.dim)
+    return moments
 
 
 class TestValidation:
@@ -76,6 +93,56 @@ class TestValidation:
         op = random_hermitian(n, seed)
         assert op.dim == n
 
+    def test_one_by_one(self):
+        assert HermitianOperator(np.array([[2.0]])).dim == 1
+        with pytest.raises(NotHermitianError):
+            HermitianOperator(np.array([[1j]]))
+        with pytest.raises(TyplabError, match="non-finite"):
+            HermitianOperator(np.array([[np.nan]]))
+
+
+class TestValidationPanels:
+    """The Hermitian check runs over row panels; n = 300 gives panels of
+    218 rows, so the last one is partial."""
+
+    n = 300
+
+    def matrix(self):
+        assert self.n % (VALIDATION_PANEL_ENTRIES // self.n) != 0
+        return random_hermitian(self.n, seed=3).matrix.copy()
+
+    @pytest.mark.parametrize("entry", [(299, 5), (5, 299), (250, 250), (0, 0)])
+    def test_nan_anywhere_rejected(self, entry):
+        m = self.matrix()
+        m[entry] = np.nan
+        with pytest.raises(TyplabError, match="non-finite"):
+            HermitianOperator(m)
+
+    def test_nan_in_last_panel_outranks_earlier_asymmetry(self):
+        m = self.matrix()
+        m[3, 7] += 1.0  # asymmetric, in the first panel
+        m[290, 4] = np.inf
+        with pytest.raises(TyplabError, match="non-finite"):
+            HermitianOperator(m)
+
+    def test_asymmetric_pair_in_last_panel_reports_whole_matrix_maximum(self):
+        m = self.matrix()
+        m[250, 290] += 3e-9
+        m[290, 250] -= 1e-9j
+        with pytest.raises(NotHermitianError) as err:
+            HermitianOperator(m)
+        assert err.value.max_asymmetry == float(np.abs(m - m.conj().T).max())
+
+    def test_validation_peak_memory_near_the_copy(self):
+        m = random_hermitian(1000, seed=4).matrix.copy()
+        tracemalloc.start()
+        try:
+            HermitianOperator(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m.nbytes
+
 
 class TestIsDiagonal:
     @pytest.mark.parametrize(
@@ -91,13 +158,12 @@ class TestIsDiagonal:
         m = np.diag([1.0, -1.0, 2.0]).astype(complex)
         for entry, value in entries.items():
             m[entry] = value
-        assert HermitianOperator(m).is_diagonal() is expected
+        assert is_diagonal(HermitianOperator(m)) is expected
 
 
 class TestSpectralMoments:
     def test_pm1_moments(self):
-        a = HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0]))
-        moments = spectral_moments(a)
+        moments = spectral_moments(np.array([1.0, -1.0, 1.0, -1.0]))
         assert moments[1] == 0.0
         assert moments[2] == 1.0
         assert moments[3] == 0.0
@@ -105,33 +171,35 @@ class TestSpectralMoments:
 
     @pytest.mark.parametrize("order", [0, 9, -1])
     def test_out_of_range_order(self, order):
-        a = HermitianOperator(np.eye(2))
         with pytest.raises(OutOfRangeError):
-            spectral_moments(a)[order]
+            spectral_moments(np.ones(2))[order]
+
+    def test_matrix_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            spectral_moments(np.eye(2))
 
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32))
     def test_matrix_and_eigenvalue_paths_agree(self, n, seed):
-        op = random_hermitian(n, seed)  # dense, so the product path is taken
-        via_products = spectral_moments(op)
-        via_eigen = spectral_moments(op, eigendecompose(op))
+        op = random_hermitian(n, seed)
+        via_products = power_trace_moments(op)
+        via_eigen = spectral_moments(eigendecompose(op).eigenvalues)
         for i in range(1, 9):
             scale = max(1.0, abs(via_eigen[i]))
-            assert abs(via_products[i] - via_eigen[i]) <= 1e-10 * scale
+            assert abs(via_products[i - 1] - via_eigen[i]) <= 1e-10 * scale
 
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32))
     def test_variance_nonnegative(self, n, seed):
-        m = spectral_moments(random_hermitian(n, seed))
+        m = spectral_moments(eigendecompose(random_hermitian(n, seed)).eigenvalues)
         assert m[2] - m[1] ** 2 >= -1e-12
         assert m[4] >= 0 and m[8] >= 0
         assert m[8] >= m[4] ** 2 - 1e-12 * max(1.0, m[4] ** 2)
 
     def test_diagonal_fast_path_matches_products(self):
-        diag = np.diag(np.linspace(-2.0, 3.0, 6))
-        op = HermitianOperator(diag)
-        forced_dense = spectral_moments(op, eigendecompose(op))
-        fast = spectral_moments(op)
+        diag = np.linspace(-2.0, 3.0, 6)
+        via_products = power_trace_moments(HermitianOperator(np.diag(diag)))
+        fast = spectral_moments(diag)
         for i in range(1, 9):
-            assert fast[i] == pytest.approx(forced_dense[i], rel=1e-12)
+            assert fast[i] == pytest.approx(via_products[i - 1], rel=1e-12)
 
 
 class TestEigendecompose:
@@ -163,9 +231,56 @@ class TestEigendecompose:
 
     def test_rejects_unsorted_eigenvalues(self):
         with pytest.raises(ConvergenceError):
-            from typlab.operators import SpectralDecomposition
-
             SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2, dtype=complex))
+
+    def test_residuals_recorded_below_tolerance(self):
+        dec = eigendecompose(random_hermitian(60, seed=2))
+        assert 0.0 <= dec.unitarity_residual <= UNITARITY_RTOL
+        assert 0.0 <= dec.reconstruction_residual <= RECONSTRUCTION_RTOL
+        bare = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors)
+        assert bare.reconstruction_residual is None
+
+    def test_keeps_the_eigenvectors_eigh_returned(self, monkeypatch):
+        returned = []
+        eigh = np.linalg.eigh
+
+        def recording(h):
+            w, u = eigh(h)
+            returned.append(u)
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        dec = eigendecompose(random_hermitian(20, seed=5))
+        assert dec.eigenvectors is returned[0]
+        assert not dec.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda w, u: (w, u * 1.001), "not unitary"),
+            (lambda w, u: (w * (1 + 1e-6), u), "reconstruction residual"),
+        ],
+        ids=["eigenvectors", "eigenvalues"],
+    )
+    def test_corrupted_solver_output_rejected(self, monkeypatch, corrupt, message):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: corrupt(*eigh(h)))
+        with pytest.raises(ConvergenceError, match=message):
+            eigendecompose(random_hermitian(30, seed=6))
+
+    def test_caller_arrays_cannot_change_the_decomposition(self):
+        w = np.array([0.0, 1.0, 2.0])
+        u = np.eye(3, dtype=complex)
+        frozen_view = u.view()
+        frozen_view.flags.writeable = False
+        for vectors in (u, frozen_view):
+            dec = SpectralDecomposition(w, vectors)
+            u[0, 0] = 5.0
+            w[0] = -7.0
+            assert dec.eigenvectors[0, 0] == 1.0 and dec.eigenvalues[0] == 0.0
+            assert not dec.eigenvectors.flags.writeable
+            u[0, 0] = 1.0
+            w[0] = 0.0
 
 
 class TestHilbertSchmidt:
@@ -234,8 +349,8 @@ class TestHeisenberg:
     def test_moments_preserved(self):
         a = random_hermitian(16, 8)
         dec = eigendecompose(random_hermitian(16, 9))
-        base = spectral_moments(a)
-        at = spectral_moments(heisenberg_observable(a, dec, 3.7))
+        base = spectral_moments(eigendecompose(a).eigenvalues)
+        at = spectral_moments(eigendecompose(heisenberg_observable(a, dec, 3.7)).eigenvalues)
         for i in (1, 2, 4, 8):
             assert at[i] == pytest.approx(base[i], rel=1e-8, abs=1e-10)
 

@@ -15,17 +15,26 @@ from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose
 from typlab.stats import (
     exact_hv_series,
-    ha_uniform,
-    hv_at_time_exact,
-    hv_uniform,
     mean_expectation_analytic,
-    moment_map,
     norm_variance_analytic,
     sample_stats,
     variance_bound,
 )
 
-from conftest import dense_expectations, pm1_with_plus_fraction, random_hermitian
+from conftest import (
+    dense_expectations,
+    dense_observable,
+    ha_uniform,
+    hv_at_time_exact,
+    hv_uniform,
+    moment_map,
+    pm1_with_plus_fraction,
+    random_hermitian,
+)
+
+
+def pm1_operator(n: int, seed: int) -> HermitianOperator:
+    return dense_observable(build_observable_pm1(n, seed))
 
 
 def reference_hv_series(a_op, dec, d, times):
@@ -57,17 +66,17 @@ def reference_hv_series(a_op, dec, d, times):
 
 class TestUniformFormulas:
     def test_identity_mean(self):
-        assert ha_uniform(HermitianOperator.identity(7)) == 1.0
+        assert ha_uniform(HermitianOperator(np.eye(7))) == 1.0
 
     def test_trace_free_mean(self):
-        assert ha_uniform(build_observable_pm1(20, seed=1)) == 0.0
+        assert ha_uniform(pm1_operator(20, seed=1)) == 0.0
 
     def test_identity_variance(self):
-        assert hv_uniform(HermitianOperator.identity(7)) == 0.0
+        assert hv_uniform(HermitianOperator(np.eye(7))) == 0.0
 
     def test_pm1_variance(self):
         n = 24
-        assert hv_uniform(build_observable_pm1(n, seed=1)) == pytest.approx(1 / (n + 1))
+        assert hv_uniform(pm1_operator(n, seed=1)) == pytest.approx(1 / (n + 1))
 
     def test_monte_carlo_oracle_mean(self):
         n, count = 50, 100_000
@@ -90,14 +99,14 @@ class TestMomentMap:
         assert np.allclose(mapped.matrix, c_op.matrix, rtol=0, atol=1e-15)
 
     def test_identity_input_consistent_with_norm_average(self):
-        a = build_observable_pm1(12, seed=2)
-        mapped = moment_map(HermitianOperator.identity(12), a, 0.1)
+        a = pm1_operator(12, seed=2)
+        mapped = moment_map(HermitianOperator(np.eye(12)), a, 0.1)
         expected = (np.eye(12) + 0.2 * a.matrix + 0.01 * np.eye(12)) / 1.01
         assert np.allclose(mapped.matrix, expected, atol=1e-14)
         assert ha_uniform(mapped) == pytest.approx(1.0, abs=1e-14)
 
     def test_observable_input_reproduces_mean_formula(self):
-        a = build_observable_pm1(12, seed=2)
+        a = pm1_operator(12, seed=2)
         assert ha_uniform(moment_map(a, a, 0.1)) == pytest.approx(0.2 / 1.01, rel=1e-14)
 
 
@@ -105,15 +114,15 @@ class TestAnalyticIdentities:
     @pytest.mark.parametrize("d", [0.0, 0.05, 0.1, 0.3])
     @pytest.mark.parametrize("n", [50, 200])
     def test_norm_variance_identity(self, d, n):
-        a = build_observable_pm1(n, seed=n + 1)
+        a = pm1_operator(n, seed=n + 1)
         direct = norm_variance_analytic(d, 0.0, 1.0, n)
-        composed = hv_uniform(moment_map(HermitianOperator.identity(n), a, d))
+        composed = hv_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
         assert abs(direct - composed) <= 1e-12
 
     @pytest.mark.parametrize("d", [0.0, 0.05, 0.1, 0.3])
     @pytest.mark.parametrize("n", [50, 200])
     def test_mean_expectation_identity(self, d, n):
-        a = build_observable_pm1(n, seed=n + 1)
+        a = pm1_operator(n, seed=n + 1)
         direct = mean_expectation_analytic(d, 0.0)
         composed = ha_uniform(moment_map(a, a, d))
         assert abs(direct - composed) <= 1e-12
@@ -171,18 +180,18 @@ class TestExactTimeVariance:
 
     def test_initial_uniform_limit(self, small_model):
         model, dec = small_model
-        assert hv_at_time_exact(model.observable, dec, 0.0, 0.0) == pytest.approx(
-            1 / 61, rel=1e-10
-        )
+        a = dense_observable(model.observable)
+        assert hv_at_time_exact(a, dec, 0.0, 0.0) == pytest.approx(1 / 61, rel=1e-10)
 
     def test_dominated_by_bound(self, small_model):
         model, dec = small_model
         bound = variance_bound(0.1, 1.0, 1.0, 60)
+        a = dense_observable(model.observable)
         for t in np.linspace(0.0, 40.0, 25):
-            assert hv_at_time_exact(model.observable, dec, 0.1, t) <= bound + 1e-10
+            assert hv_at_time_exact(a, dec, 0.1, t) <= bound + 1e-10
 
     def test_constant_when_commuting(self):
-        a = build_observable_pm1(16, seed=4)
+        a = pm1_operator(16, seed=4)
         # a Hamiltonian diagonal in the same basis commutes with A
         h = HermitianOperator(np.diag(np.arange(16) * 0.5).astype(complex))
         dec = eigendecompose(h)
@@ -192,8 +201,9 @@ class TestExactTimeVariance:
     def test_series_matches_pointwise_composition(self, small_model):
         model, dec = small_model
         times = np.linspace(0.0, 12.0, 9)
-        series = exact_hv_series(model.observable, dec, 0.1, times)
-        direct = [hv_at_time_exact(model.observable, dec, 0.1, t) for t in times]
+        series = exact_hv_series(dec, OmegaParams(d=0.1, observable=model.observable), times)
+        a = dense_observable(model.observable)
+        direct = [hv_at_time_exact(a, dec, 0.1, t) for t in times]
         assert np.allclose(series, direct, rtol=1e-10, atol=1e-16)
 
     @pytest.mark.parametrize("d", [0.0, 0.1, 0.5])
@@ -203,24 +213,28 @@ class TestExactTimeVariance:
         a = {
             "balanced": model.observable,
             "unbalanced": pm1_with_plus_fraction(60, 0.7, seed=3),
-            "identity": HermitianOperator.identity(60),
-            "minus-identity": HermitianOperator(-np.eye(60)),
+            "identity": np.ones(60),
+            "minus-identity": -np.ones(60),
         }[observable]
         times = np.linspace(0.0, 40.0, 13)
-        series = exact_hv_series(a, dec, d, times)
-        assert np.abs(series - reference_hv_series(a, dec, d, times)).max() <= 1e-12
+        series = exact_hv_series(dec, OmegaParams(d=d, observable=a), times)
+        reference = reference_hv_series(dense_observable(a), dec, d, times)
+        assert np.abs(series - reference).max() <= 1e-12
 
+    # exact_hv_series reads the observable through OmegaParams, whose gate
+    # stops these before any work.
     @pytest.mark.parametrize("diagonal", [[2.0, -2.0], [1.0, 0.0], [1.0, -1.0 + 1e-9]])
     def test_observable_not_pm1_rejected(self, small_model, diagonal):
         _, dec = small_model
-        a = HermitianOperator(np.diag(np.tile(diagonal, 30)))
         with pytest.raises(NotDiagonalError):
-            exact_hv_series(a, dec, 0.1, np.array([0.0, 1.0]))
+            params = OmegaParams(d=0.1, observable=np.tile(diagonal, 30))
+            exact_hv_series(dec, params, np.array([0.0, 1.0]))
 
     def test_non_diagonal_observable_rejected(self, small_model):
         _, dec = small_model
         with pytest.raises(NotDiagonalError):
-            exact_hv_series(random_hermitian(60, seed=5), dec, 0.1, np.array([0.0, 1.0]))
+            params = OmegaParams(d=0.1, observable=random_hermitian(60, seed=5))
+            exact_hv_series(dec, params, np.array([0.0, 1.0]))
 
 
 class TestSampleStats:

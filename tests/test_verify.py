@@ -7,7 +7,6 @@ import pytest
 import typlab.verify
 from typlab.config import load_config, parse_config
 from typlab.errors import TyplabError
-from typlab.operators import HermitianOperator
 from typlab.verify import format_report, run_verification
 
 VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "verify_small.json"
@@ -77,7 +76,7 @@ def test_zero_deviation_targets_zero_mean():
 
 def test_corrupted_observable_fails_moment_gate():
     config = parse_config(tiny_raw())
-    corrupted = HermitianOperator(np.eye(60))  # c1 = 1, trace-free gate broken
+    corrupted = np.ones(60)  # c1 = 1, trace-free gate broken
     results = run_verification(config, observable_override=corrupted)
     by_name = {r.name: r for r in results}
     assert not by_name["moment-gate"].passed
