@@ -20,7 +20,6 @@ from .ensembles import (
 from .errors import TyplabError
 from .evolution import (
     TimeGrid,
-    evolve_state,
     expectation,
     expectations,
     run_ensemble,
@@ -38,7 +37,6 @@ from .models import (
 from .operators import (
     HermitianOperator,
     SpectralDecomposition,
-    SpectralMoments,
     eigendecompose,
     heisenberg_observable,
     spectral_moments,
@@ -69,7 +67,6 @@ __all__ = [
     "RunResult",
     "SeedStream",
     "SpectralDecomposition",
-    "SpectralMoments",
     "StateVector",
     "TimeGrid",
     "TimeSettings",
@@ -82,7 +79,6 @@ __all__ = [
     "child_seed",
     "commuting_unitary",
     "eigendecompose",
-    "evolve_state",
     "exact_hv_series",
     "execute_run",
     "expectation",

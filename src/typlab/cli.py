@@ -8,7 +8,8 @@ Subcommands::
     typlab plot    --stats stats.csv [--trajectories trajectories.csv] --out fig.svg
 
 ``--seed`` overrides the config's base seed, ``--out`` its output
-directory.
+directory.  Every failure, a bad config or an unwritable output path
+included, ends in one ``error:`` line on stderr and exit status 1.
 """
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ from pathlib import Path
 
 from .config import load_config
 from .csvio import read_stats_csv, read_trajectories_csv
+from .ensembles import OmegaParams
 from .errors import TyplabError
-from .experiment import execute_run, moment_flags
+from .experiment import _write_atomically, execute_run, moment_flags
 from .models import build_observable_pm1, OBSERVABLE_STREAM
-from .operators import spectral_moments
 from .rng import child_seed
 from .svgplot import render_figure
 from .verify import format_report, run_verification
@@ -82,7 +83,7 @@ def _cmd_moments(args) -> int:
     observable = build_observable_pm1(
         config.model.n, child_seed(config.model.seed, OBSERVABLE_STREAM)
     )
-    moments = spectral_moments(observable)
+    moments = OmegaParams(d=config.d, observable=observable).moments
     print(f"{'i':>2}  {'c_i':>22}")
     for i in range(1, 9):
         print(f"{i:>2}  {moments[i]:>22.15g}")
@@ -99,7 +100,7 @@ def _cmd_plot(args) -> int:
     trajectories = None
     if args.trajectories is not None:
         trajectories = read_trajectories_csv(args.trajectories)
-    Path(args.out).write_text(render_figure(stats, trajectories))
+    _write_atomically(Path(args.out), Path.write_text, render_figure(stats, trajectories))
     print(f"wrote {args.out}")
     return 0
 
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except TyplabError as exc:
+    except (TyplabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

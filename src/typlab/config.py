@@ -2,10 +2,11 @@
 parameters.
 
 Unknown keys are errors (they are usually typos in physics parameters),
-missing keys are errors, and every value is type- and range-checked before
+every key is required, and every value is type- and range-checked before
 any work starts, including a bound on the dimension: a run's dense
-matrices must fit in physical memory.  All failures raise
-:class:`ConfigParseError` naming the offending field.
+matrices must fit in physical memory.  A base seed given as an override
+(``typlab run --seed``) passes the same range check as the file's.  All
+failures raise :class:`ConfigParseError` naming the offending field.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .models import ModelSpec
 from .operators import PEAK_MATRICES
 
 _MODEL_KEYS = {"n", "delta_e", "v_kind", "v_scale", "seed"}
-_MODEL_OPTIONAL_KEYS = {"v_diagonal"}
 _TIME_KEYS = {"t_max", "points"}
 _OUTPUT_KEYS = {"directory", "emit_trajectories", "emit_plot"}
 _TOP_KEYS = {"model", "d", "M", "time", "base_seed", "output"}
@@ -65,17 +65,25 @@ class ExperimentConfig:
     def with_overrides(
         self, out_dir: str | None = None, base_seed: int | None = None
     ) -> "ExperimentConfig":
+        """A copy with the given output directory and base seed; the seed is
+        range-checked as at parse."""
         cfg = self
         if out_dir is not None:
             cfg = replace(cfg, output=replace(cfg.output, directory=out_dir))
         if base_seed is not None:
-            cfg = replace(cfg, base_seed=base_seed)
+            cfg = replace(cfg, base_seed=_check_base_seed(base_seed))
         return cfg
 
 
-def _require_keys(section: dict, path: str, required: set, optional: set = frozenset()):
+def _check_base_seed(base_seed: int) -> int:
+    if not 0 <= base_seed < 2**64:
+        raise ConfigParseError(f"field 'base_seed' must fit in 64 bits, got {base_seed}")
+    return base_seed
+
+
+def _require_keys(section: dict, path: str, required: set):
     for key in section:
-        if key not in required and key not in optional:
+        if key not in required:
             raise ConfigParseError(f"unknown field '{path}{key}'")
     for key in required:
         if key not in section:
@@ -121,7 +129,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model_raw = raw["model"]
     if not isinstance(model_raw, dict):
         raise ConfigParseError("field 'model' must be an object")
-    _require_keys(model_raw, "model.", _MODEL_KEYS, _MODEL_OPTIONAL_KEYS)
+    _require_keys(model_raw, "model.", _MODEL_KEYS)
     try:
         model = ModelSpec(
             n=_as_int(model_raw["n"], "model.n"),
@@ -129,7 +137,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             v_kind=_as_str(model_raw["v_kind"], "model.v_kind"),
             v_scale=_as_float(model_raw["v_scale"], "model.v_scale"),
             seed=_as_int(model_raw["seed"], "model.seed"),
-            v_diagonal=_as_str(model_raw.get("v_diagonal", "default"), "model.v_diagonal"),
         )
     except ConfigParseError:
         raise
@@ -172,9 +179,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "rounding exceeds ~1e-8"
         )
 
-    base_seed = _as_int(raw["base_seed"], "base_seed")
-    if not 0 <= base_seed < 2**64:
-        raise ConfigParseError(f"field 'base_seed' must fit in 64 bits, got {base_seed}")
+    base_seed = _check_base_seed(_as_int(raw["base_seed"], "base_seed"))
 
     output_raw = raw["output"]
     if not isinstance(output_raw, dict):
@@ -218,7 +223,6 @@ def config_as_dict(config: ExperimentConfig) -> dict:
             "v_kind": config.model.v_kind,
             "v_scale": config.model.v_scale,
             "seed": config.model.seed,
-            "v_diagonal": config.model.v_diagonal,
         },
         "d": config.d,
         "M": config.num_trajectories,

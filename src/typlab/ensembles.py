@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NotDiagonalError, ParameterError
+from .operators import spectral_moments
 from .rng import SeedStream
 from .stats import mean_expectation_analytic, norm_variance_analytic, variance_bound
 
@@ -84,17 +85,17 @@ class OmegaParams:
         object.__setattr__(self, "observable", signs)
 
     @cached_property
-    def c3_c4(self) -> tuple[float, float]:
-        """Third and fourth spectral moments of the observable."""
-        a = self.observable
-        return float(np.mean(a**3)), float(np.mean(a**4))
+    def moments(self) -> dict[int, float]:
+        """The observable's spectral moments ``{i: c_i}``, i = 1..8; for a
+        sign vector the even ones are 1 and the odd ones equal c_1."""
+        return spectral_moments(self.observable)
 
     @cached_property
     def norm_sq_band(self) -> tuple[float, float]:
         """Soft plausibility band for omega norms: 1 +/- 10 sqrt(norm HV)."""
-        c3, c4 = self.c3_c4
+        c = self.moments
         spread = NORM_BAND_SIGMAS * np.sqrt(
-            norm_variance_analytic(self.d, c3, c4, self.observable.size)
+            norm_variance_analytic(self.d, c[3], c[4], self.observable.size)
         )
         return 1.0 - spread, 1.0 + spread
 
@@ -102,10 +103,9 @@ class OmegaParams:
     def start_value_band(self) -> tuple[float, float]:
         """Analytic mean of initial expectation values and a 3-sigma spread
         from the variance bound."""
-        c3, c4 = self.c3_c4
-        c8 = float(np.mean(self.observable**8))
-        center = mean_expectation_analytic(self.d, c3)
-        spread = 3.0 * np.sqrt(variance_bound(self.d, c4, c8, self.observable.size))
+        c = self.moments
+        center = mean_expectation_analytic(self.d, c[3])
+        spread = 3.0 * np.sqrt(variance_bound(self.d, c[4], c[8], self.observable.size))
         return center, spread
 
 

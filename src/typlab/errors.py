@@ -26,10 +26,6 @@ class NotHermitianError(TyplabError):
         )
 
 
-class OutOfRangeError(TyplabError):
-    """A spectral moment order outside the supported range 1..8."""
-
-
 class ConvergenceError(TyplabError):
     """The eigenvalue solver failed to converge or produced an invalid result."""
 

@@ -1,17 +1,17 @@
-"""Exact time evolution through the spectral decomposition, and the
-expectation-value time series of a state ensemble.
+"""The propagation kernel and expectation values.
 
-One eigendecomposition of H is reused for every trajectory and time: all
-states are rotated into the energy eigenbasis once and diagonal phases are
-applied per time point.  The observable is diagonal +/-1 and is read as its
-sign vector a, A = 2 P_+ - I, so
-<omega|A|omega> = 2 ||P_+ omega||^2 - ||omega||^2 and only the n_+ rows of
-the eigenvector matrix where a = +1 are rotated back; the series are real
-by construction.  The batch expectation values are likewise the sign-weighted
-squared amplitudes, real by construction.  The single-state
-:func:`expectation` takes any Hermitian operator (the picture-equivalence
-check feeds it the dense A(t)) and checks its imaginary residue, never
-silently discarding it.
+:func:`run_ensemble` is the one propagation kernel; ``typlab run`` ships it
+and verify's picture-equivalence check tests it.  One eigendecomposition of
+H is reused for every trajectory and time: all states are rotated into the
+energy eigenbasis once and diagonal phases are applied per time point.  The
+observable is diagonal +/-1 and is read as its sign vector a,
+A = 2 P_+ - I, so <omega|A|omega> = 2 ||P_+ omega||^2 - ||omega||^2 and only
+the n_+ rows of the eigenvector matrix where a = +1 are rotated back; the
+series are real by construction.  The batch :func:`expectations` are
+likewise the sign-weighted squared amplitudes, real by construction.  The
+single-state :func:`expectation` takes any Hermitian operator (the
+picture-equivalence check feeds it the dense A(t), its reference for the
+kernel) and checks its imaginary residue, never silently discarding it.
 """
 from __future__ import annotations
 
@@ -61,17 +61,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return self.times.size
-
-
-def evolve_state(dec: SpectralDecomposition, psi: StateVector, t: float) -> StateVector:
-    """``U exp(-i w t) U^dagger psi``; norm-preserving by construction."""
-    if psi.dim != dec.dim:
-        raise DimensionMismatchError(
-            f"state dim {psi.dim} does not match decomposition dim {dec.dim}"
-        )
-    u = dec.eigenvectors
-    coeff = u.conj().T @ psi.amplitudes
-    return StateVector(u @ (np.exp(-1j * dec.eigenvalues * t) * coeff))
 
 
 def expectation(a_op: HermitianOperator, phi: StateVector) -> float:

@@ -7,9 +7,9 @@ Outputs per run directory:
   time-independent analytic value);
 * ``trajectories.csv`` (optional) -- ``t,traj_0,...,traj_{M-1}``;
 * ``meta`` -- JSON record of the config echo, RNG algorithm identifier,
-  seed derivation rule, all derived seeds, the observable's spectral
-  moments, the analytic ensemble values, and the eigendecomposition's
-  relative unitarity and reconstruction residuals (``health``);
+  seed derivation rule, all derived seeds, the spectral moments
+  (``OmegaParams.moments``), the analytic ensemble values, and the relative
+  unitarity and reconstruction residuals of the eigendecomposition (``health``);
 * ``plot.svg`` (optional) -- trajectories, mean, and the variance inset.
 
 Each file is written under a temporary name and renamed, so a failed run
@@ -29,7 +29,7 @@ from .csvio import write_stats_csv, write_trajectories_csv
 from .ensembles import OmegaParams
 from .evolution import TimeGrid, run_ensemble
 from .models import ModelSystem, build_model
-from .operators import SpectralMoments, eigendecompose, spectral_moments
+from .operators import eigendecompose
 from .rng import RNG_ALGORITHM, child_seed
 from .stats import (
     EnsembleStats,
@@ -51,7 +51,7 @@ class RunResult:
     model: ModelSystem
     trajectories: np.ndarray
     stats: EnsembleStats
-    moments: SpectralMoments
+    moments: dict[int, float]
     bound: float
     out_dir: Path
     stats_path: Path
@@ -86,7 +86,7 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
     trajectories = run_ensemble(dec, params, config.num_trajectories, config.base_seed, grid)
     stats = sample_stats(trajectories, grid.times)
 
-    moments = spectral_moments(params.observable)
+    moments = params.moments
     bound = variance_bound(config.d, moments[4], moments[8], config.model.n)
     meta = {
         "config": config_as_dict(config),
@@ -152,20 +152,11 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
     )
 
 
-def moment_flags(moments: SpectralMoments) -> list[str]:
-    """Human-readable flags for moments violating the observable gates.
-
-    The trace must vanish (|c1| <= 1e-12).  Even moments must be of order
-    one (inside [0.1, 10]); odd moments may vanish by spectral symmetry, so
-    they are flagged only when their magnitude leaves order one upward.
+def moment_flags(moments: dict[int, float]) -> list[str]:
+    """Human-readable flags for moments violating the observable gate: the
+    trace must vanish, |c1| <= 1e-12.  It is the only moment gate, because
+    for a sign vector the even moments are exactly 1 and the odd ones c1.
     """
-    flags = []
     if abs(moments[1]) > 1e-12:
-        flags.append(f"c1 = {moments[1]:.3e} violates the trace-free requirement")
-    for i in range(2, 9):
-        value = moments[i]
-        if i % 2 == 0 and not 0.1 <= value <= 10.0:
-            flags.append(f"c{i} = {value:.6g} outside the order-one window [0.1, 10]")
-        if i % 2 == 1 and abs(value) > 10.0:
-            flags.append(f"c{i} = {value:.6g} above the order-one window (|c{i}| > 10)")
-    return flags
+        return [f"c1 = {moments[1]:.3e} violates the trace-free requirement"]
+    return []

@@ -1,5 +1,6 @@
 """Model systems: equidistant-spectrum H0, the +/-1 observable, and the
-perturbation variants.
+two perturbation kinds, gaussian and constant, each with one fixed
+diagonal convention.
 
 Everything is built in the eigenbasis of H0, where the observable is
 diagonal; it is carried as its sign vector, the (n,) vector of its +/-1
@@ -19,7 +20,6 @@ from .operators import HermitianOperator
 from .rng import MASK64, SeedStream, child_seed
 
 V_KINDS = ("gaussian", "constant")
-V_DIAGONAL_MODES = ("default", "zero")
 
 OBSERVABLE_STREAM = 0
 PERTURBATION_STREAM = 1
@@ -31,11 +31,9 @@ class ModelSpec:
 
     ``v_scale`` is the mean squared magnitude of the perturbation's
     off-diagonal elements for the gaussian kind, and the squared common
-    value for the constant kind.  ``v_diagonal`` switches the perturbation
-    diagonal between the default convention and zero, for sensitivity
-    checks (the default keeps a real gaussian diagonal of the same scale
-    for the gaussian kind, and includes the common constant for the
-    constant kind).
+    value for the constant kind.  The perturbation diagonal is real
+    gaussian of the same scale for the gaussian kind, and the common
+    constant for the constant kind.
     """
 
     n: int
@@ -43,7 +41,6 @@ class ModelSpec:
     v_kind: str
     v_scale: float
     seed: int
-    v_diagonal: str = "default"
 
     def __post_init__(self):
         if self.n < 2:
@@ -58,10 +55,6 @@ class ModelSpec:
             raise ParameterError(f"v_scale must be >= 0, got {self.v_scale}")
         if not 0 <= int(self.seed) <= MASK64:
             raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.v_diagonal not in V_DIAGONAL_MODES:
-            raise ParameterError(
-                f"v_diagonal must be one of {V_DIAGONAL_MODES}, got {self.v_diagonal!r}"
-            )
 
 
 class SignVector(np.ndarray):
@@ -91,25 +84,20 @@ def build_observable_pm1(n: int, seed: int) -> SignVector:
     return signs
 
 
-def build_v_gaussian(
-    n: int, mean_sq: float, seed: int, diagonal: str = "default"
-) -> HermitianOperator:
+def build_v_gaussian(n: int, mean_sq: float, seed: int) -> HermitianOperator:
     """Hermitian perturbation with complex gaussian off-diagonal elements.
 
     For j < k the entry is x + iy with x, y independent zero-mean normals
     of variance mean_sq/2 each, so E|V_jk|^2 = mean_sq; the lower triangle
-    is the conjugate.  The diagonal is real gaussian with variance mean_sq
-    (``diagonal="default"``) or zero (``diagonal="zero"``).
+    is the conjugate.  The diagonal is real gaussian with variance mean_sq.
 
     Stream consumption order: upper-triangle real parts (row-major j < k),
-    upper-triangle imaginary parts, then the diagonal when it is drawn.
+    upper-triangle imaginary parts, then the diagonal.
     The scaled draws are written into both triangles by index, so the only
     n x n array is V itself.
     """
     if mean_sq < 0:
         raise ParameterError(f"mean squared magnitude must be >= 0, got {mean_sq}")
-    if diagonal not in V_DIAGONAL_MODES:
-        raise ParameterError(f"diagonal must be one of {V_DIAGONAL_MODES}, got {diagonal!r}")
     v = np.zeros((n, n), dtype=np.complex128)
     if mean_sq == 0:
         return HermitianOperator(v)
@@ -122,33 +110,25 @@ def build_v_gaussian(
     v.imag[rows, cols] = np.multiply(y, sigma, out=y)
     v.imag[cols, rows] = np.negative(y, out=y)
     del rows, cols, x, y  # freed before validation copies V
-    if diagonal == "default":
-        np.fill_diagonal(v, np.sqrt(mean_sq) * stream.normal(n))
+    np.fill_diagonal(v, np.sqrt(mean_sq) * stream.normal(n))
     return HermitianOperator(v)
 
 
-def build_v_constant(n: int, value_sq: float, diagonal: str = "default") -> HermitianOperator:
-    """Perturbation with every entry equal to sqrt(value_sq).
-
-    With the diagonal included this is a rank-1 matrix whose only nonzero
-    eigenvalue is n * sqrt(value_sq).
+def build_v_constant(n: int, value_sq: float) -> HermitianOperator:
+    """Perturbation with every entry equal to sqrt(value_sq): a rank-1
+    matrix whose only nonzero eigenvalue is n * sqrt(value_sq).
     """
     if value_sq < 0:
         raise ParameterError(f"squared value must be >= 0, got {value_sq}")
-    if diagonal not in V_DIAGONAL_MODES:
-        raise ParameterError(f"diagonal must be one of {V_DIAGONAL_MODES}, got {diagonal!r}")
-    v = np.full((n, n), np.sqrt(value_sq), dtype=np.complex128)
-    if diagonal == "zero":
-        np.fill_diagonal(v, 0.0)
-    return HermitianOperator(v)
+    return HermitianOperator(np.full((n, n), np.sqrt(value_sq), dtype=np.complex128))
 
 
 def build_perturbation(spec: ModelSpec) -> HermitianOperator:
     """The perturbation selected by a spec, seeded from its child stream."""
     v_seed = child_seed(spec.seed, PERTURBATION_STREAM)
     if spec.v_kind == "gaussian":
-        return build_v_gaussian(spec.n, spec.v_scale, v_seed, spec.v_diagonal)
-    return build_v_constant(spec.n, spec.v_scale, spec.v_diagonal)
+        return build_v_gaussian(spec.n, spec.v_scale, v_seed)
+    return build_v_constant(spec.n, spec.v_scale)
 
 
 def assemble_hamiltonian(spec: ModelSpec) -> HermitianOperator:

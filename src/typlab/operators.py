@@ -1,10 +1,11 @@
 """Dense complex Hermitian operator algebra.
 
 Construction and validation of Hermitian operators, eigendecomposition with
-its residual checks, spectral moments of a real spectrum, the +1 block of
-the eigenvector matrix for a diagonal +/-1 observable given by its sign
-vector, and Heisenberg-picture time dependence of observables.  Operators
-are dense complex128; values are immutable after construction.
+its residual checks, the spectral moments of a real spectrum as an
+``{order: value}`` dict, the +1 block of the eigenvector matrix for a
+diagonal +/-1 observable given by its sign vector, and the dense
+Heisenberg-picture A(t) that verify checks the propagation kernel against.
+Operators are dense complex128; values are immutable after construction.
 
 Memory contract: set-up holds no n x n temporary beyond ``eigh``'s own.
 Validation works on row panels of ``VALIDATION_PANEL_ENTRIES`` entries,
@@ -23,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
-    OutOfRangeError,
     TyplabError,
 )
 
@@ -176,47 +176,15 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(w, u, source=op)
 
 
-@dataclass(frozen=True)
-class SpectralMoments:
-    """Normalized spectral moments c_i = Tr{A^i}/n for i = 1..8."""
-
-    c: dict[int, float] = field(repr=False)
-
-    def __post_init__(self):
-        if sorted(self.c) != list(MOMENT_ORDERS):
-            raise OutOfRangeError(f"moments must cover orders 1..8, got {sorted(self.c)}")
-        c = {i: float(v) for i, v in self.c.items()}
-        # Even-power moments are means of non-negative numbers; c2 >= c1^2 and
-        # c8 >= c4^2 are Jensen inequalities on the spectral distribution.
-        slack = 1e-12
-        if c[2] - c[1] ** 2 < -slack * max(1.0, abs(c[2])):
-            raise OutOfRangeError(f"spectral variance negative: c2={c[2]}, c1={c[1]}")
-        if c[4] < -slack or c[8] < -slack:
-            raise OutOfRangeError(f"even moments negative: c4={c[4]}, c8={c[8]}")
-        if c[8] - c[4] ** 2 < -slack * max(1.0, c[4] ** 2):
-            raise OutOfRangeError(f"power-mean inequality violated: c8={c[8]}, c4={c[4]}")
-        object.__setattr__(self, "c", c)
-
-    def __getitem__(self, order: int) -> float:
-        if order not in self.c:
-            raise OutOfRangeError(f"moment order must be in 1..8, got {order}")
-        return self.c[order]
-
-    def as_list(self) -> list[float]:
-        return [self.c[i] for i in MOMENT_ORDERS]
-
-
-def spectral_moments(spectrum: np.ndarray) -> SpectralMoments:
-    """All moments c_i = Tr{A^i}/n = mean(lambda^i), i = 1..8, of an
-    operator given by its real spectrum: the sign vector for the model's
-    diagonal +/-1 observable, the eigenvalues for any other operator.
-    Index the result by order; an order outside 1..8 raises
-    :class:`OutOfRangeError`.
+def spectral_moments(spectrum: np.ndarray) -> dict[int, float]:
+    """The moments c_i = Tr{A^i}/n = mean(lambda^i), i = 1..8, of an
+    operator given by its real spectrum (the sign vector for the model's
+    diagonal +/-1 observable), as a plain ``{order: value}`` dict.
     """
     values = np.asarray(spectrum, dtype=np.float64)
     if values.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d spectrum, got shape {values.shape}")
-    return SpectralMoments({i: float(np.mean(values**i)) for i in MOMENT_ORDERS})
+    return {i: float(np.mean(values**i)) for i in MOMENT_ORDERS}
 
 
 def plus_rows(signs: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:

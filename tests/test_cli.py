@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from typlab.cli import main
-from typlab.csvio import read_stats_csv
+from typlab.csvio import read_stats_csv, write_stats_csv
 from typlab.errors import ConvergenceError
 from typlab.operators import RECONSTRUCTION_RTOL, UNITARITY_RTOL
 
@@ -65,6 +65,38 @@ def test_seed_override_changes_results(tmp_path):
     assert (out1 / "stats.csv").read_bytes() != (out2 / "stats.csv").read_bytes()
     meta = json.loads((out2 / "meta").read_text())
     assert meta["config"]["base_seed"] == 17
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_out_of_range_fails(tmp_path, capsys, seed):
+    out = tmp_path / "never"
+    argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(out), "--seed", seed]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "field 'base_seed' must fit in 64 bits" in err
+    assert not out.exists()
+
+
+def test_run_into_existing_file_fails(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+def test_plot_into_missing_directory_fails(tmp_path, capsys):
+    stats = tmp_path / "stats.csv"
+    write_stats_csv(stats, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 1.0)
+    missing = tmp_path / "missing"
+    assert main(["plot", "--stats", str(stats), "--out", str(missing / "fig.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
 
 
 def test_meta_records_reproducibility_data(tmp_path):

@@ -29,16 +29,17 @@ def test_valid_config_roundtrip(tmp_path):
     path.write_text(json.dumps(valid_raw()))
     cfg = load_config(path)
     assert cfg.model.n == 60
-    assert cfg.model.v_diagonal == "default"
     assert cfg.num_trajectories == 6
     assert cfg.time.points == 40
     assert cfg.output.emit_trajectories is True
 
 
 def test_optional_diagonal_mode():
+    # The model has one fixed diagonal convention: the key is not a field.
     raw = valid_raw()
     raw["model"]["v_diagonal"] = "zero"
-    assert parse_config(raw).model.v_diagonal == "zero"
+    with pytest.raises(ConfigParseError, match="unknown field 'model.v_diagonal'"):
+        parse_config(raw)
 
 
 @pytest.mark.parametrize(

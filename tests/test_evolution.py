@@ -15,7 +15,7 @@ from typlab.ensembles import (
     sample_uniform_states,
 )
 from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
-from typlab.evolution import TimeGrid, evolve_state, expectation, expectations, run_ensemble
+from typlab.evolution import TimeGrid, expectation, expectations, run_ensemble
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.rng import child_seed
@@ -78,43 +78,6 @@ class TestTimeGrid:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0]))
-
-
-class TestEvolveState:
-    def test_zero_time_is_identity(self, dense_model):
-        _, dec = dense_model
-        psi = sample_uniform_state(40, 3)
-        evolved = evolve_state(dec, psi, 0.0)
-        assert np.abs(evolved.amplitudes - psi.amplitudes).max() <= 1e-12
-
-    def test_stationary_state_only_gains_phase(self):
-        h = HermitianOperator(np.diag([0.0, 0.7, 1.9]).astype(complex))
-        dec = eigendecompose(h)
-        basis_state = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-        evolved = evolve_state(dec, basis_state, 2.5)
-        assert np.allclose(np.abs(evolved.amplitudes), np.abs(basis_state.amplitudes))
-        assert evolved.amplitudes[1] == pytest.approx(np.exp(-1j * 0.7 * 2.5), rel=1e-12)
-
-    def test_group_property(self, dense_model):
-        _, dec = dense_model
-        psi = sample_uniform_state(40, 4)
-        once = evolve_state(dec, psi, 0.7)
-        stepped = evolve_state(dec, evolve_state(dec, psi, 0.3), 0.4)
-        assert np.abs(once.amplitudes - stepped.amplitudes).max() <= 1e-10
-
-    def test_unitarity(self, dense_model):
-        _, dec = dense_model
-        psi = sample_uniform_state(40, 5)
-        for t in (0.1, 3.0, 50.0):
-            assert evolve_state(dec, psi, t).norm_sq == pytest.approx(1.0, rel=1e-10)
-
-    def test_energy_conserved(self, dense_model):
-        model, dec = dense_model
-        psi = sample_uniform_state(40, 6)
-        e0 = expectation(model.hamiltonian, psi)
-        for t in (1.0, 10.0, 100.0):
-            et = expectation(model.hamiltonian, evolve_state(dec, psi, t))
-            assert et == pytest.approx(e0, rel=1e-9)
 
 
 class TestExpectation:

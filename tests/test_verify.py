@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import typlab.evolution
 import typlab.verify
 from typlab.config import load_config, parse_config
 from typlab.errors import TyplabError
+from typlab.operators import SpectralDecomposition
 from typlab.verify import format_report, run_verification
 
 VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "verify_small.json"
@@ -83,6 +85,30 @@ def test_corrupted_observable_fails_moment_gate():
     assert "c1" in by_name["moment-gate"].measured
     report = format_report(results)
     assert "first failing: moment-gate" in report
+
+
+def minus_rows(monkeypatch):
+    # The kernel evaluates -A: it is handed the -1 rows of U.
+    monkeypatch.setattr(
+        typlab.evolution, "plus_rows", lambda signs, dec: dec.eigenvectors[signs < 0]
+    )
+
+
+def conjugated_eigenvectors(monkeypatch):
+    # The kernel propagates with conj(U), the eigenvectors of H^T.
+    original = typlab.verify.run_ensemble
+
+    def corrupted(dec, *args):
+        return original(SpectralDecomposition(dec.eigenvalues, dec.eigenvectors.conj()), *args)
+
+    monkeypatch.setattr(typlab.verify, "run_ensemble", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [minus_rows, conjugated_eigenvectors])
+def test_corrupted_kernel_fails_picture_equivalence(monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    results = run_verification(parse_config(tiny_raw()))
+    assert [r.name for r in results if not r.passed] == ["picture-equivalence"]
 
 
 def test_negative_deviation_raises_typlab_error():
