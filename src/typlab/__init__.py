@@ -23,16 +23,14 @@ from .evolution import (
     expectation,
     expectations,
     run_ensemble,
+    trajectory_omegas,
 )
 from .experiment import RunResult, execute_run
 from .models import (
     ModelSpec,
     ModelSystem,
-    assemble_hamiltonian,
     build_model,
     build_observable_pm1,
-    build_v_constant,
-    build_v_gaussian,
 )
 from .operators import (
     HermitianOperator,
@@ -41,7 +39,7 @@ from .operators import (
     heisenberg_observable,
     spectral_moments,
 )
-from .rng import RNG_ALGORITHM, SeedStream, child_seed, mix64
+from .rng import RNG_ALGORITHM, SeedStream, child_seed
 from .stats import (
     EnsembleStats,
     exact_hv_series,
@@ -71,11 +69,8 @@ __all__ = [
     "TimeGrid",
     "TimeSettings",
     "TyplabError",
-    "assemble_hamiltonian",
     "build_model",
     "build_observable_pm1",
-    "build_v_constant",
-    "build_v_gaussian",
     "child_seed",
     "commuting_unitary",
     "eigendecompose",
@@ -88,7 +83,6 @@ __all__ = [
     "make_omega",
     "make_omegas",
     "mean_expectation_analytic",
-    "mix64",
     "norm_variance_analytic",
     "run_ensemble",
     "run_verification",
@@ -96,5 +90,6 @@ __all__ = [
     "sample_uniform_state",
     "sample_uniform_states",
     "spectral_moments",
+    "trajectory_omegas",
     "variance_bound",
 ]

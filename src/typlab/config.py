@@ -1,33 +1,42 @@
 """Experiment configuration: a strict JSON schema mirroring the run
 parameters.
 
-Unknown keys are errors (they are usually typos in physics parameters),
-every key is required, and every value is type- and range-checked before
-any work starts, including a bound on the dimension: a run's dense
-matrices must fit in physical memory.  A base seed given as an override
-(``typlab run --seed``) passes the same range check as the file's.  All
-failures raise :class:`ConfigParseError` naming the offending field.
+The schema is the dataclasses themselves: the keys of each object are its
+fields in declaration order, and each value is converted by the field's
+annotated type.  Unknown keys are errors (they are usually typos in physics
+parameters), every key is required, and every value is type- and
+range-checked before any work starts, including a bound on the run's size:
+its dense matrices, state blocks and trajectory arrays must fit in physical
+memory.  A base seed given as an override (``typlab run --seed``) passes
+the same range check as the file's.  All failures raise
+:class:`ConfigParseError` naming the offending field.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigParseError, TyplabError
 from .models import ModelSpec
 from .operators import PEAK_MATRICES
 
-_MODEL_KEYS = {"n", "delta_e", "v_kind", "v_scale", "seed"}
-_TIME_KEYS = {"t_max", "points"}
-_OUTPUT_KEYS = {"directory", "emit_trajectories", "emit_plot"}
-_TOP_KEYS = {"model", "d", "M", "time", "base_seed", "output"}
+# Config keys that differ from the dataclass fields they fill.
+_KEY_NAMES = {"num_trajectories": "M"}
 
 # Propagation evaluates phases exp(-i E t); in double precision their
 # rounding grows like 1e-16 * |E| t, so beyond 1e8 rad it exceeds ~1e-8.
 MAX_PHASE = 1e8
+# Beyond PEAK_MATRICES n x n matrices, propagation holds STATE_BLOCKS complex
+# (n, M) blocks (the states, their eigenbasis coefficients, the phased
+# coefficients and the evolved +1 rows with their squares) and aggregation
+# TRAJECTORY_ARRAYS float (M, T) arrays (the trajectories, their centred
+# copy and its square).
+STATE_BLOCKS = 4
+TRAJECTORY_ARRAYS = 3
 
 
 def _physical_memory() -> int | None:
@@ -81,15 +90,6 @@ def _check_base_seed(base_seed: int) -> int:
     return base_seed
 
 
-def _require_keys(section: dict, path: str, required: set):
-    for key in section:
-        if key not in required:
-            raise ConfigParseError(f"unknown field '{path}{key}'")
-    for key in required:
-        if key not in section:
-            raise ConfigParseError(f"missing field '{path}{key}'")
-
-
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigParseError(f"field '{path}' must be an integer, got {value!r}")
@@ -120,51 +120,49 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+# Field annotation -> converter of a JSON value; the sections are added below.
+_CONVERTERS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
+
+
+def _as_section(value, path: str, cls):
+    """``cls`` built from the JSON object ``value`` at ``path`` ("" for the
+    root).  Its keys are the fields of ``cls`` in declaration order, so the
+    first missing one is always the same, and every value is converted by
+    its field's annotated type."""
+    if not isinstance(value, dict):
+        where = f"field '{path}'" if path else "config root"
+        raise ConfigParseError(f"{where} must be an object, got {type(value).__name__}")
+    prefix = f"{path}." if path else ""
+    keys = {_KEY_NAMES.get(f.name, f.name): f for f in fields(cls)}
+    for key in value:
+        if key not in keys:
+            raise ConfigParseError(f"unknown field '{prefix}{key}'")
+    for key in keys:
+        if key not in value:
+            raise ConfigParseError(f"missing field '{prefix}{key}'")
+    kwargs = {f.name: _CONVERTERS[f.type](value[key], prefix + key) for key, f in keys.items()}
+    try:
+        return cls(**kwargs)
+    except TyplabError as exc:
+        raise ConfigParseError(f"field '{path}': {exc}") from exc
+
+
+_CONVERTERS.update(
+    {c.__name__: partial(_as_section, cls=c) for c in (ModelSpec, TimeSettings, OutputSettings)}
+)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an :class:`ExperimentConfig`."""
-    if not isinstance(raw, dict):
-        raise ConfigParseError(f"config root must be an object, got {type(raw).__name__}")
-    _require_keys(raw, "", _TOP_KEYS)
-
-    model_raw = raw["model"]
-    if not isinstance(model_raw, dict):
-        raise ConfigParseError("field 'model' must be an object")
-    _require_keys(model_raw, "model.", _MODEL_KEYS)
-    try:
-        model = ModelSpec(
-            n=_as_int(model_raw["n"], "model.n"),
-            delta_e=_as_float(model_raw["delta_e"], "model.delta_e"),
-            v_kind=_as_str(model_raw["v_kind"], "model.v_kind"),
-            v_scale=_as_float(model_raw["v_scale"], "model.v_scale"),
-            seed=_as_int(model_raw["seed"], "model.seed"),
-        )
-    except ConfigParseError:
-        raise
-    except TyplabError as exc:
-        raise ConfigParseError(f"field 'model': {exc}") from exc
-    footprint, memory = PEAK_MATRICES * 16 * model.n**2, _physical_memory()
-    if memory is not None and footprint > memory:
-        raise ConfigParseError(
-            f"field 'model.n' = {model.n} needs about {footprint / 2**30:.3g} GiB, "
-            f"more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
-
-    d = _as_float(raw["d"], "d")
+    config = _as_section(raw, "", ExperimentConfig)
+    model, d, m = config.model, config.d, config.num_trajectories
+    t_max, points = config.time.t_max, config.time.points
     if not 0 <= d < 1:
         raise ConfigParseError(
             f"field 'd' must satisfy 0 <= d < 1 (the variance bound needs d >= 0), got {d}"
         )
-
-    m = _as_int(raw["M"], "M")
     if m < 2:
         raise ConfigParseError(f"field 'M' must be >= 2 (variance needs it), got {m}")
-
-    time_raw = raw["time"]
-    if not isinstance(time_raw, dict):
-        raise ConfigParseError("field 'time' must be an object")
-    _require_keys(time_raw, "time.", _TIME_KEYS)
-    t_max = _as_float(time_raw["t_max"], "time.t_max")
-    points = _as_int(time_raw["points"], "time.points")
     if not t_max > 0:
         raise ConfigParseError(f"field 'time.t_max' must be > 0, got {t_max}")
     if points < 2:
@@ -178,27 +176,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"(estimated max |energy| {e_max:.3g}), above {MAX_PHASE:.0e}, where their "
             "rounding exceeds ~1e-8"
         )
-
-    base_seed = _check_base_seed(_as_int(raw["base_seed"], "base_seed"))
-
-    output_raw = raw["output"]
-    if not isinstance(output_raw, dict):
-        raise ConfigParseError("field 'output' must be an object")
-    _require_keys(output_raw, "output.", _OUTPUT_KEYS)
-    output = OutputSettings(
-        directory=_as_str(output_raw["directory"], "output.directory"),
-        emit_trajectories=_as_bool(output_raw["emit_trajectories"], "output.emit_trajectories"),
-        emit_plot=_as_bool(output_raw["emit_plot"], "output.emit_plot"),
-    )
-
-    return ExperimentConfig(
-        model=model,
-        d=d,
-        num_trajectories=m,
-        time=TimeSettings(t_max=t_max, points=points),
-        base_seed=base_seed,
-        output=output,
-    )
+    _check_base_seed(config.base_seed)
+    # The first of n, M and points whose arrays take the run past physical
+    # memory is named.
+    memory, footprint, n = _physical_memory(), 0, model.n
+    for name, value, nbytes in (
+        ("model.n", n, PEAK_MATRICES * 16 * n**2),
+        ("M", m, STATE_BLOCKS * 16 * n * m),
+        ("time.points", points, TRAJECTORY_ARRAYS * 8 * m * points),
+    ):
+        footprint += nbytes
+        if memory is not None and footprint > memory:
+            raise ConfigParseError(
+                f"field '{name}' = {value} needs about {footprint / 2**30:.3g} GiB, "
+                f"more than the {memory / 2**30:.3g} GiB of physical memory"
+            )
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -216,21 +209,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def config_as_dict(config: ExperimentConfig) -> dict:
     """The JSON-shaped echo of a config (for run metadata)."""
-    return {
-        "model": {
-            "n": config.model.n,
-            "delta_e": config.model.delta_e,
-            "v_kind": config.model.v_kind,
-            "v_scale": config.model.v_scale,
-            "seed": config.model.seed,
-        },
-        "d": config.d,
-        "M": config.num_trajectories,
-        "time": {"t_max": config.time.t_max, "points": config.time.points},
-        "base_seed": config.base_seed,
-        "output": {
-            "directory": config.output.directory,
-            "emit_trajectories": config.output.emit_trajectories,
-            "emit_plot": config.output.emit_plot,
-        },
-    }
+    echo = asdict(config)
+    echo["M"] = echo.pop("num_trajectories")
+    return echo

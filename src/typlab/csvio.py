@@ -2,11 +2,14 @@
 
 Numbers are written as the shortest decimal that round-trips binary64
 (Python's ``repr``), so files are a bit-exact interface: equal runs produce
-byte-identical files, and reading them back loses nothing.
+byte-identical files, and reading them back loses nothing.  Both files are
+read by one reader, which accepts only finite values and at least two rows
+of strictly increasing ``t``: what a plot needs.
 """
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +55,23 @@ def write_trajectories_csv(
             writer.writerow([format_number(t)] + [format_number(v) for v in values[:, k]])
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _parse_float(cell: str, row: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise CsvFormatError(f"non-numeric value {cell!r}", row=row) from exc
+    if not math.isfinite(value):
+        raise CsvFormatError(f"non-finite value {cell!r}", row=row)
+    return value
+
+
+def _read_table(path: str | Path, expected_header) -> np.ndarray:
+    """The data rows of a CSV file as a (rows, columns) float array.
+
+    ``expected_header(header)`` gives the header the file must have.  Every
+    row must be that wide and every cell finite; there must be at least 2
+    rows, with the first column ``t`` strictly increasing.
+    """
     try:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
@@ -60,47 +79,35 @@ def _read_rows(path: str | Path) -> list[list[str]]:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CsvFormatError(f"{path} is empty")
-    return rows
-
-
-def _parse_float(cell: str, row: int) -> float:
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise CsvFormatError(f"non-numeric value {cell!r}", row=row) from exc
+    header = expected_header(rows[0])
+    if rows[0] != header:
+        raise CsvFormatError(
+            f"expected header {','.join(header[:4])!r}, got {','.join(rows[0][:4])!r}", row=1
+        )
+    data = []
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise CsvFormatError(f"expected {len(header)} columns, got {len(row)}", row=k)
+        data.append([_parse_float(cell, k) for cell in row])
+        if len(data) > 1 and not data[-1][0] > data[-2][0]:
+            t, previous = data[-1][0], data[-2][0]
+            raise CsvFormatError(f"t = {t!r} does not increase on {previous!r}", row=k)
+    if len(data) < 2:
+        raise CsvFormatError(
+            f"{path} has {['no data rows', 'one data row'][len(data)]}, needs at least 2",
+            row=len(rows),
+        )
+    return np.asarray(data)
 
 
 def read_stats_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a stats file back into arrays keyed by column name."""
-    rows = _read_rows(path)
-    if rows[0] != STATS_HEADER:
-        raise CsvFormatError(f"expected header {','.join(STATS_HEADER)!r}, got {','.join(rows[0])!r}", row=1)
-    if len(rows) < 2:
-        raise CsvFormatError(f"{path} has a header but no data rows")
-    data = []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != len(STATS_HEADER):
-            raise CsvFormatError(f"expected {len(STATS_HEADER)} columns, got {len(row)}", row=k)
-        data.append([_parse_float(cell, k) for cell in row])
-    arr = np.asarray(data)
+    arr = _read_table(path, lambda header: STATS_HEADER)
     return {name: arr[:, i] for i, name in enumerate(STATS_HEADER)}
 
 
 def read_trajectories_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a trajectories file; returns (times, values) with values shaped
     (M, len(times))."""
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2 or header != trajectories_header(len(header) - 1):
-        raise CsvFormatError(
-            f"expected header 't,traj_0,...', got {','.join(header[:4])!r}", row=1
-        )
-    if len(rows) < 2:
-        raise CsvFormatError(f"{path} has a header but no data rows")
-    data = []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvFormatError(f"expected {len(header)} columns, got {len(row)}", row=k)
-        data.append([_parse_float(cell, k) for cell in row])
-    arr = np.asarray(data)
+    arr = _read_table(path, lambda header: trajectories_header(max(len(header) - 1, 1)))
     return arr[:, 0], arr[:, 1:].T

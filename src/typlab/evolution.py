@@ -1,6 +1,7 @@
-"""The propagation kernel and expectation values.
+"""The trajectory sampler, the propagation kernel and expectation values.
 
-:func:`run_ensemble` is the one propagation kernel; ``typlab run`` ships it
+:func:`trajectory_omegas` draws every trajectory state.  :func:`run_ensemble`
+is the one propagation kernel, for any state block; ``typlab run`` ships it
 and verify's picture-equivalence check tests it.  One eigendecomposition of
 H is reused for every trajectory and time: all states are rotated into the
 energy eigenbasis once and diagonal phases are applied per time point.  The
@@ -100,48 +101,23 @@ def expectations(signs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return (states.real**2 + states.imag**2) @ signs
 
 
-def run_ensemble(
-    dec: SpectralDecomposition,
-    params: OmegaParams,
-    m: int,
-    base_seed: int,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """The (M, T) array a_i(t_k) = <omega_i(t_k)|A|omega_i(t_k)> of M
-    trajectories, with A = ``params.observable``.
+def trajectory_omegas(params: OmegaParams, m: int, base_seed: int) -> np.ndarray:
+    """The C-contiguous (n, M) block of trajectory states: column i is
+    ``make_omega(sample_uniform_state(n, child_seed(base_seed, i)), params)``.
 
-    Trajectory i samples its uniform state from ``child_seed(base_seed, i)``
-    and applies the deviation map.  All states are rotated into the energy
-    eigenbasis at once, C = U^dagger [omega_0 ... omega_{M-1}].  The
-    observable is the validated sign vector ``params.observable``,
-    A = 2 P_+ - I, so at each time point
-
-        a_i(t) = 2 ||U_+ exp(-i w t) c_i||^2 - ||omega_i||^2
-
-    with U_+ the n_+ rows of U where A = +1: one (n_+ x n) by (n x M)
-    product per time point, and the values are real by construction.
     Initial values far from the analytic ensemble mean (3 sigma of the
     variance bound) are logged with the trajectory's seed.
     """
     if m < 1:
         raise ParameterError(f"trajectory count must be >= 1, got {m}")
-    u_plus = plus_rows(params.observable, dec)
-    n = dec.dim
-    u = dec.eigenvectors
+    n = params.observable.size
     seeds = [child_seed(base_seed, i) for i in range(m)]
     omegas = np.empty((n, m), dtype=np.complex128)
     for i, seed in enumerate(seeds):
         omegas[:, i] = make_omega(sample_uniform_state(n, seed), params).amplitudes
-    coeff = u.conj().T @ omegas
-    norms_sq = np.sum(omegas.real**2 + omegas.imag**2, axis=0)
-
-    values = np.empty((m, len(grid)))
-    for k, t in enumerate(grid.times):
-        evolved = u_plus @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
-        values[:, k] = 2.0 * np.sum(evolved.real**2 + evolved.imag**2, axis=0) - norms_sq
 
     center, spread = params.start_value_band
-    for seed, start in zip(seeds, values[:, 0]):
+    for seed, start in zip(seeds, expectations(params.observable, omegas.T)):
         if abs(start - center) > spread:
             logger.warning(
                 "trajectory seed %d starts at %.4f, outside %.4f +/- %.4f",
@@ -150,4 +126,33 @@ def run_ensemble(
                 center,
                 spread,
             )
+    return omegas
+
+
+def run_ensemble(
+    dec: SpectralDecomposition,
+    params: OmegaParams,
+    omegas: np.ndarray,
+    grid: TimeGrid,
+) -> np.ndarray:
+    """The (M, T) array a_i(t_k) = <omega_i(t_k)|A|omega_i(t_k)> of the
+    states in the M columns of ``omegas``, with A = ``params.observable``.
+
+    All states are rotated into the energy eigenbasis at once,
+    C = U^dagger [omega_0 ... omega_{M-1}].  A is the validated sign vector,
+    A = 2 P_+ - I, so at each time point
+
+        a_i(t) = 2 ||U_+ exp(-i w t) c_i||^2 - ||omega_i||^2
+
+    with U_+ the n_+ rows of U where A = +1: one (n_+ x n) by (n x M)
+    product per time point, and the values are real by construction.
+    """
+    u_plus = plus_rows(params.observable, dec)
+    coeff = dec.eigenvectors.conj().T @ omegas
+    norms_sq = np.sum(omegas.real**2 + omegas.imag**2, axis=0)
+
+    values = np.empty((omegas.shape[1], len(grid)))
+    for k, t in enumerate(grid.times):
+        evolved = u_plus @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
+        values[:, k] = 2.0 * np.sum(evolved.real**2 + evolved.imag**2, axis=0) - norms_sq
     return values

@@ -1,5 +1,5 @@
-"""Experiment orchestration: build the model, propagate the ensemble,
-aggregate statistics, and emit the output files.
+"""Experiment orchestration: build the model, draw the trajectory states,
+propagate them, aggregate statistics, and emit the output files.
 
 Outputs per run directory:
 
@@ -27,7 +27,7 @@ import numpy as np
 from .config import ExperimentConfig, config_as_dict
 from .csvio import write_stats_csv, write_trajectories_csv
 from .ensembles import OmegaParams
-from .evolution import TimeGrid, run_ensemble
+from .evolution import TimeGrid, run_ensemble, trajectory_omegas
 from .models import ModelSystem, build_model
 from .operators import eigendecompose
 from .rng import RNG_ALGORITHM, child_seed
@@ -83,7 +83,9 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
     dec = eigendecompose(model.hamiltonian)
     params = OmegaParams(d=config.d, observable=model.observable)
     grid = TimeGrid.uniform(config.time.t_max, config.time.points)
-    trajectories = run_ensemble(dec, params, config.num_trajectories, config.base_seed, grid)
+    trajectories = run_ensemble(
+        dec, params, trajectory_omegas(params, config.num_trajectories, config.base_seed), grid
+    )
     stats = sample_stats(trajectories, grid.times)
 
     moments = params.moments

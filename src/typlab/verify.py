@@ -3,9 +3,13 @@ closed-form ensemble formula, bound domination (exact and sampled),
 commuting-unitary invariance, picture equivalence, and the 1/n scaling of
 the typicality variance.
 
-Picture equivalence checks the propagation kernel that ``typlab run``
-ships: :func:`~typlab.evolution.run_ensemble`'s trajectories against the
-dense Heisenberg-picture values ``<omega|A(t)|omega>`` of the same states.
+The checks reuse what verify builds once: the trajectory states of
+``bound-sampled``, drawn by :func:`~typlab.evolution.trajectory_omegas`,
+are the states of commuting invariance, and the smallest scaling model's
+decomposition is the one picture equivalence propagates on.  Picture
+equivalence checks the propagation kernel that ``typlab run`` ships:
+:func:`~typlab.evolution.run_ensemble`'s trajectories against the dense
+Heisenberg-picture values ``<omega|A(t)|omega>`` of the same states.
 
 Each check is deterministic given the config's base seed; Monte Carlo
 streams use dedicated child indices far above the trajectory range.
@@ -19,13 +23,12 @@ import numpy as np
 from .config import ExperimentConfig
 from .ensembles import (
     OmegaParams,
+    StateVector,
     commuting_unitary,
-    make_omega,
     make_omegas,
-    sample_uniform_state,
     sample_uniform_states,
 )
-from .evolution import TimeGrid, expectation, expectations, run_ensemble
+from .evolution import TimeGrid, expectation, expectations, run_ensemble, trajectory_omegas
 from .models import ModelSpec, build_model
 from .operators import HermitianOperator, eigendecompose, heisenberg_observable
 from .experiment import moment_flags
@@ -40,15 +43,14 @@ from .stats import (
 
 N_UNIFORM_SAMPLES = 20_000
 N_OMEGA_SAMPLES = 10_000
-N_COMMUTING_STATES = 100
 N_COMMUTING_UNITARIES = 10
 N_PICTURE_STATES = 5
+N_PICTURE_TIMES = 8
 SCALING_DIMS = (100, 200, 400, 800)
 SCALING_GRID_POINTS = 25
 
 UNIFORM_MC_STREAM = 0x7E000001
 OMEGA_MC_STREAM = 0x7E000002
-COMMUTING_STATE_STREAM = 0x7E000003
 COMMUTING_UNITARY_STREAM = 0x7E000004
 PICTURE_STATE_STREAM = 0x7E000005
 
@@ -185,7 +187,8 @@ def run_verification(
             "exact HV <= bound + 1e-10 at every grid point",
         )
     )
-    trajectories = run_ensemble(dec, params, config.num_trajectories, base, grid)
+    omegas = trajectory_omegas(params, config.num_trajectories, base)
+    trajectories = run_ensemble(dec, params, omegas, grid)
     stats = sample_stats(trajectories, grid.times)
     exceed_fraction = float((stats.variance > eq_bound).mean())
     worst_ratio = float((stats.variance / eq_bound).max())
@@ -206,19 +209,14 @@ def run_verification(
         )
     )
 
-    # Per-state invariance under unitaries commuting with the observable.
-    state_base = child_seed(base, COMMUTING_STATE_STREAM)
+    # Per-state invariance of the bound-sampled states under unitaries
+    # commuting with the observable.
+    states = omegas.T
+    reference = expectations(a, states)
     unitary_base = child_seed(base, COMMUTING_UNITARY_STREAM)
-    omegas = np.array(
-        [
-            make_omega(sample_uniform_state(n, child_seed(state_base, i)), params).amplitudes
-            for i in range(N_COMMUTING_STATES)
-        ]
-    )
-    reference = expectations(a, omegas)
     worst_shift = 0.0
     for j in range(N_COMMUTING_UNITARIES):
-        rotated = commuting_unitary(a, child_seed(unitary_base, j)) * omegas
+        rotated = commuting_unitary(a, child_seed(unitary_base, j)) * states
         worst_shift = max(worst_shift, float(np.abs(expectations(a, rotated) - reference).max()))
     results.append(
         _result(
@@ -226,47 +224,13 @@ def run_verification(
             worst_shift,
             1e-10,
             f"max |<Uw|A|Uw> - <w|A|w>| = {worst_shift:.2e}",
-            f"<= 1e-10 over {N_COMMUTING_STATES} states x {N_COMMUTING_UNITARIES} unitaries",
-        )
-    )
-
-    # The shipped propagation kernel, run_ensemble, against the dense
-    # Heisenberg picture <omega|A(t)|omega> of the same states, on a small
-    # sibling model.
-    n_pe = min(n, 100)
-    pe_spec = ModelSpec(
-        n=n_pe,
-        delta_e=config.model.delta_e,
-        v_kind=config.model.v_kind,
-        v_scale=config.model.v_scale,
-        seed=config.model.seed,
-    )
-    pe_model = build_model(pe_spec)
-    pe_dec = eigendecompose(pe_model.hamiltonian)
-    pe_params = OmegaParams(d=d, observable=pe_model.observable)
-    # The one dense observable: the Heisenberg picture needs A as a matrix.
-    pe_a = HermitianOperator(np.diag(pe_params.observable))
-    pe_base = child_seed(base, PICTURE_STATE_STREAM)
-    pe_times = np.linspace(0.0, config.time.t_max, 8)
-    schroedinger = run_ensemble(pe_dec, pe_params, N_PICTURE_STATES, pe_base, TimeGrid(pe_times))
-    worst_pe = 0.0
-    for i in range(N_PICTURE_STATES):
-        omega = make_omega(sample_uniform_state(n_pe, child_seed(pe_base, i)), pe_params)
-        for k, t in enumerate(pe_times):
-            heisenberg = expectation(heisenberg_observable(pe_a, pe_dec, t), omega)
-            worst_pe = max(worst_pe, abs(schroedinger[i, k] - heisenberg))
-    results.append(
-        _result(
-            "picture-equivalence",
-            worst_pe,
-            1e-9,
-            f"max |Schroedinger - Heisenberg| = {worst_pe:.2e}",
-            f"<= 1e-9 at n = {n_pe}, {N_PICTURE_STATES} states x {len(pe_times)} times",
+            f"<= 1e-10 over {len(states)} states x {N_COMMUTING_UNITARIES} unitaries",
         )
     )
 
     # 1/n scaling of the maximal exact HV over matched models; the size equal
-    # to the config's reuses its model and decomposition.
+    # to the config's reuses its model and decomposition, and the smallest
+    # one also serves picture equivalence.
     max_hv = []
     for size in SCALING_DIMS:
         scale = config.model.n / size
@@ -285,6 +249,34 @@ def run_verification(
         times_k = np.linspace(0.0, config.time.t_max, SCALING_GRID_POINTS)
         params_k = OmegaParams(d=d, observable=model_k.observable)
         max_hv.append(float(exact_hv_series(dec_k, params_k, times_k).max()))
+        if size == SCALING_DIMS[0]:
+            pe_dec, pe_params = dec_k, params_k
+
+    # The shipped propagation kernel, run_ensemble, against the dense
+    # Heisenberg picture <omega|A(t)|omega> of the same states, on the
+    # smallest scaling model; A(t) is formed once per time.
+    pe_omegas = trajectory_omegas(
+        pe_params, N_PICTURE_STATES, child_seed(base, PICTURE_STATE_STREAM)
+    )
+    pe_times = np.linspace(0.0, config.time.t_max, N_PICTURE_TIMES)
+    schroedinger = run_ensemble(pe_dec, pe_params, pe_omegas, TimeGrid(pe_times))
+    # The one dense observable: the Heisenberg picture needs A as a matrix.
+    pe_a = HermitianOperator(np.diag(pe_params.observable))
+    worst_pe = 0.0
+    for k, t in enumerate(pe_times):
+        a_t = heisenberg_observable(pe_a, pe_dec, t)
+        for i, omega in enumerate(pe_omegas.T):
+            worst_pe = max(worst_pe, abs(schroedinger[i, k] - expectation(a_t, StateVector(omega))))
+    results.append(
+        _result(
+            "picture-equivalence",
+            worst_pe,
+            1e-9,
+            f"max |Schroedinger - Heisenberg| = {worst_pe:.2e}",
+            f"<= 1e-9 at n = {SCALING_DIMS[0]}, {N_PICTURE_STATES} states x {len(pe_times)} times",
+        )
+    )
+
     slope = float(np.polyfit(np.log(SCALING_DIMS), np.log(max_hv), 1)[0])
     results.append(
         CheckResult(

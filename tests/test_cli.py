@@ -220,3 +220,14 @@ def test_plot_empty_csv_fails(tmp_path, capsys):
     assert main(["plot", "--stats", str(empty), "--out", str(tmp_path / "f.svg")]) == 1
     assert "empty" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_plot_non_finite_stats_fails_cleanly(tmp_path, capsys, cell):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(f"t,mean,variance,bound\n0.0,0.1,0.2,0.3\n1.0,{cell},0.2,0.3\n")
+    fig = tmp_path / "fig.svg"
+    assert main(["plot", "--stats", str(stats), "--out", str(fig)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value") and "Traceback" not in err
+    assert not fig.exists()

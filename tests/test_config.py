@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from typlab.config import load_config, parse_config
+import typlab
+from typlab.config import config_as_dict, load_config, parse_config
 from typlab.errors import ConfigParseError
 
 
@@ -55,6 +60,36 @@ def test_missing_nested_field_named(drop, needle):
     del raw[drop[0]][drop[1]]
     with pytest.raises(ConfigParseError, match=needle):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "5"])
+def test_first_missing_field_in_declaration_order(hash_seed):
+    # With model.n and model.seed both missing, the error names model.n
+    # whatever the string hash seed; set iteration once made it vary.
+    script = (
+        "import json, sys\n"
+        "from typlab.config import parse_config\n"
+        "raw = json.loads(sys.argv[1])\n"
+        "del raw['model']['n'], raw['model']['seed']\n"
+        "try:\n"
+        "    parse_config(raw)\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(typlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(valid_raw())],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "missing field 'model.n'"
+
+
+def test_echo_is_the_raw_document():
+    assert config_as_dict(parse_config(valid_raw())) == valid_raw()
 
 
 def test_missing_top_field_named():
@@ -158,6 +193,28 @@ def test_dimension_beyond_physical_memory_fails_at_parse():
     tracemalloc.start()
     try:
         with pytest.raises(ConfigParseError, match="model.n"):
+            parse_config(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "sizes,needle",
+    [
+        ({"M": 10**12}, "field 'M' = 1000000000000 needs about"),
+        ({"points": 10**12}, "field 'time.points' = 1000000000000 needs about"),
+        ({"M": 10**9, "points": 10**9}, "field 'M' = 1000000000 needs about"),
+    ],
+)
+def test_ensemble_beyond_physical_memory_fails_at_parse(sizes, needle):
+    raw = valid_raw()
+    raw["M"] = sizes.get("M", raw["M"])
+    raw["time"]["points"] = sizes.get("points", raw["time"]["points"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigParseError, match=needle):
             parse_config(raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:

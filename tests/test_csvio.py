@@ -81,3 +81,38 @@ def test_trajectories_header_enforced(tmp_path):
     path.write_text("t,traj_0,traj_2\n0.0,1.0,2.0\n")
     with pytest.raises(CsvFormatError, match="header"):
         read_trajectories_csv(path)
+
+
+STATS_ROWS = "t,mean,variance,bound\n0.0,0.1,0.2,0.3\n"
+
+
+@pytest.mark.parametrize(
+    "extra,needle",
+    [
+        ("1.0,nan,0.2,0.3\n", "non-finite value 'nan' [(]row 3[)]"),
+        ("1.0,0.1,inf,0.3\n", "non-finite value 'inf' [(]row 3[)]"),
+        ("", "has one data row, needs at least 2 [(]row 2[)]"),
+        ("0.0,0.1,0.2,0.3\n", "t = 0.0 does not increase on 0.0 [(]row 3[)]"),
+    ],
+    ids=["nan", "inf", "one-row", "repeated-t"],
+)
+def test_stats_a_plot_cannot_use_rejected(tmp_path, extra, needle):
+    path = tmp_path / "stats.csv"
+    path.write_text(STATS_ROWS + extra)
+    with pytest.raises(CsvFormatError, match=needle):
+        read_stats_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows,needle",
+    [
+        ("0.0,1.0\n1.0,-inf\n", "non-finite value '-inf' [(]row 3[)]"),
+        ("1.0,1.0\n0.5,1.0\n", "t = 0.5 does not increase on 1.0 [(]row 3[)]"),
+    ],
+    ids=["inf", "decreasing-t"],
+)
+def test_trajectories_share_the_reader_checks(tmp_path, rows, needle):
+    path = tmp_path / "trajectories.csv"
+    path.write_text("t,traj_0\n" + rows)
+    with pytest.raises(CsvFormatError, match=needle):
+        read_trajectories_csv(path)

@@ -14,8 +14,19 @@ from typlab.ensembles import (
     sample_uniform_state,
     sample_uniform_states,
 )
-from typlab.errors import DimensionMismatchError, NonHermitianResidueError, NotDiagonalError
-from typlab.evolution import TimeGrid, expectation, expectations, run_ensemble
+from typlab.errors import (
+    DimensionMismatchError,
+    NonHermitianResidueError,
+    NotDiagonalError,
+    ParameterError,
+)
+from typlab.evolution import (
+    TimeGrid,
+    expectation,
+    expectations,
+    run_ensemble,
+    trajectory_omegas,
+)
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.rng import child_seed
@@ -27,6 +38,7 @@ from conftest import (
     dense_observable,
     pm1_with_plus_fraction,
     random_hermitian,
+    random_state_block,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -43,14 +55,6 @@ def reference_series(dec, a_op, omega, times):
     values = np.sum(evolved.conj() * (a_eig @ evolved), axis=0)
     assert np.abs(values.imag).max() <= 1e-10 * omega.norm_sq
     return values.real
-
-
-def ensemble_omegas(params, m, base_seed):
-    n = params.observable.size
-    return [
-        make_omega(sample_uniform_state(n, child_seed(base_seed, i)), params)
-        for i in range(m)
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +150,7 @@ class TestTrajectories:
         h = HermitianOperator(np.diag(np.arange(n) * 0.3).astype(complex))
         dec = eigendecompose(h)
         params = OmegaParams(d=0.1, observable=a)
-        values = run_ensemble(dec, params, 3, 3, TimeGrid.uniform(20.0, 15))
+        values = run_ensemble(dec, params, trajectory_omegas(params, 3, 3), TimeGrid.uniform(20.0, 15))
         assert np.ptp(values, axis=1).max() <= 1e-10
 
     def test_schroedinger_equals_heisenberg(self, dense_model):
@@ -154,18 +158,20 @@ class TestTrajectories:
         a = dense_observable(model.observable)
         params = OmegaParams(d=0.1, observable=model.observable)
         grid = TimeGrid.uniform(15.0, 7)
-        values = run_ensemble(dec, params, 2, 9, grid)
-        for omega, series in zip(ensemble_omegas(params, 2, 9), values):
+        omegas = trajectory_omegas(params, 2, 9)
+        values = run_ensemble(dec, params, omegas, grid)
+        for omega, series in zip(omegas.T, values):
             for k, t in enumerate(grid.times):
-                heisenberg = expectation(heisenberg_observable(a, dec, t), omega)
+                heisenberg = expectation(heisenberg_observable(a, dec, t), StateVector(omega))
                 assert series[k] == pytest.approx(heisenberg, abs=1e-9)
 
     def test_initial_value_matches_plain_expectation(self, dense_model):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
-        values = run_ensemble(dec, params, 4, 10, TimeGrid.uniform(5.0, 4))
-        for omega, series in zip(ensemble_omegas(params, 4, 10), values):
-            start = expectation(dense_observable(model.observable), omega)
+        omegas = trajectory_omegas(params, 4, 10)
+        values = run_ensemble(dec, params, omegas, TimeGrid.uniform(5.0, 4))
+        for omega, series in zip(omegas.T, values):
+            start = expectation(dense_observable(model.observable), StateVector(omega))
             assert series[0] == pytest.approx(start, abs=1e-12)
 
 
@@ -181,10 +187,11 @@ class TestEnsembleRuns:
         }[observable]
         params = OmegaParams(d=0.1, observable=a)
         grid = TimeGrid.uniform(10.0, 12)
-        values = run_ensemble(dec, params, 6, base_seed=21, grid=grid)
+        omegas = trajectory_omegas(params, 6, base_seed=21)
+        values = run_ensemble(dec, params, omegas, grid)
         assert values.shape == (6, 12)
-        for omega, series in zip(ensemble_omegas(params, 6, 21), values):
-            reference = reference_series(dec, dense_observable(a), omega, grid.times)
+        for omega, series in zip(omegas.T, values):
+            reference = reference_series(dec, dense_observable(a), StateVector(omega), grid.times)
             assert np.abs(series - reference).max() <= 1e-12
 
     # run_ensemble reads the observable through OmegaParams, whose gate
@@ -193,21 +200,22 @@ class TestEnsembleRuns:
         _, dec = dense_model
         with pytest.raises(NotDiagonalError):
             params = OmegaParams(d=0.1, observable=random_hermitian(40, seed=5))
-            run_ensemble(dec, params, 2, 1, TimeGrid.uniform(1.0, 3))
+            run_ensemble(dec, params, np.ones((40, 2), complex), TimeGrid.uniform(1.0, 3))
 
     @pytest.mark.parametrize("diagonal", [[2.0, -2.0], [1.0, 0.0], [1.0, -1.0 + 1e-9]])
     def test_observable_not_pm1_rejected(self, dense_model, diagonal):
         _, dec = dense_model
         a = np.tile(diagonal, 20)
         with pytest.raises(NotDiagonalError):
-            run_ensemble(dec, OmegaParams(d=0.1, observable=a), 2, 1, TimeGrid.uniform(1.0, 3))
+            params = OmegaParams(d=0.1, observable=a)
+            run_ensemble(dec, params, np.ones((40, 2), complex), TimeGrid.uniform(1.0, 3))
 
     def test_repeat_runs_identical(self, dense_model):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
         grid = TimeGrid.uniform(10.0, 12)
-        a = run_ensemble(dec, params, 5, base_seed=33, grid=grid)
-        b = run_ensemble(dec, params, 5, base_seed=33, grid=grid)
+        a = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), grid)
+        b = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), grid)
         assert np.array_equal(a, b)
 
     def test_out_of_band_start_logged_with_seed(self, dense_model, monkeypatch, caplog):
@@ -224,7 +232,7 @@ class TestEnsembleRuns:
             lambda n, seed: StateVector(plus) if seed == outlier else sample(n, seed),
         )
         with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
-            run_ensemble(dec, params, 3, 8, TimeGrid.uniform(1.0, 3))
+            trajectory_omegas(params, 3, 8)
         messages = [r.getMessage() for r in caplog.records if r.name == "typlab.evolution"]
         assert len(messages) == 1
         assert f"trajectory seed {outlier} starts at 1.1980" in messages[0]
@@ -233,10 +241,42 @@ class TestEnsembleRuns:
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
         with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
-            values = run_ensemble(dec, params, 20, 8, TimeGrid.uniform(1.0, 3))
+            omegas = trajectory_omegas(params, 20, 8)
+        values = run_ensemble(dec, params, omegas, TimeGrid.uniform(1.0, 3))
         center, spread = params.start_value_band
         assert np.abs(values[:, 0] - center).max() <= spread
         assert [r for r in caplog.records if r.name == "typlab.evolution"] == []
+
+
+class TestTrajectoryOmegas:
+    def test_columns_are_the_oracle_draw_bit_for_bit(self, dense_model):
+        # The draw rule perfbench/oracle.py recomputes independently.
+        model, _ = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        omegas = trajectory_omegas(params, 7, 2026)
+        assert omegas.shape == (40, 7) and omegas.flags.c_contiguous
+        for i in range(7):
+            drawn = make_omega(sample_uniform_state(40, child_seed(2026, i)), params)
+            assert omegas[:, i].tobytes() == drawn.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_one_trajectory(self, dense_model, m):
+        model, _ = dense_model
+        with pytest.raises(ParameterError, match="trajectory count must be >= 1"):
+            trajectory_omegas(OmegaParams(d=0.1, observable=model.observable), m, 1)
+
+    def test_kernel_propagates_a_block_it_did_not_draw(self, dense_model):
+        # Unnormalized gaussian states: run_ensemble takes any (n, M) block.
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        block = random_state_block(40, 3, seed=17).T
+        grid = TimeGrid.uniform(10.0, 6)
+        values = run_ensemble(dec, params, block, grid)
+        for column, series in zip(block.T, values):
+            reference = reference_series(
+                dec, dense_observable(model.observable), StateVector(column), grid.times
+            )
+            assert np.abs(series - reference).max() <= 1e-12
 
 
 def fitted_decay_rate(config_name):
@@ -247,7 +287,8 @@ def fitted_decay_rate(config_name):
     dec = eigendecompose(model.hamiltonian)
     grid = TimeGrid.uniform(config.time.t_max, config.time.points)
     params = OmegaParams(d=config.d, observable=model.observable)
-    values = run_ensemble(dec, params, config.num_trajectories, config.base_seed, grid)
+    omegas = trajectory_omegas(params, config.num_trajectories, config.base_seed)
+    values = run_ensemble(dec, params, omegas, grid)
     mean = sample_stats(values, grid.times).mean
     early = grid.times <= 150.0
     slope = np.polyfit(grid.times[early], np.log(mean[early]), 1)[0]

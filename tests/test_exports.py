@@ -18,11 +18,8 @@ EXPORTS = [
     "TimeGrid",
     "TimeSettings",
     "TyplabError",
-    "assemble_hamiltonian",
     "build_model",
     "build_observable_pm1",
-    "build_v_constant",
-    "build_v_gaussian",
     "child_seed",
     "commuting_unitary",
     "eigendecompose",
@@ -35,7 +32,6 @@ EXPORTS = [
     "make_omega",
     "make_omegas",
     "mean_expectation_analytic",
-    "mix64",
     "norm_variance_analytic",
     "run_ensemble",
     "run_verification",
@@ -43,6 +39,7 @@ EXPORTS = [
     "sample_uniform_state",
     "sample_uniform_states",
     "spectral_moments",
+    "trajectory_omegas",
     "variance_bound",
 ]
 

@@ -10,7 +10,7 @@ from typlab.errors import (
     NotDiagonalError,
     TooFewTrajectoriesError,
 )
-from typlab.evolution import TimeGrid, run_ensemble
+from typlab.evolution import TimeGrid, run_ensemble, trajectory_omegas
 from typlab.models import ModelSpec, build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose
 from typlab.stats import (
@@ -265,7 +265,8 @@ class TestSampleStats:
         model = build_model(spec)
         dec = eigendecompose(model.hamiltonian)
         grid = TimeGrid(np.array([0.0, 1.0]))
-        values = run_ensemble(dec, OmegaParams(d=d, observable=a), m, 71, grid)
+        params = OmegaParams(d=d, observable=a)
+        values = run_ensemble(dec, params, trajectory_omegas(params, m, 71), grid)
         stats = sample_stats(values, grid.times)
         band = 3 * np.sqrt(variance_bound(d, 1.0, 1.0, n) / m)
         assert abs(stats.mean[0] - mean_expectation_analytic(d, 0.0)) < band

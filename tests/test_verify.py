@@ -119,7 +119,8 @@ def test_negative_deviation_raises_typlab_error():
 
 def test_scaling_check_reuses_the_config_model(monkeypatch):
     # n = 200 is one of the scaling sizes: its model and decomposition are
-    # the ones the bound checks already built.
+    # the ones the bound checks already built.  Picture equivalence runs on
+    # the n = 100 scaling model and builds none of its own.
     calls = []
     original = typlab.verify.eigendecompose
 
@@ -129,6 +130,38 @@ def test_scaling_check_reuses_the_config_model(monkeypatch):
 
     monkeypatch.setattr(typlab.verify, "eigendecompose", counting)
     results = run_verification(load_config(VERIFY_CONFIG))
-    assert sorted(calls) == [100, 100, 200, 400, 800]
+    assert sorted(calls) == [100, 200, 400, 800]
     scaling = {r.name: r for r in results}["inverse-n-scaling"]
     assert "slope = -0.997" in scaling.measured
+
+
+def test_heisenberg_observable_formed_once_per_time(monkeypatch):
+    # Picture equivalence forms the dense A(t) once for its 8 times, not
+    # once per (state, time) pair.
+    calls = []
+    original = typlab.verify.heisenberg_observable
+
+    def counting(op, dec, t):
+        calls.append(t)
+        return original(op, dec, t)
+
+    monkeypatch.setattr(typlab.verify, "heisenberg_observable", counting)
+    run_verification(parse_config(tiny_raw()))
+    assert len(calls) == 8 == len(set(calls))
+
+
+def test_commuting_invariance_reuses_the_trajectory_states(monkeypatch):
+    # The states are the M trajectory states bound-sampled propagates.
+    drawn = []
+    original = typlab.verify.trajectory_omegas
+
+    def recording(params, m, base_seed):
+        omegas = original(params, m, base_seed)
+        drawn.append(omegas)
+        return omegas
+
+    monkeypatch.setattr(typlab.verify, "trajectory_omegas", recording)
+    results = run_verification(parse_config(tiny_raw(M=7)))
+    assert [omegas.shape for omegas in drawn] == [(60, 7), (100, 5)]
+    commuting = {r.name: r for r in results}["commuting-invariance"]
+    assert "over 7 states x 10 unitaries" in commuting.criterion
