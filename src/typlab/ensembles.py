@@ -57,7 +57,7 @@ class OmegaParams:
     """Deviation parameter and observable defining the substitute ensemble.
 
     ``observable`` is the sign vector of a diagonal observable, A = 2 P_+ - I:
-    1-d, every entry exactly +1 or -1 (hence finite), stored as a read-only
+    1-d, non-empty, every entry exactly +1 or -1, stored as a read-only
     float64 copy; anything else, a matrix included, raises
     :class:`NotDiagonalError`.  ``d`` must satisfy 0 <= d < 1: the variance
     bound is derived for d >= 0 only, the reachable mean expectation value
@@ -75,7 +75,7 @@ class OmegaParams:
         if not 0 <= self.d < 1:  # also rejects NaN
             raise ParameterError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
         a = np.asarray(self.observable)
-        if a.ndim != 1 or a.dtype.kind not in "iuf" or not np.all(np.abs(a) == 1):
+        if a.ndim != 1 or not a.size or a.dtype.kind not in "iuf" or not np.all(np.abs(a) == 1):
             raise NotDiagonalError(
                 f"the observable must be a sign vector of entries +1 or -1, "
                 f"got an array of shape {a.shape} and dtype {a.dtype}"
@@ -93,19 +93,16 @@ class OmegaParams:
     @cached_property
     def norm_sq_band(self) -> tuple[float, float]:
         """Soft plausibility band for omega norms: 1 +/- 10 sqrt(norm HV)."""
-        c = self.moments
-        spread = NORM_BAND_SIGMAS * np.sqrt(
-            norm_variance_analytic(self.d, c[3], c[4], self.observable.size)
-        )
+        n = self.observable.size
+        spread = NORM_BAND_SIGMAS * np.sqrt(norm_variance_analytic(self.d, self.moments[1], n))
         return 1.0 - spread, 1.0 + spread
 
     @cached_property
     def start_value_band(self) -> tuple[float, float]:
         """Analytic mean of initial expectation values and a 3-sigma spread
         from the variance bound."""
-        c = self.moments
-        center = mean_expectation_analytic(self.d, c[3])
-        spread = 3.0 * np.sqrt(variance_bound(self.d, c[4], c[8], self.observable.size))
+        center = mean_expectation_analytic(self.d, self.moments[1])
+        spread = 3.0 * np.sqrt(variance_bound(self.d, self.observable.size))
         return center, spread
 
 

@@ -56,10 +56,6 @@ class NotDiagonalError(TyplabError):
     passed where such a vector is read."""
 
 
-class NegativeMomentError(TyplabError):
-    """An even spectral moment argument was negative."""
-
-
 class TooFewTrajectoriesError(TyplabError):
     """Ensemble statistics need at least two trajectories."""
 

@@ -148,7 +148,8 @@ def run_ensemble(
     product per time point, and the values are real by construction.
     """
     u_plus = plus_rows(params.observable, dec)
-    coeff = dec.eigenvectors.conj().T @ omegas
+    # (U^T conj(omega))^* is U^dagger omega without a conjugated copy of U.
+    coeff = (dec.eigenvectors.T @ omegas.conj()).conj()
     norms_sq = np.sum(omegas.real**2 + omegas.imag**2, axis=0)
 
     values = np.empty((omegas.shape[1], len(grid)))

@@ -4,8 +4,9 @@ diagonal convention.
 
 Everything is built in the eigenbasis of H0, where the observable is
 diagonal; it is carried as its sign vector, the (n,) vector of its +/-1
-diagonal entries, and never as a dense matrix.  All construction is
-deterministic under a :class:`ModelSpec` seed; the observable placement
+diagonal entries, and never as a dense matrix.  V is a plain array,
+Hermitian by construction; H = H0 + V is validated once.  All construction
+is deterministic under a :class:`ModelSpec` seed; the observable placement
 and the perturbation entries draw from separate child streams of that seed
 (indices ``OBSERVABLE_STREAM`` and ``PERTURBATION_STREAM``).
 """
@@ -84,8 +85,9 @@ def build_observable_pm1(n: int, seed: int) -> SignVector:
     return signs
 
 
-def build_v_gaussian(n: int, mean_sq: float, seed: int) -> HermitianOperator:
-    """Hermitian perturbation with complex gaussian off-diagonal elements.
+def build_v_gaussian(n: int, mean_sq: float, seed: int) -> np.ndarray:
+    """Hermitian perturbation with complex gaussian off-diagonal elements,
+    as an (n, n) complex array.
 
     For j < k the entry is x + iy with x, y independent zero-mean normals
     of variance mean_sq/2 each, so E|V_jk|^2 = mean_sq; the lower triangle
@@ -94,13 +96,13 @@ def build_v_gaussian(n: int, mean_sq: float, seed: int) -> HermitianOperator:
     Stream consumption order: upper-triangle real parts (row-major j < k),
     upper-triangle imaginary parts, then the diagonal.
     The scaled draws are written into both triangles by index, so the only
-    n x n array is V itself.
+    n x n array is V itself; H's validation checks it.
     """
     if mean_sq < 0:
         raise ParameterError(f"mean squared magnitude must be >= 0, got {mean_sq}")
     v = np.zeros((n, n), dtype=np.complex128)
     if mean_sq == 0:
-        return HermitianOperator(v)
+        return v
     stream = SeedStream(seed)
     m = n * (n - 1) // 2
     rows, cols = np.triu_indices(n, k=1)
@@ -109,21 +111,22 @@ def build_v_gaussian(n: int, mean_sq: float, seed: int) -> HermitianOperator:
     v.real[rows, cols] = v.real[cols, rows] = np.multiply(x, sigma, out=x)
     v.imag[rows, cols] = np.multiply(y, sigma, out=y)
     v.imag[cols, rows] = np.negative(y, out=y)
-    del rows, cols, x, y  # freed before validation copies V
+    del rows, cols, x, y  # freed before H's validation copies V
     np.fill_diagonal(v, np.sqrt(mean_sq) * stream.normal(n))
-    return HermitianOperator(v)
+    return v
 
 
-def build_v_constant(n: int, value_sq: float) -> HermitianOperator:
-    """Perturbation with every entry equal to sqrt(value_sq): a rank-1
-    matrix whose only nonzero eigenvalue is n * sqrt(value_sq).
+def build_v_constant(n: int, value_sq: float) -> np.ndarray:
+    """Perturbation with every entry equal to sqrt(value_sq), as an (n, n)
+    complex array: a rank-1 matrix whose only nonzero eigenvalue is
+    n * sqrt(value_sq).
     """
     if value_sq < 0:
         raise ParameterError(f"squared value must be >= 0, got {value_sq}")
-    return HermitianOperator(np.full((n, n), np.sqrt(value_sq), dtype=np.complex128))
+    return np.full((n, n), np.sqrt(value_sq), dtype=np.complex128)
 
 
-def build_perturbation(spec: ModelSpec) -> HermitianOperator:
+def build_perturbation(spec: ModelSpec) -> np.ndarray:
     """The perturbation selected by a spec, seeded from its child stream."""
     v_seed = child_seed(spec.seed, PERTURBATION_STREAM)
     if spec.v_kind == "gaussian":
@@ -136,10 +139,11 @@ def assemble_hamiltonian(spec: ModelSpec) -> HermitianOperator:
 
     H0 is diagonal with equidistant levels ``k * delta_e``, k = 0..n-1,
     starting at zero (expectation-value dynamics are invariant under a
-    global energy shift).  It is added to the diagonal of a copy of V, so
-    the only n x n arrays are V and H.
+    global energy shift).  Its levels are added in place to the diagonal of
+    V, and the sum is validated once, so the only n x n arrays are V and
+    the validated copy H.
     """
-    h = build_perturbation(spec).matrix.copy()
+    h = build_perturbation(spec)
     levels = np.arange(spec.n)
     h[levels, levels] += levels * float(spec.delta_e)
     return HermitianOperator(h)

@@ -5,7 +5,9 @@ its variance is the spectral variance over n + 1.  Statistics of the
 substitute ensemble follow by mapping the measured operator through
 ``D = (1 + d A) C (1 + d A) / (1 + d^2)`` and reusing the uniform formulas.
 The time-dependent variance admits a closed-form Cauchy-Schwarz upper
-bound in the moments c_4 and c_8.
+bound, derived for a general observable in the moments c_4 and c_8.  Every
+observable here is a +/-1 sign vector, so the even moments are exactly 1 and
+the odd ones equal c_1: the closed forms take c_1 and n alone.
 
 The exact time-dependent variance is the uniform-ensemble variance of
 ``D(t) = (1 + d A) A(t) (1 + d A) / (1 + d^2)``.  The observable is diagonal
@@ -37,62 +39,46 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NegativeMomentError,
-    ParameterError,
-    TooFewTrajectoriesError,
-)
+from .errors import DimensionMismatchError, ParameterError, TooFewTrajectoriesError
 from .operators import SpectralDecomposition, plus_rows
 
 if TYPE_CHECKING:
     from .ensembles import OmegaParams
 
 
-def norm_variance_analytic(d: float, c3: float, c4: float, n: int) -> float:
+def norm_variance_analytic(d: float, c1: float, n: int) -> float:
     """Variance of omega norms:
-    ``(4 d^2 + 4 d^3 c_3 + d^4 (c_4 - 1)) / ((n + 1) (1 + d^2)^2)``.
+    ``(4 d^2 + 4 d^3 c_1) / ((n + 1) (1 + d^2)^2)``.
 
     It is the uniform-ensemble variance of ``(1 + d A)^2 / (1 + d^2)``, the
-    identity mapped through D; the tests check the two agree for a
-    trace-free, c_2 = 1 observable.
+    identity mapped through D; the tests check the two agree.
     """
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
-    return (4 * d**2 + 4 * d**3 * c3 + d**4 * (c4 - 1.0)) / ((n + 1) * (1.0 + d**2) ** 2)
+    return (4 * d**2 + 4 * d**3 * c1) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
-def mean_expectation_analytic(d: float, c3: float) -> float:
+def mean_expectation_analytic(d: float, c1: float) -> float:
     """Mean expectation value over the substitute ensemble:
-    ``(2 d + d^2 c_3) / (1 + d^2)``."""
-    return (2 * d + d**2 * c3) / (1.0 + d**2)
+    ``(2 d + d^2 c_1) / (1 + d^2)`` (the general c_3 is c_1 here)."""
+    return (2 * d + d**2 * c1) / (1.0 + d**2)
 
 
-def variance_bound(d: float, c4: float, c8: float, n: int) -> float:
-    """Time-independent upper bound on the expectation-value variance:
+def variance_bound(d: float, n: int) -> float:
+    """Time-independent upper bound on the expectation-value variance,
+    ``(1 + 4 d + 6 d^2 + 4 d^3 + d^4) / ((n + 1) (1 + d^2)^2)``.
 
-    ``(1 + 4 d sqrt(c4) + 6 d^2 c4 + 4 d^3 sqrt(c4) (c4 c8)^{1/4}
-       + d^4 sqrt(c4 c8)) / ((n + 1) (1 + d^2)^2)``
-
-    Derived with positive-coefficient Cauchy-Schwarz steps, hence valid for
-    d >= 0 only; negative d is rejected rather than guessed.
+    It is the paper's bound for a general observable at c_4 = c_8 = 1, as
+    for every sign vector; the numerator is summed term by term as there,
+    not as (1 + d)^4, so both give the same bits.  Derived with
+    positive-coefficient Cauchy-Schwarz steps, hence valid for d >= 0 only;
+    negative d is rejected rather than guessed.
     """
-    if c4 < 0 or c8 < 0:
-        raise NegativeMomentError(f"even moments must be >= 0, got c4={c4}, c8={c8}")
     if d < 0:
         raise ParameterError(f"the bound is derived for d >= 0, got d={d}")
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
-    root_c4 = np.sqrt(c4)
-    quarter = (c4 * c8) ** 0.25
-    numerator = (
-        1.0
-        + 4 * d * root_c4
-        + 6 * d**2 * c4
-        + 4 * d**3 * root_c4 * quarter
-        + d**4 * np.sqrt(c4 * c8)
-    )
-    return float(numerator) / ((n + 1) * (1.0 + d**2) ** 2)
+    return (1.0 + 4 * d + 6 * d**2 + 4 * d**3 + d**4) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
 def exact_hv_series(
@@ -109,8 +95,8 @@ def exact_hv_series(
         HV = [1 - tau^2 + 4 d tau (1 - C) / alpha
               + 4 d^2 (F - C^2) / alpha^2] / (n + 1)
 
-    with tau = (2 n_+ - n)/n and alpha = 1 + d^2 (derivation in the module
-    docstring).  This holds for balanced and unbalanced observables alike,
+    with tau = c_1 = (2 n_+ - n)/n and alpha = 1 + d^2 (derivation in the
+    module docstring).  This holds for balanced and unbalanced observables alike,
     including +/-I.  It stays below :func:`variance_bound` (to rounding)
     for d >= 0.  The tests pin the agreement with the dense per-time
     composition and with the general energy-basis formula.
@@ -120,7 +106,7 @@ def exact_hv_series(
     u_plus_h = u_plus.conj().T
     n = dec.dim
     n_plus = u_plus.shape[0]
-    tau = (2 * n_plus - n) / n
+    tau = params.moments[1]
     alpha = 1.0 + d**2
 
     out = np.empty(len(times))

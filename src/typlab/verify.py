@@ -72,20 +72,11 @@ def _result(name: str, error: float, tolerance: float, measured: str, criterion:
     return CheckResult(name, error <= tolerance, measured, criterion, float(margin))
 
 
-def run_verification(
-    config: ExperimentConfig,
-    observable_override: np.ndarray | None = None,
-) -> list[CheckResult]:
-    """Run every verification check; returns results in a fixed order.
-
-    ``observable_override`` substitutes a sign vector for the model's
-    observable (a test hook for corrupted-observable negative tests).
-    """
+def run_verification(config: ExperimentConfig) -> list[CheckResult]:
+    """Run every verification check; returns results in a fixed order."""
     model = build_model(config.model)
     d = config.d
-    params = OmegaParams(
-        d=d, observable=model.observable if observable_override is None else observable_override
-    )
+    params = OmegaParams(d=d, observable=model.observable)
     a = params.observable
     n = a.size
     base = config.base_seed
@@ -103,22 +94,22 @@ def run_verification(
         )
     )
 
-    # Uniform-ensemble mean c1 and variance (c2 - c1^2)/(n + 1) against the
-    # Monte Carlo estimator.  The state block is not kept: it is freed
-    # before the omega block is built.
+    # Uniform-ensemble mean c1 and variance (1 - c1^2)/(n + 1) (c2 = 1 for a
+    # sign vector) against the Monte Carlo estimator.  The state block is
+    # not kept: it is freed before the omega block is built.
     vals = expectations(
         a, sample_uniform_states(n, N_UNIFORM_SAMPLES, child_seed(base, UNIFORM_MC_STREAM))
     )
-    ha = moments[1]
-    hv = (moments[2] - moments[1] ** 2) / (n + 1)
+    c1 = moments[1]
+    hv = (1 - c1**2) / (n + 1)
     se = float(vals.std(ddof=1)) / np.sqrt(N_UNIFORM_SAMPLES)
-    err = abs(float(vals.mean()) - ha)
+    err = abs(float(vals.mean()) - c1)
     results.append(
         _result(
             "uniform-mean",
             err,
             3 * se,
-            f"sample {vals.mean():.6f} vs analytic {ha:.6f}",
+            f"sample {vals.mean():.6f} vs analytic {c1:.6f}",
             f"|diff| <= 3 SE = {3 * se:.2e} ({N_UNIFORM_SAMPLES} states)",
         )
     )
@@ -134,10 +125,9 @@ def run_verification(
     )
 
     # Substitute-ensemble norm and expectation statistics.
-    c3, c4, c8 = moments[3], moments[4], moments[8]
-    eq_norm_var = norm_variance_analytic(d, c3, c4, n)
-    eq_mean = mean_expectation_analytic(d, c3)
-    eq_bound = variance_bound(d, c4, c8, n)
+    eq_norm_var = norm_variance_analytic(d, c1, n)
+    eq_mean = mean_expectation_analytic(d, c1)
+    eq_bound = variance_bound(d, n)
     omegas = make_omegas(
         sample_uniform_states(n, N_OMEGA_SAMPLES, child_seed(base, OMEGA_MC_STREAM)), params
     )

@@ -159,8 +159,10 @@ def average_density(params: OmegaParams, n: int) -> HermitianOperator:
 
 
 # Observables the sign-vector gate (OmegaParams) must reject with
-# NotDiagonalError: entries other than exactly +/-1, and matrices.
+# NotDiagonalError: entries other than exactly +/-1, matrices, and the
+# empty vector, whose c1 would be NaN.
 NOT_PM1_OBSERVABLES = {
+    "empty": lambda: np.array([]),
     "diag(2,-2)": lambda: np.array([2.0, -2.0]),
     "diag(1,0)": lambda: np.array([1.0, 0.0]),
     "dense": lambda: random_hermitian(2, seed=1),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from typlab.cli import main
-from typlab.csvio import read_stats_csv, write_stats_csv
+from typlab.csvio import read_stats_csv, write_stats_csv, write_trajectories_csv
 from typlab.errors import ConvergenceError
 from typlab.operators import RECONSTRUCTION_RTOL, UNITARITY_RTOL
 
@@ -230,4 +230,17 @@ def test_plot_non_finite_stats_fails_cleanly(tmp_path, capsys, cell):
     assert main(["plot", "--stats", str(stats), "--out", str(fig)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite value") and "Traceback" not in err
+    assert not fig.exists()
+
+
+def test_plot_rejects_trajectories_on_another_grid(tmp_path, capsys):
+    stats, trajectories = tmp_path / "stats.csv", tmp_path / "trajectories.csv"
+    write_stats_csv(stats, np.linspace(0.0, 10.0, 5), np.zeros(5), np.ones(5), 2.0)
+    write_trajectories_csv(trajectories, np.linspace(0.0, 300.0, 5), np.zeros((2, 5)))
+    fig = tmp_path / "fig.svg"
+    argv = ["plot", "--stats", str(stats), "--trajectories", str(trajectories)]
+    assert main(argv + ["--out", str(fig)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(stats) in err and str(trajectories) in err
     assert not fig.exists()

@@ -122,7 +122,7 @@ class TestOmega:
         params = OmegaParams(d=d, observable=a)
         omegas = make_omegas(sample_uniform_states(n, count, seed=41), params)
         norms = np.sum(omegas.conj() * omegas, axis=1).real
-        band = 3 * np.sqrt(norm_variance_analytic(d, 0.0, 1.0, n) / count)
+        band = 3 * np.sqrt(norm_variance_analytic(d, 0.0, n) / count)
         assert abs(norms.mean() - 1.0) < band
 
     def test_batch_matches_single(self):

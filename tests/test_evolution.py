@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,24 @@ class TestEnsembleRuns:
         a = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), grid)
         b = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), grid)
         assert np.array_equal(a, b)
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        # no n x n temporary: U^dagger omega is formed without conj(U)
+        n = 400
+        model = build_model(
+            ModelSpec(n=n, delta_e=0.01, v_kind="gaussian", v_scale=1e-4, seed=3)
+        )
+        dec = eigendecompose(model.hamiltonian)
+        params = OmegaParams(d=0.1, observable=model.observable)
+        omegas = trajectory_omegas(params, 4, base_seed=8)
+        grid = TimeGrid.uniform(10.0, 5)
+        tracemalloc.start()
+        try:
+            run_ensemble(dec, params, omegas, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n**2
 
     def test_out_of_band_start_logged_with_seed(self, dense_model, monkeypatch, caplog):
         model, dec = dense_model

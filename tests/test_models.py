@@ -82,11 +82,11 @@ class TestObservable:
 class TestGaussianPerturbation:
     def test_zero_scale_is_zero_matrix(self):
         v = build_v_gaussian(10, 0.0, seed=1)
-        assert not np.any(v.matrix)
+        assert not np.any(v)
 
     def test_offdiagonal_second_moment(self):
         mean_sq = 2.25e-8
-        v = build_v_gaussian(2000, mean_sq, seed=31).matrix
+        v = build_v_gaussian(2000, mean_sq, seed=31)
         rows, cols = np.triu_indices(2000, k=1)
         sample = np.abs(v[rows, cols]) ** 2
         # |V_jk|^2 is exponential with mean mean_sq, so SE = mean / sqrt(m)
@@ -95,42 +95,42 @@ class TestGaussianPerturbation:
 
     def test_hermitian_by_construction(self):
         v = build_v_gaussian(50, 1e-4, seed=3)
-        HermitianOperator(v.matrix)
+        HermitianOperator(v)
 
     def test_diagonal_variance_scale(self):
-        v = build_v_gaussian(4000, 1.0, seed=9).matrix
+        v = build_v_gaussian(4000, 1.0, seed=9)
         diag = v.diagonal().real
         assert abs(np.var(diag) - 1.0) < 5 / np.sqrt(4000)
 
     def test_deterministic(self):
         a = build_v_gaussian(25, 1e-3, seed=8)
         b = build_v_gaussian(25, 1e-3, seed=8)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
 
 class TestConstantPerturbation:
     def test_rank_one_structure(self):
         v = build_v_constant(3, 4.0)
-        assert np.array_equal(v.matrix.real, np.full((3, 3), 2.0))
-        eigenvalues = np.linalg.eigvalsh(v.matrix)
+        assert np.array_equal(v.real, np.full((3, 3), 2.0))
+        eigenvalues = np.linalg.eigvalsh(v)
         assert np.allclose(eigenvalues, [0.0, 0.0, 6.0], atol=1e-12)
 
     def test_paper_entry_value(self):
         v = build_v_constant(4, 2.25e-8)
-        assert v.matrix[0, 0].real == pytest.approx(1.5e-4, rel=1e-15)
+        assert v[0, 0].real == pytest.approx(1.5e-4, rel=1e-15)
 
     def test_top_eigenvalue_at_paper_scale(self):
         # the nonzero eigenvalue of the all-constant matrix is n * sqrt(v),
         # checked by applying the matrix to the uniform vector
         v = build_v_constant(6000, 2.25e-8)
         ones = np.ones(6000)
-        image = v.matrix @ ones
+        image = v @ ones
         assert np.allclose(image, 0.9 * ones, rtol=1e-12)
         assert 6000 * np.sqrt(2.25e-8) == pytest.approx(0.9, rel=1e-14)
 
     def test_top_eigenvalue_small_instance(self):
         v = build_v_constant(600, 2.25e-6)
-        top = np.linalg.eigvalsh(v.matrix)[-1]
+        top = np.linalg.eigvalsh(v)[-1]
         assert top == pytest.approx(600 * 1.5e-3, rel=1e-10)
 
 
@@ -150,7 +150,7 @@ class TestAssemble:
     @pytest.mark.parametrize("v_kind, v_scale", [("gaussian", 1e-6), ("constant", 4e-8)])
     def test_bytes_equal_dense_sum(self, v_kind, v_scale):
         spec = ModelSpec(n=40, delta_e=1e-3, v_kind=v_kind, v_scale=v_scale, seed=9)
-        dense = build_h0(spec.n, spec.delta_e).matrix + build_perturbation(spec).matrix
+        dense = build_h0(spec.n, spec.delta_e).matrix + build_perturbation(spec)
         assert assemble_hamiltonian(spec).matrix.tobytes() == dense.tobytes()
 
     def test_bit_identical_for_equal_specs(self):
@@ -171,6 +171,19 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * 16 * n**2
+
+    def test_build_validates_once(self, monkeypatch):
+        # V is Hermitian by construction; H's one gate checks every entry
+        validated = []
+        original = HermitianOperator.__post_init__
+
+        def counting(op):
+            validated.append(np.shape(op.matrix))
+            original(op)
+
+        monkeypatch.setattr(HermitianOperator, "__post_init__", counting)
+        build_model(ModelSpec(n=40, delta_e=1e-3, v_kind="gaussian", v_scale=1e-6, seed=5))
+        assert validated == [(40, 40)]
 
     def test_observable_and_perturbation_use_distinct_streams(self):
         spec = ModelSpec(n=40, delta_e=1e-3, v_kind="gaussian", v_scale=1e-6, seed=123)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from typlab.ensembles import OmegaParams, sample_uniform_states
 from typlab.errors import (
     DimensionMismatchError,
-    NegativeMomentError,
     NotDiagonalError,
     TooFewTrajectoriesError,
 )
@@ -35,6 +34,31 @@ from conftest import (
 
 def pm1_operator(n: int, seed: int) -> HermitianOperator:
     return dense_observable(build_observable_pm1(n, seed))
+
+
+def general_norm_variance(d, c3, c4, n):
+    """The norm variance for a general observable, in c_3 and c_4."""
+    return (4 * d**2 + 4 * d**3 * c3 + d**4 * (c4 - 1.0)) / ((n + 1) * (1.0 + d**2) ** 2)
+
+
+def general_mean_expectation(d, c3):
+    """The mean expectation value for a general observable, in c_3."""
+    return (2 * d + d**2 * c3) / (1.0 + d**2)
+
+
+def general_variance_bound(d, c4, c8, n):
+    """The paper's time-independent bound for a general observable, in c_4
+    and c_8."""
+    root_c4 = np.sqrt(c4)
+    quarter = (c4 * c8) ** 0.25
+    numerator = (
+        1.0
+        + 4 * d * root_c4
+        + 6 * d**2 * c4
+        + 4 * d**3 * root_c4 * quarter
+        + d**4 * np.sqrt(c4 * c8)
+    )
+    return float(numerator) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
 def reference_hv_series(a_op, dec, d, times):
@@ -115,7 +139,7 @@ class TestAnalyticIdentities:
     @pytest.mark.parametrize("n", [50, 200])
     def test_norm_variance_identity(self, d, n):
         a = pm1_operator(n, seed=n + 1)
-        direct = norm_variance_analytic(d, 0.0, 1.0, n)
+        direct = norm_variance_analytic(d, 0.0, n)
         composed = hv_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
         assert abs(direct - composed) <= 1e-12
 
@@ -128,10 +152,10 @@ class TestAnalyticIdentities:
         assert abs(direct - composed) <= 1e-12
 
     def test_norm_variance_values(self):
-        assert norm_variance_analytic(0.0, 0.0, 1.0, 100) == 0.0
+        assert norm_variance_analytic(0.0, 0.0, 100) == 0.0
         # 4 d^2 / ((n+1) (1+d^2)^2) with d=0.1, n=6000
         expected = 0.04 / (6001 * 1.01**2)
-        assert norm_variance_analytic(0.1, 0.0, 1.0, 6000) == pytest.approx(expected, rel=1e-14)
+        assert norm_variance_analytic(0.1, 0.0, 6000) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(6.534e-6, rel=1e-3)
 
     def test_mean_expectation_values(self):
@@ -143,30 +167,45 @@ class TestAnalyticIdentities:
         assert slope == pytest.approx(2.0, abs=1e-9)
 
 
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("c1", [-1.0, -0.5, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 60, 600, 1200])
+def test_sign_vector_forms_equal_the_general_ones_bit_for_bit(c1, n):
+    # a sign vector has c3 = c1 and c4 = c8 = 1 exactly
+    for d in [float(x) for x in np.linspace(0.0, 0.999, 334)] + [0.1, 0.3, 1 / 3]:
+        assert bits(norm_variance_analytic(d, c1, n)) == bits(general_norm_variance(d, c1, 1.0, n))
+        assert bits(mean_expectation_analytic(d, c1)) == bits(general_mean_expectation(d, c1))
+        assert bits(variance_bound(d, n)) == bits(general_variance_bound(d, 1.0, 1.0, n))
+
+
+def test_sign_vector_moments_are_exact():
+    signs = pm1_with_plus_fraction(50, 0.3, seed=2)
+    c = OmegaParams(d=0.1, observable=signs).moments
+    assert [c[i] for i in (2, 4, 6, 8)] == [1.0] * 4
+    assert c[3] == c[5] == c[7] == c[1]
+
+
 class TestVarianceBound:
     def test_reduces_to_uniform_variance_at_zero(self):
-        assert variance_bound(0.0, 1.0, 1.0, 100) == pytest.approx(1 / 101)
+        assert variance_bound(0.0, 100) == pytest.approx(1 / 101)
 
     def test_paper_parameters(self):
         # for c4 = c8 = 1 the numerator telescopes to (1+d)^4
         expected = 1.1**4 / (6001 * 1.01**2)
-        assert variance_bound(0.1, 1.0, 1.0, 6000) == pytest.approx(expected, rel=1e-14)
+        assert variance_bound(0.1, 6000) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(2.392e-4, rel=1e-3)
 
     def test_monotone_in_deviation(self):
         grid = np.linspace(0.0, 0.99, 200)
-        values = [variance_bound(d, 1.0, 1.0, 500) for d in grid]
+        values = [variance_bound(d, 500) for d in grid]
         assert np.all(np.diff(values) > 0)
-
-    def test_negative_moment_rejected(self):
-        with pytest.raises(NegativeMomentError):
-            variance_bound(0.1, -1.0, 1.0, 10)
-        with pytest.raises(NegativeMomentError):
-            variance_bound(0.1, 1.0, -1.0, 10)
 
     def test_negative_deviation_rejected(self):
         with pytest.raises(ValueError):
-            variance_bound(-0.1, 1.0, 1.0, 10)
+            variance_bound(-0.1, 10)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +224,7 @@ class TestExactTimeVariance:
 
     def test_dominated_by_bound(self, small_model):
         model, dec = small_model
-        bound = variance_bound(0.1, 1.0, 1.0, 60)
+        bound = variance_bound(0.1, 60)
         a = dense_observable(model.observable)
         for t in np.linspace(0.0, 40.0, 25):
             assert hv_at_time_exact(a, dec, 0.1, t) <= bound + 1e-10
@@ -268,7 +307,7 @@ class TestSampleStats:
         params = OmegaParams(d=d, observable=a)
         values = run_ensemble(dec, params, trajectory_omegas(params, m, 71), grid)
         stats = sample_stats(values, grid.times)
-        band = 3 * np.sqrt(variance_bound(d, 1.0, 1.0, n) / m)
+        band = 3 * np.sqrt(variance_bound(d, n) / m)
         assert abs(stats.mean[0] - mean_expectation_analytic(d, 0.0)) < band
 
 

@@ -76,10 +76,19 @@ def test_zero_deviation_targets_zero_mean():
     assert by_name["omega-norm-mean"].passed
 
 
-def test_corrupted_observable_fails_moment_gate():
+def test_corrupted_observable_fails_moment_gate(monkeypatch):
     config = parse_config(tiny_raw())
-    corrupted = np.ones(60)  # c1 = 1, trace-free gate broken
-    results = run_verification(config, observable_override=corrupted)
+    original = typlab.verify.build_model
+
+    def corrupted(spec):
+        # the config's model gets A = I: c1 = 1, trace-free gate broken
+        model = original(spec)
+        if spec != config.model:
+            return model
+        return replace(model, observable=np.ones(spec.n))
+
+    monkeypatch.setattr(typlab.verify, "build_model", corrupted)
+    results = run_verification(config)
     by_name = {r.name: r for r in results}
     assert not by_name["moment-gate"].passed
     assert "c1" in by_name["moment-gate"].measured
