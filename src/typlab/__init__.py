@@ -19,13 +19,12 @@ from .ensembles import (
 )
 from .errors import TyplabError
 from .evolution import (
-    TimeGrid,
     expectation,
     expectations,
     run_ensemble,
     trajectory_omegas,
 )
-from .experiment import RunResult, execute_run
+from .experiment import execute_run
 from .models import (
     ModelSpec,
     ModelSystem,
@@ -41,7 +40,6 @@ from .operators import (
 )
 from .rng import RNG_ALGORITHM, SeedStream, child_seed
 from .stats import (
-    EnsembleStats,
     exact_hv_series,
     mean_expectation_analytic,
     norm_variance_analytic,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult",
-    "EnsembleStats",
     "ExperimentConfig",
     "HermitianOperator",
     "ModelSpec",
@@ -62,11 +59,9 @@ __all__ = [
     "OmegaParams",
     "OutputSettings",
     "RNG_ALGORITHM",
-    "RunResult",
     "SeedStream",
     "SpectralDecomposition",
     "StateVector",
-    "TimeGrid",
     "TimeSettings",
     "TyplabError",
     "build_model",

@@ -59,13 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config).with_overrides(out_dir=args.out, base_seed=args.seed)
-    result = execute_run(config)
-    print(f"wrote {result.stats_path}")
-    if result.trajectories_path is not None:
-        print(f"wrote {result.trajectories_path}")
-    print(f"wrote {result.meta_path}")
-    if result.plot_path is not None:
-        print(f"wrote {result.plot_path}")
+    for path in execute_run(config):
+        print(f"wrote {path}")
     return 0
 
 

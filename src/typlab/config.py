@@ -20,6 +20,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigParseError, TyplabError
 from .models import ModelSpec
 from .operators import PEAK_MATRICES
@@ -163,8 +165,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     if m < 2:
         raise ConfigParseError(f"field 'M' must be >= 2 (variance needs it), got {m}")
-    if not t_max > 0:
-        raise ConfigParseError(f"field 'time.t_max' must be > 0, got {t_max}")
     if points < 2:
         raise ConfigParseError(f"field 'time.points' must be >= 2, got {points}")
     # Largest |energy| estimate: the H0 bandwidth plus n times the typical
@@ -191,6 +191,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"field '{name}' = {value} needs about {footprint / 2**30:.3g} GiB, "
                 f"more than the {memory / 2**30:.3g} GiB of physical memory"
             )
+    # The run's grid, built once its size is known to fit; besides t_max <= 0,
+    # a subnormal t_max fails here, since np.linspace then repeats times.
+    if np.any(np.diff(np.linspace(0.0, t_max, points)) <= 0):
+        raise ConfigParseError(
+            f"field 'time.t_max' must be > 0 and give a strictly increasing grid of "
+            f"time.points = {points} times, got {t_max:g}"
+        )
     return config
 
 

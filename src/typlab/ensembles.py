@@ -147,18 +147,11 @@ def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
 def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
     """Apply the deviation map ``(1 + d A)/sqrt(1 + d^2)`` to a state.
 
-    A is diagonal +/-1, so the map is elementwise,
-    ``(psi + d * (a * psi)) / sqrt(1 + d^2)`` with ``a = params.observable``.
-    No renormalization: the image ensemble is only near-normalized.  A norm
+    The map of :func:`make_omegas`, applied to the state's one-row view.  No
+    renormalization: the image ensemble is only near-normalized.  A norm
     outside the 10-sigma analytic band is logged, not fatal.
     """
-    a = params.observable
-    if psi.dim != a.size:
-        raise DimensionMismatchError(
-            f"state dim {psi.dim} does not match observable dim {a.size}"
-        )
-    amp = (psi.amplitudes + params.d * (a * psi.amplitudes)) / np.sqrt(1.0 + params.d**2)
-    omega = StateVector(amp)
+    omega = StateVector(_deviation_map(psi.amplitudes[None, :], params)[0])
     low, high = params.norm_sq_band
     if not low <= omega.norm_sq <= high:
         logger.warning(
@@ -171,9 +164,15 @@ def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
 
 
 def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
-    """:func:`make_omega` for a (count, n) block of states, one per row:
-    the sign vector scales every row elementwise, with the same operations
-    in the same order, so each row equals the single-state result."""
+    """:func:`make_omega` for a (count, n) block of states, one per row: A is
+    diagonal +/-1, so the map is ``(psi + d * (a * psi)) / sqrt(1 + d^2)``
+    elementwise with ``a = params.observable``."""
+    return _deviation_map(psis, params)
+
+
+def _deviation_map(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
+    # The one home of the map.  make_omega reaches it here rather than
+    # through make_omegas, so a profile of make_omegas counts block calls only.
     a = params.observable
     if psis.ndim != 2 or psis.shape[1] != a.size:
         raise DimensionMismatchError(

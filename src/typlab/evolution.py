@@ -17,7 +17,6 @@ kernel) and checks its imaginary residue, never silently discarding it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,37 +30,6 @@ from .rng import child_seed
 logger = logging.getLogger(__name__)
 
 IMAG_RESIDUE_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing times starting at 0 (units of inverse energy)."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=np.float64, copy=True)
-        if t.ndim != 1 or t.size < 2:
-            raise ParameterError(f"time grid needs at least 2 points, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ParameterError("time grid contains non-finite values")
-        if t[0] != 0.0:
-            raise ParameterError(f"time grid must start at 0, got {t[0]}")
-        if np.any(np.diff(t) <= 0):
-            raise ParameterError("time grid must be strictly increasing")
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
-
-    @classmethod
-    def uniform(cls, t_max: float, points: int) -> "TimeGrid":
-        if points < 2:
-            raise ParameterError(f"grid needs at least 2 points, got {points}")
-        if not t_max > 0:
-            raise ParameterError(f"t_max must be > 0, got {t_max}")
-        return cls(np.linspace(0.0, t_max, points))
-
-    def __len__(self) -> int:
-        return self.times.size
 
 
 def expectation(a_op: HermitianOperator, phi: StateVector) -> float:
@@ -133,10 +101,11 @@ def run_ensemble(
     dec: SpectralDecomposition,
     params: OmegaParams,
     omegas: np.ndarray,
-    grid: TimeGrid,
+    times: np.ndarray,
 ) -> np.ndarray:
     """The (M, T) array a_i(t_k) = <omega_i(t_k)|A|omega_i(t_k)> of the
-    states in the M columns of ``omegas``, with A = ``params.observable``.
+    states in the M columns of ``omegas`` at the T entries of ``times``,
+    with A = ``params.observable``; config parse checks a run's grid.
 
     All states are rotated into the energy eigenbasis at once,
     C = U^dagger [omega_0 ... omega_{M-1}].  A is the validated sign vector,
@@ -152,8 +121,8 @@ def run_ensemble(
     coeff = (dec.eigenvectors.T @ omegas.conj()).conj()
     norms_sq = np.sum(omegas.real**2 + omegas.imag**2, axis=0)
 
-    values = np.empty((omegas.shape[1], len(grid)))
-    for k, t in enumerate(grid.times):
+    values = np.empty((omegas.shape[1], len(times)))
+    for k, t in enumerate(times):
         evolved = u_plus @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
         values[:, k] = 2.0 * np.sum(evolved.real**2 + evolved.imag**2, axis=0) - norms_sq
     return values

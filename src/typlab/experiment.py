@@ -1,5 +1,6 @@
 """Experiment orchestration: build the model, draw the trajectory states,
-propagate them, aggregate statistics, and emit the output files.
+propagate them over the time grid that config parse checked, aggregate their
+mean and variance, and emit the output files; the stages pass plain arrays.
 
 Outputs per run directory:
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +27,11 @@ import numpy as np
 from .config import ExperimentConfig, config_as_dict
 from .csvio import write_stats_csv, write_trajectories_csv
 from .ensembles import OmegaParams
-from .evolution import TimeGrid, run_ensemble, trajectory_omegas
-from .models import ModelSystem, build_model
+from .evolution import run_ensemble, trajectory_omegas
+from .models import build_model
 from .operators import eigendecompose
 from .rng import RNG_ALGORITHM, child_seed
 from .stats import (
-    EnsembleStats,
     mean_expectation_analytic,
     norm_variance_analytic,
     sample_stats,
@@ -41,23 +40,6 @@ from .stats import (
 from .svgplot import render_figure
 
 SEED_DERIVATION = "child_seed(i) = mix64(base_seed XOR (i+1)*0x9e3779b97f4a7c15)"
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Everything a run produced, with the paths that were written."""
-
-    config: ExperimentConfig
-    model: ModelSystem
-    trajectories: np.ndarray
-    stats: EnsembleStats
-    moments: dict[int, float]
-    bound: float
-    out_dir: Path
-    stats_path: Path
-    trajectories_path: Path | None
-    meta_path: Path
-    plot_path: Path | None
 
 
 def _write_atomically(path: Path, write, *args) -> None:
@@ -71,22 +53,21 @@ def _write_atomically(path: Path, write, *args) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
-    """Run one experiment and write its outputs.
-
-    ``out_dir`` overrides the config's output directory.  The directory is
-    created and every file written after aggregation, single-writer.
+def execute_run(config: ExperimentConfig) -> list[Path]:
+    """Run one experiment and return the paths of the outputs it wrote, in
+    write order.  The config's output directory is created and every file
+    written after aggregation, single-writer.
     """
-    out = Path(out_dir if out_dir is not None else config.output.directory)
+    out = Path(config.output.directory)
 
     model = build_model(config.model)
     dec = eigendecompose(model.hamiltonian)
     params = OmegaParams(d=config.d, observable=model.observable)
-    grid = TimeGrid.uniform(config.time.t_max, config.time.points)
+    times = np.linspace(0.0, config.time.t_max, config.time.points)
     trajectories = run_ensemble(
-        dec, params, trajectory_omegas(params, config.num_trajectories, config.base_seed), grid
+        dec, params, trajectory_omegas(params, config.num_trajectories, config.base_seed), times
     )
-    stats = sample_stats(trajectories, grid.times)
+    mean, variance = sample_stats(trajectories)
 
     moments = params.moments
     bound = variance_bound(config.d, config.model.n)
@@ -114,42 +95,29 @@ def execute_run(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
     }
 
     out.mkdir(parents=True, exist_ok=True)
-    stats_path = out / "stats.csv"
-    _write_atomically(stats_path, write_stats_csv, stats.times, stats.mean, stats.variance, bound)
+    written = [out / "stats.csv"]
+    _write_atomically(written[-1], write_stats_csv, times, mean, variance, bound)
 
-    trajectories_path = None
     if config.output.emit_trajectories:
-        trajectories_path = out / "trajectories.csv"
-        _write_atomically(trajectories_path, write_trajectories_csv, stats.times, trajectories)
+        written.append(out / "trajectories.csv")
+        _write_atomically(written[-1], write_trajectories_csv, times, trajectories)
 
-    meta_path = out / "meta"
-    _write_atomically(meta_path, Path.write_text, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    written.append(out / "meta")
+    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    _write_atomically(written[-1], Path.write_text, meta_text)
 
-    plot_path = None
     if config.output.emit_plot:
-        plot_path = out / "plot.svg"
+        written.append(out / "plot.svg")
         stats_columns = {
-            "t": stats.times,
-            "mean": stats.mean,
-            "variance": stats.variance,
-            "bound": np.full_like(stats.times, bound),
+            "t": times,
+            "mean": mean,
+            "variance": variance,
+            "bound": np.full_like(times, bound),
         }
-        shown = (stats.times, trajectories) if config.output.emit_trajectories else None
-        _write_atomically(plot_path, Path.write_text, render_figure(stats_columns, shown))
+        shown = (times, trajectories) if config.output.emit_trajectories else None
+        _write_atomically(written[-1], Path.write_text, render_figure(stats_columns, shown))
 
-    return RunResult(
-        config=config,
-        model=model,
-        trajectories=trajectories,
-        stats=stats,
-        moments=moments,
-        bound=bound,
-        out_dir=out,
-        stats_path=stats_path,
-        trajectories_path=trajectories_path,
-        meta_path=meta_path,
-        plot_path=plot_path,
-    )
+    return written
 
 
 def moment_flags(moments: dict[int, float]) -> list[str]:

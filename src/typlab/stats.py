@@ -34,7 +34,6 @@ A = 2 P_+ - I,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,36 +124,9 @@ def exact_hv_series(
     return out
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Per-time sample mean and unbiased variance over an ensemble."""
-
-    times: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        for name in ("times", "mean", "variance"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (self.times.shape == self.mean.shape == self.variance.shape):
-            raise DimensionMismatchError(
-                f"times {self.times.shape}, mean {self.mean.shape} and variance "
-                f"{self.variance.shape} must share one shape"
-            )
-        if self.count < 2:
-            raise TooFewTrajectoriesError(
-                f"variance needs at least 2 trajectories, got {self.count}"
-            )
-        if np.any(self.variance < 0):
-            raise ParameterError("sample variance must be non-negative")
-
-
-def sample_stats(trajectories: np.ndarray, times: np.ndarray) -> EnsembleStats:
-    """Per-time mean and unbiased (M - 1) sample variance of an (M, T)
-    trajectory array sampled at ``times``.
+def sample_stats(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-time ``(mean, variance)`` of an (M, T) trajectory array, the
+    variance unbiased with the (M - 1) divisor.
 
     Summation runs over the rows in order, so repeated runs aggregate
     identically.
@@ -166,4 +138,4 @@ def sample_stats(trajectories: np.ndarray, times: np.ndarray) -> EnsembleStats:
     mean = values.mean(axis=0)
     centered = values - mean
     variance = (centered**2).sum(axis=0) / (m - 1)
-    return EnsembleStats(times=times, mean=mean, variance=variance, count=m)
+    return mean, variance

@@ -29,9 +29,9 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
     raw_step = (hi - lo) / (count - 1)
+    if not raw_step > 0:  # an empty span, or one so narrow that its step underflows
+        return np.array([lo])
     power = 10.0 ** np.floor(np.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * power

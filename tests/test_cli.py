@@ -57,6 +57,21 @@ def test_run_writes_outputs_and_is_byte_stable(tmp_path):
     xml.dom.minidom.parse(str(out1 / "plot.svg"))
 
 
+@pytest.mark.parametrize(
+    "emit,written",
+    [
+        (True, ["stats.csv", "trajectories.csv", "meta", "plot.svg"]),
+        (False, ["stats.csv", "meta"]),
+    ],
+)
+def test_run_prints_the_written_files_in_order(tmp_path, capsys, emit, written):
+    output = {"directory": "unused", "emit_trajectories": emit, "emit_plot": emit}
+    cfg = write_config(tmp_path, output=output)
+    out = tmp_path / "a"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in written)
+
+
 def test_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -179,6 +194,15 @@ def test_huge_t_max_fails_at_parse(tmp_path, capsys):
     assert not (tmp_path / "default_out").exists()
 
 
+def test_subnormal_t_max_fails_at_parse(tmp_path, capsys):
+    # np.linspace(0, 5e-324, 3) repeats a time
+    cfg = write_config(tmp_path, time={"t_max": 5e-324, "points": 3})
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'time.t_max'") and err.count("\n") == 1
+    assert not (tmp_path / "default_out").exists()
+
+
 def test_moments_table(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["moments", "--config", str(cfg)]) == 0
@@ -220,6 +244,20 @@ def test_plot_empty_csv_fails(tmp_path, capsys):
     assert main(["plot", "--stats", str(empty), "--out", str(tmp_path / "f.svg")]) == 1
     assert "empty" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["0.0,0.1,0.2,0.3", "5e-324,0.2,0.2,0.3"], ["0.0,0.0,0.2,0.3", "1.0,5e-324,0.2,0.3"]],
+    ids=["t", "mean"],
+)
+def test_plot_axis_span_of_subnormal_ulps(tmp_path, rows):
+    # a tick step of a quarter of 5e-324 underflows to 0
+    stats = tmp_path / "stats.csv"
+    stats.write_text("t,mean,variance,bound\n" + "\n".join(rows) + "\n")
+    fig = tmp_path / "fig.svg"
+    assert main(["plot", "--stats", str(stats), "--out", str(fig)]) == 0
+    xml.dom.minidom.parse(str(fig))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])

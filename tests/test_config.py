@@ -156,6 +156,11 @@ def test_unknown_model_field_rejected():
             "field 'time.t_max' = 1e[+]09 reaches phases",
             id="phase-overflow-t_max",
         ),
+        pytest.param(
+            lambda r: r["time"].update(t_max=5e-324, points=3),
+            "field 'time.t_max' must be > 0 and give a strictly increasing grid",
+            id="subnormal-t_max",
+        ),
     ],
 )
 def test_invalid_values_named(mutate, needle):

@@ -22,7 +22,6 @@ from typlab.errors import (
     ParameterError,
 )
 from typlab.evolution import (
-    TimeGrid,
     expectation,
     expectations,
     run_ensemble,
@@ -63,26 +62,6 @@ def dense_model():
     spec = ModelSpec(n=40, delta_e=0.02, v_kind="gaussian", v_scale=1e-4, seed=12)
     model = build_model(spec)
     return model, eigendecompose(model.hamiltonian)
-
-
-class TestTimeGrid:
-    def test_uniform_grid(self):
-        grid = TimeGrid.uniform(10.0, 5)
-        assert grid.times[0] == 0.0
-        assert grid.times[-1] == 10.0
-        assert len(grid) == 5
-
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.5, 1.0]))
-
-    def test_must_increase(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0, 2.0, 2.0]))
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0]))
 
 
 class TestExpectation:
@@ -151,18 +130,18 @@ class TestTrajectories:
         h = HermitianOperator(np.diag(np.arange(n) * 0.3).astype(complex))
         dec = eigendecompose(h)
         params = OmegaParams(d=0.1, observable=a)
-        values = run_ensemble(dec, params, trajectory_omegas(params, 3, 3), TimeGrid.uniform(20.0, 15))
+        values = run_ensemble(dec, params, trajectory_omegas(params, 3, 3), np.linspace(0.0, 20.0, 15))
         assert np.ptp(values, axis=1).max() <= 1e-10
 
     def test_schroedinger_equals_heisenberg(self, dense_model):
         model, dec = dense_model
         a = dense_observable(model.observable)
         params = OmegaParams(d=0.1, observable=model.observable)
-        grid = TimeGrid.uniform(15.0, 7)
+        times = np.linspace(0.0, 15.0, 7)
         omegas = trajectory_omegas(params, 2, 9)
-        values = run_ensemble(dec, params, omegas, grid)
+        values = run_ensemble(dec, params, omegas, times)
         for omega, series in zip(omegas.T, values):
-            for k, t in enumerate(grid.times):
+            for k, t in enumerate(times):
                 heisenberg = expectation(heisenberg_observable(a, dec, t), StateVector(omega))
                 assert series[k] == pytest.approx(heisenberg, abs=1e-9)
 
@@ -170,7 +149,7 @@ class TestTrajectories:
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
         omegas = trajectory_omegas(params, 4, 10)
-        values = run_ensemble(dec, params, omegas, TimeGrid.uniform(5.0, 4))
+        values = run_ensemble(dec, params, omegas, np.linspace(0.0, 5.0, 4))
         for omega, series in zip(omegas.T, values):
             start = expectation(dense_observable(model.observable), StateVector(omega))
             assert series[0] == pytest.approx(start, abs=1e-12)
@@ -187,12 +166,12 @@ class TestEnsembleRuns:
             "minus-identity": -np.ones(40),
         }[observable]
         params = OmegaParams(d=0.1, observable=a)
-        grid = TimeGrid.uniform(10.0, 12)
+        times = np.linspace(0.0, 10.0, 12)
         omegas = trajectory_omegas(params, 6, base_seed=21)
-        values = run_ensemble(dec, params, omegas, grid)
+        values = run_ensemble(dec, params, omegas, times)
         assert values.shape == (6, 12)
         for omega, series in zip(omegas.T, values):
-            reference = reference_series(dec, dense_observable(a), StateVector(omega), grid.times)
+            reference = reference_series(dec, dense_observable(a), StateVector(omega), times)
             assert np.abs(series - reference).max() <= 1e-12
 
     # run_ensemble reads the observable through OmegaParams, whose gate
@@ -201,7 +180,7 @@ class TestEnsembleRuns:
         _, dec = dense_model
         with pytest.raises(NotDiagonalError):
             params = OmegaParams(d=0.1, observable=random_hermitian(40, seed=5))
-            run_ensemble(dec, params, np.ones((40, 2), complex), TimeGrid.uniform(1.0, 3))
+            run_ensemble(dec, params, np.ones((40, 2), complex), np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("diagonal", [[2.0, -2.0], [1.0, 0.0], [1.0, -1.0 + 1e-9]])
     def test_observable_not_pm1_rejected(self, dense_model, diagonal):
@@ -209,14 +188,14 @@ class TestEnsembleRuns:
         a = np.tile(diagonal, 20)
         with pytest.raises(NotDiagonalError):
             params = OmegaParams(d=0.1, observable=a)
-            run_ensemble(dec, params, np.ones((40, 2), complex), TimeGrid.uniform(1.0, 3))
+            run_ensemble(dec, params, np.ones((40, 2), complex), np.linspace(0.0, 1.0, 3))
 
     def test_repeat_runs_identical(self, dense_model):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
-        grid = TimeGrid.uniform(10.0, 12)
-        a = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), grid)
-        b = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), grid)
+        times = np.linspace(0.0, 10.0, 12)
+        a = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), times)
+        b = run_ensemble(dec, params, trajectory_omegas(params, 5, base_seed=33), times)
         assert np.array_equal(a, b)
 
     def test_peak_memory_below_one_dense_matrix(self):
@@ -228,10 +207,10 @@ class TestEnsembleRuns:
         dec = eigendecompose(model.hamiltonian)
         params = OmegaParams(d=0.1, observable=model.observable)
         omegas = trajectory_omegas(params, 4, base_seed=8)
-        grid = TimeGrid.uniform(10.0, 5)
+        times = np.linspace(0.0, 10.0, 5)
         tracemalloc.start()
         try:
-            run_ensemble(dec, params, omegas, grid)
+            run_ensemble(dec, params, omegas, times)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -261,7 +240,7 @@ class TestEnsembleRuns:
         params = OmegaParams(d=0.1, observable=model.observable)
         with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
             omegas = trajectory_omegas(params, 20, 8)
-        values = run_ensemble(dec, params, omegas, TimeGrid.uniform(1.0, 3))
+        values = run_ensemble(dec, params, omegas, np.linspace(0.0, 1.0, 3))
         center, spread = params.start_value_band
         assert np.abs(values[:, 0] - center).max() <= spread
         assert [r for r in caplog.records if r.name == "typlab.evolution"] == []
@@ -289,11 +268,11 @@ class TestTrajectoryOmegas:
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
         block = random_state_block(40, 3, seed=17).T
-        grid = TimeGrid.uniform(10.0, 6)
-        values = run_ensemble(dec, params, block, grid)
+        times = np.linspace(0.0, 10.0, 6)
+        values = run_ensemble(dec, params, block, times)
         for column, series in zip(block.T, values):
             reference = reference_series(
-                dec, dense_observable(model.observable), StateVector(column), grid.times
+                dec, dense_observable(model.observable), StateVector(column), times
             )
             assert np.abs(series - reference).max() <= 1e-12
 
@@ -304,13 +283,13 @@ def fitted_decay_rate(config_name):
     config = load_config(CONFIGS / config_name)
     model = build_model(config.model)
     dec = eigendecompose(model.hamiltonian)
-    grid = TimeGrid.uniform(config.time.t_max, config.time.points)
+    times = np.linspace(0.0, config.time.t_max, config.time.points)
     params = OmegaParams(d=config.d, observable=model.observable)
     omegas = trajectory_omegas(params, config.num_trajectories, config.base_seed)
-    values = run_ensemble(dec, params, omegas, grid)
-    mean = sample_stats(values, grid.times).mean
-    early = grid.times <= 150.0
-    slope = np.polyfit(grid.times[early], np.log(mean[early]), 1)[0]
+    values = run_ensemble(dec, params, omegas, times)
+    mean, _ = sample_stats(values)
+    early = times <= 150.0
+    slope = np.polyfit(times[early], np.log(mean[early]), 1)[0]
     golden_rule = 2 * np.pi * config.model.v_scale / config.model.delta_e
     return -slope, golden_rule
 

@@ -3,7 +3,6 @@ import typlab
 # The public API, sorted.  A name enters or leaves only by editing this list.
 EXPORTS = [
     "CheckResult",
-    "EnsembleStats",
     "ExperimentConfig",
     "HermitianOperator",
     "ModelSpec",
@@ -11,11 +10,9 @@ EXPORTS = [
     "OmegaParams",
     "OutputSettings",
     "RNG_ALGORITHM",
-    "RunResult",
     "SeedStream",
     "SpectralDecomposition",
     "StateVector",
-    "TimeGrid",
     "TimeSettings",
     "TyplabError",
     "build_model",
