@@ -22,7 +22,7 @@ import numpy as np
 from .config import load_config
 from .csvio import read_stats_csv, read_trajectories_csv
 from .ensembles import OmegaParams
-from .errors import CsvFormatError, TyplabError
+from .errors import TyplabError
 from .experiment import _write_atomically, execute_run, moment_flags
 from .models import build_observable_pm1, OBSERVABLE_STREAM
 from .rng import child_seed
@@ -99,7 +99,7 @@ def _cmd_plot(args) -> int:
         trajectories = read_trajectories_csv(args.trajectories)
         # Both files round-trip binary64, so a shared grid compares equal.
         if not np.array_equal(trajectories[0], stats["t"]):
-            raise CsvFormatError(f"t of {args.trajectories} differs from t of {args.stats}")
+            raise TyplabError(f"t of {args.trajectories} differs from t of {args.stats}")
     _write_atomically(Path(args.out), Path.write_text, render_figure(stats, trajectories))
     print(f"wrote {args.out}")
     return 0

@@ -7,9 +7,10 @@ annotated type.  Unknown keys are errors (they are usually typos in physics
 parameters), every key is required, and every value is type- and
 range-checked before any work starts, including a bound on the run's size:
 its dense matrices, state blocks and trajectory arrays must fit in physical
-memory.  A base seed given as an override (``typlab run --seed``) passes
-the same range check as the file's.  All failures raise
-:class:`ConfigParseError` naming the offending field.
+memory.  A base seed or output directory given as an override (``typlab
+run --seed``, ``--out``) passes the same check as the file's.  All failures
+raise
+:class:`TyplabError` naming the offending field.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, TyplabError
+from .errors import TyplabError
 from .models import ModelSpec
 from .operators import PEAK_MATRICES
 
@@ -76,11 +77,11 @@ class ExperimentConfig:
     def with_overrides(
         self, out_dir: str | None = None, base_seed: int | None = None
     ) -> "ExperimentConfig":
-        """A copy with the given output directory and base seed; the seed is
-        range-checked as at parse."""
+        """A copy with the given output directory and base seed, each checked
+        as at parse."""
         cfg = self
         if out_dir is not None:
-            cfg = replace(cfg, output=replace(cfg.output, directory=out_dir))
+            cfg = replace(cfg, output=replace(cfg.output, directory=_check_directory(out_dir)))
         if base_seed is not None:
             cfg = replace(cfg, base_seed=_check_base_seed(base_seed))
         return cfg
@@ -88,37 +89,44 @@ class ExperimentConfig:
 
 def _check_base_seed(base_seed: int) -> int:
     if not 0 <= base_seed < 2**64:
-        raise ConfigParseError(f"field 'base_seed' must fit in 64 bits, got {base_seed}")
+        raise TyplabError(f"field 'base_seed' must fit in 64 bits, got {base_seed}")
     return base_seed
+
+
+def _check_directory(directory: str) -> str:
+    # An empty path would resolve to the working directory.
+    if not directory:
+        raise TyplabError("field 'output.directory' must not be empty")
+    return directory
 
 
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigParseError(f"field '{path}' must be an integer, got {value!r}")
+        raise TyplabError(f"field '{path}' must be an integer, got {value!r}")
     return value
 
 
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigParseError(f"field '{path}' must be a number, got {value!r}")
+        raise TyplabError(f"field '{path}' must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigParseError(f"field '{path}' must be finite, got {value!r}")
+        raise TyplabError(f"field '{path}' must be finite, got {value!r}")
     return number
 
 
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
-        raise ConfigParseError(f"field '{path}' must be a string, got {value!r}")
+        raise TyplabError(f"field '{path}' must be a string, got {value!r}")
     return value
 
 
 def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigParseError(f"field '{path}' must be a boolean, got {value!r}")
+        raise TyplabError(f"field '{path}' must be a boolean, got {value!r}")
     return value
 
 
@@ -133,20 +141,20 @@ def _as_section(value, path: str, cls):
     its field's annotated type."""
     if not isinstance(value, dict):
         where = f"field '{path}'" if path else "config root"
-        raise ConfigParseError(f"{where} must be an object, got {type(value).__name__}")
+        raise TyplabError(f"{where} must be an object, got {type(value).__name__}")
     prefix = f"{path}." if path else ""
     keys = {_KEY_NAMES.get(f.name, f.name): f for f in fields(cls)}
     for key in value:
         if key not in keys:
-            raise ConfigParseError(f"unknown field '{prefix}{key}'")
+            raise TyplabError(f"unknown field '{prefix}{key}'")
     for key in keys:
         if key not in value:
-            raise ConfigParseError(f"missing field '{prefix}{key}'")
+            raise TyplabError(f"missing field '{prefix}{key}'")
     kwargs = {f.name: _CONVERTERS[f.type](value[key], prefix + key) for key, f in keys.items()}
     try:
         return cls(**kwargs)
     except TyplabError as exc:
-        raise ConfigParseError(f"field '{path}': {exc}") from exc
+        raise TyplabError(f"field '{path}': {exc}") from exc
 
 
 _CONVERTERS.update(
@@ -160,23 +168,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model, d, m = config.model, config.d, config.num_trajectories
     t_max, points = config.time.t_max, config.time.points
     if not 0 <= d < 1:
-        raise ConfigParseError(
+        raise TyplabError(
             f"field 'd' must satisfy 0 <= d < 1 (the variance bound needs d >= 0), got {d}"
         )
     if m < 2:
-        raise ConfigParseError(f"field 'M' must be >= 2 (variance needs it), got {m}")
+        raise TyplabError(f"field 'M' must be >= 2 (variance needs it), got {m}")
     if points < 2:
-        raise ConfigParseError(f"field 'time.points' must be >= 2, got {points}")
+        raise TyplabError(f"field 'time.points' must be >= 2, got {points}")
     # Largest |energy| estimate: the H0 bandwidth plus n times the typical
     # perturbation element (the constant kind's only nonzero eigenvalue).
     e_max = (model.n - 1) * model.delta_e + model.n * math.sqrt(model.v_scale)
     if t_max * e_max > MAX_PHASE:
-        raise ConfigParseError(
+        raise TyplabError(
             f"field 'time.t_max' = {t_max:g} reaches phases of {t_max * e_max:.3g} rad "
             f"(estimated max |energy| {e_max:.3g}), above {MAX_PHASE:.0e}, where their "
             "rounding exceeds ~1e-8"
         )
     _check_base_seed(config.base_seed)
+    _check_directory(config.output.directory)
     # The first of n, M and points whose arrays take the run past physical
     # memory is named.
     memory, footprint, n = _physical_memory(), 0, model.n
@@ -187,14 +196,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     ):
         footprint += nbytes
         if memory is not None and footprint > memory:
-            raise ConfigParseError(
+            raise TyplabError(
                 f"field '{name}' = {value} needs about {footprint / 2**30:.3g} GiB, "
                 f"more than the {memory / 2**30:.3g} GiB of physical memory"
             )
     # The run's grid, built once its size is known to fit; besides t_max <= 0,
     # a subnormal t_max fails here, since np.linspace then repeats times.
     if np.any(np.diff(np.linspace(0.0, t_max, points)) <= 0):
-        raise ConfigParseError(
+        raise TyplabError(
             f"field 'time.t_max' must be > 0 and give a strictly increasing grid of "
             f"time.points = {points} times, got {t_max:g}"
         )
@@ -204,13 +213,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a JSON config file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TyplabError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise TyplabError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise TyplabError(f"config {path} is nested too deeply to parse") from exc
     return parse_config(raw)
 
 

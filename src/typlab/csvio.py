@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import TyplabError
 
 STATS_HEADER = ["t", "mean", "variance", "bound"]
 
@@ -59,9 +59,9 @@ def _parse_float(cell: str, row: int) -> float:
     try:
         value = float(cell)
     except ValueError as exc:
-        raise CsvFormatError(f"non-numeric value {cell!r}", row=row) from exc
+        raise TyplabError(f"non-numeric value {cell!r} (row {row})") from exc
     if not math.isfinite(value):
-        raise CsvFormatError(f"non-finite value {cell!r}", row=row)
+        raise TyplabError(f"non-finite value {cell!r} (row {row})")
     return value
 
 
@@ -73,29 +73,29 @@ def _read_table(path: str | Path, expected_header) -> np.ndarray:
     rows, with the first column ``t`` strictly increasing.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TyplabError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise CsvFormatError(f"{path} is empty")
+        raise TyplabError(f"{path} is empty")
     header = expected_header(rows[0])
     if rows[0] != header:
-        raise CsvFormatError(
-            f"expected header {','.join(header[:4])!r}, got {','.join(rows[0][:4])!r}", row=1
+        raise TyplabError(
+            f"expected header {','.join(header[:4])!r}, got {','.join(rows[0][:4])!r} (row 1)"
         )
     data = []
     for k, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise CsvFormatError(f"expected {len(header)} columns, got {len(row)}", row=k)
+            raise TyplabError(f"expected {len(header)} columns, got {len(row)} (row {k})")
         data.append([_parse_float(cell, k) for cell in row])
         if len(data) > 1 and not data[-1][0] > data[-2][0]:
             t, previous = data[-1][0], data[-2][0]
-            raise CsvFormatError(f"t = {t!r} does not increase on {previous!r}", row=k)
+            raise TyplabError(f"t = {t!r} does not increase on {previous!r} (row {k})")
     if len(data) < 2:
-        raise CsvFormatError(
-            f"{path} has {['no data rows', 'one data row'][len(data)]}, needs at least 2",
-            row=len(rows),
+        raise TyplabError(
+            f"{path} has {['no data rows', 'one data row'][len(data)]}, needs at least 2 "
+            f"(row {len(rows)})"
         )
     return np.asarray(data)
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotDiagonalError, ParameterError
+from .errors import TyplabError
 from .operators import spectral_moments
 from .rng import SeedStream
 from .stats import mean_expectation_analytic, norm_variance_analytic, variance_bound
@@ -39,7 +39,7 @@ class StateVector:
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amp.ndim != 1 or amp.size == 0:
-            raise DimensionMismatchError(f"expected a 1-d state, got shape {amp.shape}")
+            raise TyplabError(f"expected a 1-d state, got shape {amp.shape}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -57,9 +57,10 @@ class OmegaParams:
     """Deviation parameter and observable defining the substitute ensemble.
 
     ``observable`` is the sign vector of a diagonal observable, A = 2 P_+ - I:
-    1-d, non-empty, every entry exactly +1 or -1, stored as a read-only
-    float64 copy; anything else, a matrix included, raises
-    :class:`NotDiagonalError`.  ``d`` must satisfy 0 <= d < 1: the variance
+    its 1-d diagonal, non-empty, every entry exactly +1 or -1, stored as a
+    read-only float64 copy; anything else, a matrix included, raises
+    :class:`TyplabError`, as does a matrix passed to any other function
+    that reads a sign vector.  ``d`` must satisfy 0 <= d < 1: the variance
     bound is derived for d >= 0 only, the reachable mean expectation value
     saturates well below the extreme eigenvalues, and the closed-form
     statistics target the small-deviation regime.  Every ensemble,
@@ -73,10 +74,10 @@ class OmegaParams:
 
     def __post_init__(self):
         if not 0 <= self.d < 1:  # also rejects NaN
-            raise ParameterError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
+            raise TyplabError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
         a = np.asarray(self.observable)
         if a.ndim != 1 or not a.size or a.dtype.kind not in "iuf" or not np.all(np.abs(a) == 1):
-            raise NotDiagonalError(
+            raise TyplabError(
                 f"the observable must be a sign vector of entries +1 or -1, "
                 f"got an array of shape {a.shape} and dtype {a.dtype}"
             )
@@ -113,7 +114,7 @@ def sample_uniform_state(n: int, seed: int) -> StateVector:
     parts, next n the imaginary parts) and normalizes to unit norm.
     """
     if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+        raise TyplabError(f"dimension must be >= 1, got {n}")
     z = SeedStream(seed).normal(2 * n)
     amp = z[:n] + 1j * z[n:]
     return StateVector(amp / np.linalg.norm(amp))
@@ -131,7 +132,7 @@ def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
     place, so the call needs little memory beyond its result.
     """
     if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+        raise TyplabError(f"dimension must be >= 1, got {n}")
     z = SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n)
     amp = z.view(np.complex128)
     rows = max(1, STATE_BLOCK_VALUES // n)
@@ -175,9 +176,7 @@ def _deviation_map(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
     # through make_omegas, so a profile of make_omegas counts block calls only.
     a = params.observable
     if psis.ndim != 2 or psis.shape[1] != a.size:
-        raise DimensionMismatchError(
-            f"state block shape {psis.shape} does not match observable dim {a.size}"
-        )
+        raise TyplabError(f"state block shape {psis.shape} does not match observable dim {a.size}")
     return (psis + params.d * (a * psis)) / np.sqrt(1.0 + params.d**2)
 
 
@@ -189,8 +188,8 @@ def commuting_unitary(signs: np.ndarray, seed: int) -> np.ndarray:
     The angles are uniform in [0, 2*pi) from the seed's stream.  Apply it
     to a state elementwise, ``phases * psi``; ``np.diag(phases)`` commutes
     with A identically.  A matrix in place of the sign vector raises
-    :class:`NotDiagonalError`.
+    :class:`TyplabError`.
     """
     if np.ndim(signs) != 1:
-        raise NotDiagonalError(f"expected a sign vector, got shape {np.shape(signs)}")
+        raise TyplabError(f"expected a sign vector, got shape {np.shape(signs)}")
     return np.exp(1j * SeedStream(seed).angles(len(signs)))

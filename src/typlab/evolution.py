@@ -21,9 +21,7 @@ import logging
 import numpy as np
 
 from .ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
-from .errors import (
-    DimensionMismatchError, NonHermitianResidueError, NotDiagonalError, ParameterError
-)
+from .errors import TyplabError
 from .operators import HermitianOperator, SpectralDecomposition, plus_rows
 from .rng import child_seed
 
@@ -37,15 +35,13 @@ def expectation(a_op: HermitianOperator, phi: StateVector) -> float:
 
     The residue tolerance is relative to the squared norm of the state; a
     violation signals a Hermiticity bug upstream and raises
-    :class:`NonHermitianResidueError`.
+    :class:`TyplabError`.
     """
     if phi.dim != a_op.dim:
-        raise DimensionMismatchError(
-            f"state dim {phi.dim} does not match observable dim {a_op.dim}"
-        )
+        raise TyplabError(f"state dim {phi.dim} does not match observable dim {a_op.dim}")
     value = complex(np.vdot(phi.amplitudes, a_op.matrix @ phi.amplitudes))
     if abs(value.imag) > IMAG_RESIDUE_RTOL * phi.norm_sq:
-        raise NonHermitianResidueError(
+        raise TyplabError(
             f"imaginary residue {value.imag:.3e} exceeds "
             f"{IMAG_RESIDUE_RTOL:.0e} * ||phi||^2"
         )
@@ -58,12 +54,12 @@ def expectations(signs: np.ndarray, states: np.ndarray) -> np.ndarray:
 
     The value is ``sum_j a_j |phi_j|^2``: no n x n product, and real by
     construction.  A matrix in place of the sign vector raises
-    :class:`NotDiagonalError`.
+    :class:`TyplabError`.
     """
     if np.ndim(signs) != 1:
-        raise NotDiagonalError(f"expected a sign vector, got shape {np.shape(signs)}")
+        raise TyplabError(f"expected a sign vector, got shape {np.shape(signs)}")
     if states.ndim != 2 or states.shape[1] != len(signs):
-        raise DimensionMismatchError(
+        raise TyplabError(
             f"state block shape {states.shape} does not match observable dim {len(signs)}"
         )
     return (states.real**2 + states.imag**2) @ signs
@@ -77,7 +73,7 @@ def trajectory_omegas(params: OmegaParams, m: int, base_seed: int) -> np.ndarray
     variance bound) are logged with the trajectory's seed.
     """
     if m < 1:
-        raise ParameterError(f"trajectory count must be >= 1, got {m}")
+        raise TyplabError(f"trajectory count must be >= 1, got {m}")
     n = params.observable.size
     seeds = [child_seed(base_seed, i) for i in range(m)]
     omegas = np.empty((n, m), dtype=np.complex128)

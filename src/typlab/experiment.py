@@ -28,7 +28,7 @@ from .config import ExperimentConfig, config_as_dict
 from .csvio import write_stats_csv, write_trajectories_csv
 from .ensembles import OmegaParams
 from .evolution import run_ensemble, trajectory_omegas
-from .models import build_model
+from .models import OBSERVABLE_STREAM, PERTURBATION_STREAM, build_model
 from .operators import eigendecompose
 from .rng import RNG_ALGORITHM, child_seed
 from .stats import (
@@ -76,8 +76,8 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
         "rng_algorithm": RNG_ALGORITHM,
         "seed_derivation": SEED_DERIVATION,
         "seeds": {
-            "observable": model.observable_seed,
-            "perturbation": model.perturbation_seed,
+            "observable": child_seed(config.model.seed, OBSERVABLE_STREAM),
+            "perturbation": child_seed(config.model.seed, PERTURBATION_STREAM),
             "trajectories": [
                 child_seed(config.base_seed, i) for i in range(config.num_trajectories)
             ],

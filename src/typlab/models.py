@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, OddDimensionError, ParameterError
+from .errors import TyplabError
 from .operators import HermitianOperator
 from .rng import MASK64, SeedStream, child_seed
 
@@ -45,17 +45,17 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.n < 2:
-            raise InvalidDimensionError(f"dimension must be >= 2, got {self.n}")
+            raise TyplabError(f"dimension must be >= 2, got {self.n}")
         if self.n % 2:
-            raise OddDimensionError(f"dimension must be even, got {self.n}")
+            raise TyplabError(f"dimension must be even, got {self.n}")
         if not self.delta_e > 0:
-            raise InvalidDimensionError(f"level spacing must be > 0, got {self.delta_e}")
+            raise TyplabError(f"level spacing must be > 0, got {self.delta_e}")
         if self.v_kind not in V_KINDS:
-            raise ParameterError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
+            raise TyplabError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
         if self.v_scale < 0:
-            raise ParameterError(f"v_scale must be >= 0, got {self.v_scale}")
+            raise TyplabError(f"v_scale must be >= 0, got {self.v_scale}")
         if not 0 <= int(self.seed) <= MASK64:
-            raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
+            raise TyplabError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 class SignVector(np.ndarray):
@@ -76,7 +76,7 @@ def build_observable_pm1(n: int, seed: int) -> SignVector:
     ``arange(n)``.  By construction c_1 = 0 and c_2 = 1 exactly.
     """
     if n % 2:
-        raise OddDimensionError(f"dimension must be even, got {n}")
+        raise TyplabError(f"dimension must be even, got {n}")
     perm = SeedStream(seed).shuffled_indices(n)
     diag = np.full(n, -1.0)
     diag[perm[: n // 2]] = 1.0
@@ -99,7 +99,7 @@ def build_v_gaussian(n: int, mean_sq: float, seed: int) -> np.ndarray:
     n x n array is V itself; H's validation checks it.
     """
     if mean_sq < 0:
-        raise ParameterError(f"mean squared magnitude must be >= 0, got {mean_sq}")
+        raise TyplabError(f"mean squared magnitude must be >= 0, got {mean_sq}")
     v = np.zeros((n, n), dtype=np.complex128)
     if mean_sq == 0:
         return v
@@ -122,7 +122,7 @@ def build_v_constant(n: int, value_sq: float) -> np.ndarray:
     n * sqrt(value_sq).
     """
     if value_sq < 0:
-        raise ParameterError(f"squared value must be >= 0, got {value_sq}")
+        raise TyplabError(f"squared value must be >= 0, got {value_sq}")
     return np.full((n, n), np.sqrt(value_sq), dtype=np.complex128)
 
 
@@ -151,14 +151,11 @@ def assemble_hamiltonian(spec: ModelSpec) -> HermitianOperator:
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """A built model: the observable's sign vector, the Hamiltonian, and the
-    seeds that made them."""
+    """A built model: the observable's sign vector and the Hamiltonian."""
 
     spec: ModelSpec
     observable: SignVector
     hamiltonian: HermitianOperator
-    observable_seed: int
-    perturbation_seed: int
 
 
 def build_model(spec: ModelSpec) -> ModelSystem:
@@ -167,6 +164,4 @@ def build_model(spec: ModelSpec) -> ModelSystem:
         spec=spec,
         observable=build_observable_pm1(spec.n, child_seed(spec.seed, OBSERVABLE_STREAM)),
         hamiltonian=assemble_hamiltonian(spec),
-        observable_seed=child_seed(spec.seed, OBSERVABLE_STREAM),
-        perturbation_seed=child_seed(spec.seed, PERTURBATION_STREAM),
     )

@@ -19,13 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotSquareError,
-    TyplabError,
-)
+from .errors import TyplabError
 
 HERMITICITY_ATOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-8
@@ -69,16 +63,22 @@ class HermitianOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+            raise TyplabError(f"expected a square matrix, got shape {m.shape}")
         m = np.array(m, dtype=np.complex128, order="C", copy=True)
         asym = _max_asymmetry(m)
         if not np.isfinite(asym):
             raise TyplabError("matrix has non-finite entries (NaN or inf)")
         if asym > HERMITICITY_ATOL:
-            raise NotHermitianError(asym, HERMITICITY_ATOL)
+            raise TyplabError(
+                f"matrix is not Hermitian: max |M - M^dagger| = {asym:.3e} "
+                f"exceeds tolerance {HERMITICITY_ATOL:.1e}"
+            )
         diag_imag = float(np.abs(m.diagonal().imag).max()) if m.size else 0.0
         if diag_imag > HERMITICITY_ATOL:
-            raise NotHermitianError(diag_imag, HERMITICITY_ATOL)
+            raise TyplabError(
+                f"matrix is not Hermitian: max |M - M^dagger| = {diag_imag:.3e} "
+                f"exceeds tolerance {HERMITICITY_ATOL:.1e}"
+            )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -95,7 +95,7 @@ class SpectralDecomposition:
     copied, so the caller's later writes cannot reach the decomposition; a
     read-only one that owns its memory (from :func:`eigendecompose`) is not.
     Construction checks unitarity, and given ``source`` H the reconstruction,
-    raising :class:`ConvergenceError`; it keeps ``unitarity_residual`` =
+    raising :class:`TyplabError`; it keeps ``unitarity_residual`` =
     ||U^dagger U - I||_F / sqrt(n) <= ``UNITARITY_RTOL`` and
     ``reconstruction_residual`` = ||U diag(w) U^dagger - H||_F / ||H||_F
     <= ``RECONSTRUCTION_RTOL`` (None without a source).
@@ -115,19 +115,19 @@ class SpectralDecomposition:
         u.flags.writeable = False
         n = u.shape[0]
         if w.ndim != 1 or u.ndim != 2 or u.shape != (n, n) or w.shape[0] != n:
-            raise DimensionMismatchError(
+            raise TyplabError(
                 f"eigenvalues shape {w.shape} does not match eigenvectors shape {u.shape}"
             )
         if not np.all(np.isfinite(w)):
-            raise ConvergenceError("eigenvalues contain non-finite entries")
+            raise TyplabError("eigenvalues contain non-finite entries")
         if np.any(np.diff(w) < 0):
-            raise ConvergenceError("eigenvalues are not sorted ascending")
+            raise TyplabError("eigenvalues are not sorted ascending")
         gram = u.conj().T @ u
         gram[np.diag_indices(n)] -= 1.0
         gram_residual = float(np.linalg.norm(gram))
         del gram
         if gram_residual > UNITARITY_RTOL * np.sqrt(n):
-            raise ConvergenceError(
+            raise TyplabError(
                 f"eigenvector matrix is not unitary: ||U^dagger U - I||_F = "
                 f"{gram_residual:.3e} at dim {n}"
             )
@@ -135,7 +135,7 @@ class SpectralDecomposition:
         if source is not None:
             h = source.matrix
             if h.shape != u.shape:
-                raise DimensionMismatchError(f"operator dim {source.dim} does not match {n}")
+                raise TyplabError(f"operator dim {source.dim} does not match {n}")
             h_norm = max(float(np.linalg.norm(h)), 1e-300)
             scaled = u.conj().T
             scaled *= w[:, None]
@@ -143,7 +143,7 @@ class SpectralDecomposition:
             back -= h
             residual = float(np.linalg.norm(back))
             if residual > RECONSTRUCTION_RTOL * h_norm:
-                raise ConvergenceError(
+                raise TyplabError(
                     f"reconstruction residual {residual:.3e} exceeds "
                     f"{RECONSTRUCTION_RTOL:.0e} * ||H||_F = {RECONSTRUCTION_RTOL * h_norm:.3e} "
                     f"at dim {n}"
@@ -165,13 +165,13 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
 
     The result satisfies ``||U diag(w) U^dagger - H||_F <= 1e-8 ||H||_F``;
     a solver failure or a residual above that raises
-    :class:`ConvergenceError` with the dimension and residual.  ``eigh``'s
+    :class:`TyplabError` with the dimension and residual.  ``eigh``'s
     eigenvectors are frozen and kept without a copy.
     """
     try:
         w, u = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge at dim {op.dim}: {exc}") from exc
+        raise TyplabError(f"eigh did not converge at dim {op.dim}: {exc}") from exc
     u.flags.writeable = False
     return SpectralDecomposition(w, u, source=op)
 
@@ -183,7 +183,7 @@ def spectral_moments(spectrum: np.ndarray) -> dict[int, float]:
     """
     values = np.asarray(spectrum, dtype=np.float64)
     if values.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-d spectrum, got shape {values.shape}")
+        raise TyplabError(f"expected a 1-d spectrum, got shape {values.shape}")
     return {i: float(np.mean(values**i)) for i in MOMENT_ORDERS}
 
 
@@ -196,7 +196,7 @@ def plus_rows(signs: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     when A = -I.
     """
     if np.shape(signs) != (dec.dim,):
-        raise DimensionMismatchError(
+        raise TyplabError(
             f"sign vector shape {np.shape(signs)} does not match decomposition dim {dec.dim}"
         )
     return dec.eigenvectors[signs > 0]
@@ -213,9 +213,7 @@ def heisenberg_observable(
     basis round trip (well below 1e-12 for the operators used here).
     """
     if op.dim != dec.dim:
-        raise DimensionMismatchError(
-            f"observable dim {op.dim} does not match decomposition dim {dec.dim}"
-        )
+        raise TyplabError(f"observable dim {op.dim} does not match decomposition dim {dec.dim}")
     u = dec.eigenvectors
     a_eig = u.conj().T @ op.matrix @ u
     phase = np.exp(1j * dec.eigenvalues * t)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import TyplabError
 
 MASK64 = (1 << 64) - 1
 
@@ -66,7 +66,7 @@ def child_seed(base_seed: int, index: int) -> int:
     indices below 2^64 - 1 give distinct children for a fixed base.
     """
     if index < 0:
-        raise ParameterError("child index must be non-negative")
+        raise TyplabError("child index must be non-negative")
     return mix64((base_seed ^ ((index + 1) * _CHILD_KEY)) & MASK64)
 
 
@@ -76,7 +76,7 @@ class SeedStream:
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed <= MASK64:
-            raise ParameterError(f"seed must fit in 64 bits, got {seed}")
+            raise TyplabError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._bits = np.random.Philox(key=seed)
 

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError, TooFewTrajectoriesError
+from .errors import TyplabError
 from .operators import SpectralDecomposition, plus_rows
 
 if TYPE_CHECKING:
@@ -53,7 +53,7 @@ def norm_variance_analytic(d: float, c1: float, n: int) -> float:
     identity mapped through D; the tests check the two agree.
     """
     if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+        raise TyplabError(f"dimension must be >= 1, got {n}")
     return (4 * d**2 + 4 * d**3 * c1) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
@@ -74,9 +74,9 @@ def variance_bound(d: float, n: int) -> float:
     negative d is rejected rather than guessed.
     """
     if d < 0:
-        raise ParameterError(f"the bound is derived for d >= 0, got d={d}")
+        raise TyplabError(f"the bound is derived for d >= 0, got d={d}")
     if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+        raise TyplabError(f"dimension must be >= 1, got {n}")
     return (1.0 + 4 * d + 6 * d**2 + 4 * d**3 + d**4) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
@@ -134,7 +134,7 @@ def sample_stats(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(trajectories, dtype=np.float64)
     m = values.shape[0]
     if m < 2:
-        raise TooFewTrajectoriesError(f"need at least 2 trajectories, got {m}")
+        raise TyplabError(f"need at least 2 trajectories, got {m}")
     mean = values.mean(axis=0)
     centered = values - mean
     variance = (centered**2).sum(axis=0) / (m - 1)

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import settings
 
 from typlab.ensembles import OmegaParams
-from typlab.errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    NonHermitianResidueError,
-    NotSquareError,
-)
+from typlab.errors import TyplabError
 from typlab.evolution import IMAG_RESIDUE_RTOL
 from typlab.operators import HermitianOperator, SpectralDecomposition, heisenberg_observable
 from typlab.rng import SeedStream
@@ -29,9 +24,9 @@ def build_h0(n: int, delta_e: float) -> HermitianOperator:
     """Diagonal H0 with equidistant levels k * delta_e, k = 0..n-1 (test
     helper; the dense H0 that ``assemble_hamiltonian`` adds in place)."""
     if n < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {n}")
+        raise TyplabError(f"dimension must be >= 2, got {n}")
     if not delta_e > 0:
-        raise InvalidDimensionError(f"level spacing must be > 0, got {delta_e}")
+        raise TyplabError(f"level spacing must be > 0, got {delta_e}")
     return HermitianOperator(np.diag(np.arange(n) * float(delta_e)).astype(np.complex128))
 
 
@@ -92,7 +87,7 @@ def moment_map(c_op: HermitianOperator, a_op: HermitianOperator, d: float) -> He
     uniform-ensemble moments of D.
     """
     if c_op.dim != a_op.dim:
-        raise DimensionMismatchError(f"operator dims differ: {c_op.dim} vs {a_op.dim}")
+        raise TyplabError(f"operator dims differ: {c_op.dim} vs {a_op.dim}")
     shift = np.eye(a_op.dim, dtype=np.complex128) + d * a_op.matrix
     mapped = shift @ c_op.matrix @ shift / (1.0 + d**2)
     return HermitianOperator(0.5 * (mapped + mapped.conj().T))
@@ -112,7 +107,7 @@ def dense_expectations(a_op: HermitianOperator, states: np.ndarray) -> np.ndarra
     through the dense product, after asserting the imaginary residue is
     negligible (test helper; the oracle for the sign-vector kernel)."""
     if states.ndim != 2 or states.shape[1] != a_op.dim:
-        raise DimensionMismatchError(
+        raise TyplabError(
             f"state block shape {states.shape} does not match observable dim {a_op.dim}"
         )
     applied = states @ a_op.matrix.T
@@ -120,7 +115,7 @@ def dense_expectations(a_op: HermitianOperator, states: np.ndarray) -> np.ndarra
     norms = np.sum(states.conj() * states, axis=1).real
     worst = float(np.abs(values.imag).max(initial=0.0))
     if worst > IMAG_RESIDUE_RTOL * float(norms.max(initial=1.0)):
-        raise NonHermitianResidueError(
+        raise TyplabError(
             f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} * ||phi||^2"
         )
     return values.real
@@ -135,11 +130,11 @@ def hilbert_schmidt_inner(x: np.ndarray, y: np.ndarray) -> complex:
     x = np.asarray(x)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise NotSquareError(f"X must be square, got shape {x.shape}")
+        raise TyplabError(f"X must be square, got shape {x.shape}")
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
-        raise NotSquareError(f"Y must be square, got shape {y.shape}")
+        raise TyplabError(f"Y must be square, got shape {y.shape}")
     if x.shape != y.shape:
-        raise DimensionMismatchError(f"shapes differ: {x.shape} vs {y.shape}")
+        raise TyplabError(f"shapes differ: {x.shape} vs {y.shape}")
     # Tr{X^dagger Y} = sum_jk conj(X_jk) Y_jk, elementwise, no matrix product.
     return complex(np.vdot(x, y))
 
@@ -152,14 +147,14 @@ def average_density(params: OmegaParams, n: int) -> HermitianOperator:
     """
     a = np.diag(params.observable)
     if n != a.shape[0]:
-        raise DimensionMismatchError(f"n = {n} does not match observable dim {a.shape[0]}")
+        raise TyplabError(f"n = {n} does not match observable dim {a.shape[0]}")
     d = params.d
     mat = np.eye(n, dtype=np.complex128) + 2.0 * d * a + d**2 * (a @ a)
     return HermitianOperator(mat / (n * (1.0 + d**2)))
 
 
 # Observables the sign-vector gate (OmegaParams) must reject with
-# NotDiagonalError: entries other than exactly +/-1, matrices, and the
+# TyplabError: entries other than exactly +/-1, matrices, and the
 # empty vector, whose c1 would be NaN.
 NOT_PM1_OBSERVABLES = {
     "empty": lambda: np.array([]),

@@ -7,7 +7,7 @@ import pytest
 
 from typlab.cli import main
 from typlab.csvio import read_stats_csv, write_stats_csv, write_trajectories_csv
-from typlab.errors import ConvergenceError
+from typlab.errors import TyplabError
 from typlab.operators import RECONSTRUCTION_RTOL, UNITARITY_RTOL
 
 REPO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -134,7 +134,7 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     import typlab.experiment
 
     def failing(op):
-        raise ConvergenceError(f"eigh did not converge at dim {op.dim}")
+        raise TyplabError(f"eigh did not converge at dim {op.dim}")
 
     monkeypatch.setattr(typlab.experiment, "eigendecompose", failing)
     out = tmp_path / "never"
@@ -201,6 +201,33 @@ def test_subnormal_t_max_fails_at_parse(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: field 'time.t_max'") and err.count("\n") == 1
     assert not (tmp_path / "default_out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [(b"\xff\xfe{}", "cannot read config"), (b"[" * 1000, "is nested too deeply")],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_unreadable_config_fails_cleanly(tmp_path, capsys, content, needle):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert main(["moments", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err and str(cfg) in err
+
+
+@pytest.mark.parametrize("where", ["config", "--out"])
+def test_empty_output_directory_fails(tmp_path, capsys, monkeypatch, where):
+    # An empty directory would resolve to the working directory.
+    directory, extra = ("", []) if where == "config" else ("unused", ["--out", ""])
+    output = {"directory": directory, "emit_trajectories": False, "emit_plot": False}
+    cfg = write_config(tmp_path, output=output)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err == "error: field 'output.directory' must not be empty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_moments_table(tmp_path, capsys):
@@ -281,4 +308,22 @@ def test_plot_rejects_trajectories_on_another_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(stats) in err and str(trajectories) in err
+    assert not fig.exists()
+
+
+@pytest.mark.parametrize("flag", ["--stats", "--trajectories"])
+def test_plot_non_utf8_csv_fails_cleanly(tmp_path, capsys, flag):
+    stats, trajectories = tmp_path / "stats.csv", tmp_path / "trajectories.csv"
+    times = np.linspace(0.0, 1.0, 5)
+    write_stats_csv(stats, times, np.zeros(5), np.ones(5), 2.0)
+    write_trajectories_csv(trajectories, times, np.zeros((2, 5)))
+    bad = {"--stats": stats, "--trajectories": trajectories}[flag]
+    lines = bad.read_bytes().split(b"\n")
+    lines[3] = b"\xff" + lines[3]
+    bad.write_bytes(b"\n".join(lines))
+    fig = tmp_path / "fig.svg"
+    argv = ["plot", "--stats", str(stats), "--trajectories", str(trajectories)]
+    assert main(argv + ["--out", str(fig)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
     assert not fig.exists()

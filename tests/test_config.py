@@ -9,7 +9,7 @@ import pytest
 
 import typlab
 from typlab.config import config_as_dict, load_config, parse_config
-from typlab.errors import ConfigParseError
+from typlab.errors import TyplabError
 
 
 def valid_raw():
@@ -43,7 +43,7 @@ def test_optional_diagonal_mode():
     # The model has one fixed diagonal convention: the key is not a field.
     raw = valid_raw()
     raw["model"]["v_diagonal"] = "zero"
-    with pytest.raises(ConfigParseError, match="unknown field 'model.v_diagonal'"):
+    with pytest.raises(TyplabError, match="unknown field 'model.v_diagonal'"):
         parse_config(raw)
 
 
@@ -58,7 +58,7 @@ def test_optional_diagonal_mode():
 def test_missing_nested_field_named(drop, needle):
     raw = valid_raw()
     del raw[drop[0]][drop[1]]
-    with pytest.raises(ConfigParseError, match=needle):
+    with pytest.raises(TyplabError, match=f"missing field '{needle}'"):
         parse_config(raw)
 
 
@@ -95,21 +95,21 @@ def test_echo_is_the_raw_document():
 def test_missing_top_field_named():
     raw = valid_raw()
     del raw["base_seed"]
-    with pytest.raises(ConfigParseError, match="base_seed"):
+    with pytest.raises(TyplabError, match="missing field 'base_seed'"):
         parse_config(raw)
 
 
 def test_unknown_field_rejected():
     raw = valid_raw()
     raw["modle"] = {}
-    with pytest.raises(ConfigParseError, match="unknown field 'modle'"):
+    with pytest.raises(TyplabError, match="unknown field 'modle'"):
         parse_config(raw)
 
 
 def test_unknown_model_field_rejected():
     raw = valid_raw()
     raw["model"]["bandwidth"] = 2.0
-    with pytest.raises(ConfigParseError, match="model.bandwidth"):
+    with pytest.raises(TyplabError, match="unknown field 'model.bandwidth'"):
         parse_config(raw)
 
 
@@ -166,19 +166,21 @@ def test_unknown_model_field_rejected():
 def test_invalid_values_named(mutate, needle):
     raw = valid_raw()
     mutate(raw)
-    with pytest.raises(ConfigParseError, match=needle):
+    # A bare needle is a field path, which the error quotes.
+    match = needle if needle.startswith("field ") else f"field '{needle}'"
+    with pytest.raises(TyplabError, match=match):
         parse_config(raw)
 
 
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "model": \n}')
-    with pytest.raises(ConfigParseError, match="line"):
+    with pytest.raises(TyplabError, match="invalid JSON at line 3"):
         load_config(path)
 
 
 def test_missing_file():
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(TyplabError, match="cannot read config /nonexistent/cfg.json"):
         load_config("/nonexistent/cfg.json")
 
 
@@ -197,7 +199,7 @@ def test_dimension_beyond_physical_memory_fails_at_parse():
     raw["model"]["n"] = 2_000_000
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigParseError, match="model.n"):
+        with pytest.raises(TyplabError, match="field 'model.n' = 2000000 needs about"):
             parse_config(raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -219,7 +221,7 @@ def test_ensemble_beyond_physical_memory_fails_at_parse(sizes, needle):
     raw["time"]["points"] = sizes.get("points", raw["time"]["points"])
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigParseError, match=needle):
+        with pytest.raises(TyplabError, match=needle):
             parse_config(raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:

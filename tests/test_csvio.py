@@ -8,7 +8,7 @@ from typlab.csvio import (
     write_stats_csv,
     write_trajectories_csv,
 )
-from typlab.errors import CsvFormatError
+from typlab.errors import TyplabError
 
 
 def test_format_number_roundtrips():
@@ -44,42 +44,42 @@ def test_trajectories_roundtrip_exact(tmp_path):
 def test_stats_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,avg,var,bnd\n0,0,0,0\n")
-    with pytest.raises(CsvFormatError, match="header"):
+    with pytest.raises(TyplabError, match="expected header 't,mean,variance,bound', got 'time,"):
         read_stats_csv(path)
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(CsvFormatError, match="empty"):
+    with pytest.raises(TyplabError, match="empty.csv is empty"):
         read_stats_csv(path)
 
 
 def test_header_only(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("t,mean,variance,bound\n")
-    with pytest.raises(CsvFormatError, match="no data"):
+    with pytest.raises(TyplabError, match="has no data rows, needs at least 2"):
         read_stats_csv(path)
 
 
 def test_non_numeric_cell_reports_row(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("t,mean,variance,bound\n0.0,0.1,0.2,0.3\n1.0,oops,0.2,0.3\n")
-    with pytest.raises(CsvFormatError, match="row 3"):
+    with pytest.raises(TyplabError, match="non-numeric value 'oops' [(]row 3[)]"):
         read_stats_csv(path)
 
 
 def test_short_row_reports_row(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("t,mean,variance,bound\n0.0,0.1,0.2\n")
-    with pytest.raises(CsvFormatError, match="row 2"):
+    with pytest.raises(TyplabError, match="expected 4 columns, got 3 [(]row 2[)]"):
         read_stats_csv(path)
 
 
 def test_trajectories_header_enforced(tmp_path):
     path = tmp_path / "bad_traj.csv"
     path.write_text("t,traj_0,traj_2\n0.0,1.0,2.0\n")
-    with pytest.raises(CsvFormatError, match="header"):
+    with pytest.raises(TyplabError, match="header 't,traj_0,traj_1', got 't,traj_0,traj_2'"):
         read_trajectories_csv(path)
 
 
@@ -99,7 +99,7 @@ STATS_ROWS = "t,mean,variance,bound\n0.0,0.1,0.2,0.3\n"
 def test_stats_a_plot_cannot_use_rejected(tmp_path, extra, needle):
     path = tmp_path / "stats.csv"
     path.write_text(STATS_ROWS + extra)
-    with pytest.raises(CsvFormatError, match=needle):
+    with pytest.raises(TyplabError, match=needle):
         read_stats_csv(path)
 
 
@@ -114,5 +114,5 @@ def test_stats_a_plot_cannot_use_rejected(tmp_path, extra, needle):
 def test_trajectories_share_the_reader_checks(tmp_path, rows, needle):
     path = tmp_path / "trajectories.csv"
     path.write_text("t,traj_0\n" + rows)
-    with pytest.raises(CsvFormatError, match=needle):
+    with pytest.raises(TyplabError, match=needle):
         read_trajectories_csv(path)

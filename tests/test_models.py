@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from typlab.errors import InvalidDimensionError, OddDimensionError
+from typlab.errors import TyplabError
 from typlab.models import (
+    OBSERVABLE_STREAM,
+    PERTURBATION_STREAM,
     ModelSpec,
     assemble_hamiltonian,
     build_model,
@@ -14,6 +16,7 @@ from typlab.models import (
     build_v_gaussian,
 )
 from typlab.operators import HermitianOperator, spectral_moments
+from typlab.rng import child_seed
 
 from conftest import build_h0, is_diagonal
 
@@ -30,11 +33,11 @@ class TestBuildH0:
         assert np.array_equal(build_h0(2, 1.0).matrix, np.diag([0.0, 1.0]))
 
     def test_zero_spacing_rejected(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(TyplabError, match="level spacing must be > 0"):
             build_h0(3, 0.0)
 
     def test_tiny_dimension_rejected(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(TyplabError, match="dimension must be >= 2, got 1"):
             build_h0(1, 1.0)
 
 
@@ -75,7 +78,7 @@ class TestObservable:
         assert not np.array_equal(a, b)
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(OddDimensionError):
+        with pytest.raises(TyplabError, match="dimension must be even, got 5"):
             build_observable_pm1(5, seed=0)
 
 
@@ -186,24 +189,22 @@ class TestAssemble:
         assert validated == [(40, 40)]
 
     def test_observable_and_perturbation_use_distinct_streams(self):
-        spec = ModelSpec(n=40, delta_e=1e-3, v_kind="gaussian", v_scale=1e-6, seed=123)
-        model = build_model(spec)
-        assert model.observable_seed != model.perturbation_seed
+        assert child_seed(123, OBSERVABLE_STREAM) != child_seed(123, PERTURBATION_STREAM)
 
 
 class TestModelSpecValidation:
     def test_odd_dimension(self):
-        with pytest.raises(OddDimensionError):
+        with pytest.raises(TyplabError, match="dimension must be even, got 5"):
             ModelSpec(n=5, delta_e=1.0, v_kind="gaussian", v_scale=0.0, seed=0)
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TyplabError, match="v_kind must be one of"):
             ModelSpec(n=4, delta_e=1.0, v_kind="banded", v_scale=0.0, seed=0)
 
     def test_negative_scale(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TyplabError, match="v_scale must be >= 0"):
             ModelSpec(n=4, delta_e=1.0, v_kind="gaussian", v_scale=-1.0, seed=0)
 
     def test_zero_spacing(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(TyplabError, match="level spacing must be > 0"):
             ModelSpec(n=4, delta_e=0.0, v_kind="gaussian", v_scale=0.0, seed=0)

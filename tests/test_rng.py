@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from typlab.errors import TyplabError
 from typlab.rng import MASK64, NORMAL_BLOCK_PAIRS, SeedStream, child_seed, mix64
 
 
@@ -40,14 +41,14 @@ def test_child_seed_injective_over_prefix():
 
 
 def test_child_seed_rejects_negative_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(TyplabError, match="child index must be non-negative"):
         child_seed(1, -1)
 
 
 def test_seed_stream_rejects_out_of_range_seed():
-    with pytest.raises(ValueError):
+    with pytest.raises(TyplabError, match="seed must fit in 64 bits, got -1"):
         SeedStream(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TyplabError, match="seed must fit in 64 bits, got 18446744073709551616"):
         SeedStream(2**64)
 
 
