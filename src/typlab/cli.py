@@ -2,10 +2,9 @@
 
 Subcommands::
 
-    typlab run     --config cfg.json [--out DIR] [--seed U64]
-    typlab verify  --config cfg.json
-    typlab moments --config cfg.json
-    typlab plot    --stats stats.csv [--trajectories trajectories.csv] --out fig.svg
+    typlab run    --config cfg.json [--out DIR] [--seed U64]
+    typlab verify --config cfg.json
+    typlab plot   --stats stats.csv [--trajectories trajectories.csv] --out fig.svg
 
 ``--seed`` overrides the config's base seed, ``--out`` its output
 directory.  Every failure, a bad config or an unwritable output path
@@ -21,11 +20,8 @@ import numpy as np
 
 from .config import load_config
 from .csvio import read_stats_csv, read_trajectories_csv
-from .ensembles import OmegaParams
 from .errors import TyplabError
-from .experiment import _write_atomically, execute_run, moment_flags
-from .models import build_observable_pm1, OBSERVABLE_STREAM
-from .rng import child_seed
+from .experiment import _write_atomically, execute_run
 from .svgplot import render_figure
 from .verify import format_report, run_verification
 
@@ -45,9 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--config", required=True, help="JSON config path")
-
-    moments = sub.add_parser("moments", help="print the observable's spectral moments")
-    moments.add_argument("--config", required=True, help="JSON config path")
 
     plot = sub.add_parser("plot", help="render a run's CSV outputs as SVG")
     plot.add_argument("--stats", required=True, help="stats.csv path")
@@ -75,24 +68,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_moments(args) -> int:
-    config = load_config(args.config)
-    observable = build_observable_pm1(
-        config.model.n, child_seed(config.model.seed, OBSERVABLE_STREAM)
-    )
-    moments = OmegaParams(d=config.d, observable=observable).moments
-    print(f"{'i':>2}  {'c_i':>22}")
-    for i in range(1, 9):
-        print(f"{i:>2}  {moments[i]:>22.15g}")
-    flags = moment_flags(moments)
-    for flag in flags:
-        print(f"FLAG: {flag}")
-    if not flags:
-        print("all moment gates satisfied")
-    return 0
-
-
 def _cmd_plot(args) -> int:
+    out = Path(args.out)
+    if not out.name:  # "", "." and "/" name a directory, not a file
+        raise TyplabError(f"--out {args.out!r} names no file")
     stats = read_stats_csv(args.stats)
     trajectories = None
     if args.trajectories is not None:
@@ -100,7 +79,7 @@ def _cmd_plot(args) -> int:
         # Both files round-trip binary64, so a shared grid compares equal.
         if not np.array_equal(trajectories[0], stats["t"]):
             raise TyplabError(f"t of {args.trajectories} differs from t of {args.stats}")
-    _write_atomically(Path(args.out), Path.write_text, render_figure(stats, trajectories))
+    _write_atomically(out, Path.write_text, render_figure(stats, trajectories))
     print(f"wrote {args.out}")
     return 0
 
@@ -110,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = {
         "run": _cmd_run,
         "verify": _cmd_verify,
-        "moments": _cmd_moments,
         "plot": _cmd_plot,
     }[args.command]
     try:

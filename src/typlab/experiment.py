@@ -8,9 +8,11 @@ Outputs per run directory:
   time-independent analytic value);
 * ``trajectories.csv`` (optional) -- ``t,traj_0,...,traj_{M-1}``;
 * ``meta`` -- JSON record of the config echo, RNG algorithm identifier,
-  seed derivation rule, all derived seeds, the spectral moments
-  (``OmegaParams.moments``), the analytic ensemble values, and the relative
-  unitarity and reconstruction residuals of the eigendecomposition (``health``);
+  seed derivation rule, all derived seeds, the observable's trace per
+  dimension ``c1`` and its number ``n_plus`` of +1 entries (with n they fix
+  every spectral moment of a sign vector), the analytic ensemble values, and
+  the relative unitarity and reconstruction residuals of the
+  eigendecomposition (``health``);
 * ``plot.svg`` (optional) -- trajectories, mean, and the variance inset.
 
 Each file is written under a temporary name and renamed, so a failed run
@@ -69,7 +71,7 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
     )
     mean, variance = sample_stats(trajectories)
 
-    moments = params.moments
+    c1 = params.moments[1]
     bound = variance_bound(config.d, config.model.n)
     meta = {
         "config": config_as_dict(config),
@@ -82,10 +84,10 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
                 child_seed(config.base_seed, i) for i in range(config.num_trajectories)
             ],
         },
-        "spectral_moments": {f"c{i}": moments[i] for i in range(1, 9)},
+        "observable": {"c1": c1, "n_plus": int(np.count_nonzero(params.observable > 0))},
         "analytic": {
-            "norm_variance": norm_variance_analytic(config.d, moments[1], config.model.n),
-            "mean_expectation": mean_expectation_analytic(config.d, moments[1]),
+            "norm_variance": norm_variance_analytic(config.d, c1, config.model.n),
+            "mean_expectation": mean_expectation_analytic(config.d, c1),
             "variance_bound": bound,
         },
         "health": {
@@ -118,13 +120,3 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
         _write_atomically(written[-1], Path.write_text, render_figure(stats_columns, shown))
 
     return written
-
-
-def moment_flags(moments: dict[int, float]) -> list[str]:
-    """Human-readable flags for moments violating the observable gate: the
-    trace must vanish, |c1| <= 1e-12.  It is the only moment gate, because
-    for a sign vector the even moments are exactly 1 and the odd ones c1.
-    """
-    if abs(moments[1]) > 1e-12:
-        return [f"c1 = {moments[1]:.3e} violates the trace-free requirement"]
-    return []

@@ -73,12 +73,6 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max |M - M^dagger| = {asym:.3e} "
                 f"exceeds tolerance {HERMITICITY_ATOL:.1e}"
             )
-        diag_imag = float(np.abs(m.diagonal().imag).max()) if m.size else 0.0
-        if diag_imag > HERMITICITY_ATOL:
-            raise TyplabError(
-                f"matrix is not Hermitian: max |M - M^dagger| = {diag_imag:.3e} "
-                f"exceeds tolerance {HERMITICITY_ATOL:.1e}"
-            )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

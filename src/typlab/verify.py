@@ -31,7 +31,6 @@ from .ensembles import (
 from .evolution import expectation, expectations, run_ensemble, trajectory_omegas
 from .models import ModelSpec, build_model
 from .operators import HermitianOperator, eigendecompose, heisenberg_observable
-from .experiment import moment_flags
 from .rng import child_seed
 from .stats import (
     exact_hv_series,
@@ -82,15 +81,20 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
     base = config.base_seed
     results: list[CheckResult] = []
 
+    # The observable gate: A must be trace-free.  For a sign vector it is the
+    # only moment gate, as the even moments are exactly 1 and the odd ones c1.
     moments = params.moments
-    flags = moment_flags(moments)
+    c1 = moments[1]
+    trace_free = abs(c1) <= 1e-12
     results.append(
         CheckResult(
             "moment-gate",
-            not flags,
-            "; ".join(flags) if flags else f"c1..c8 = {['%.3g' % v for v in moments.values()]}",
+            trace_free,
+            f"c1..c8 = {['%.3g' % v for v in moments.values()]}"
+            if trace_free
+            else f"c1 = {c1:.3e} violates the trace-free requirement",
             "|c1| <= 1e-12",
-            1.0 if not flags else -1.0,
+            1.0 if trace_free else -1.0,
         )
     )
 
@@ -100,7 +104,6 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
     vals = expectations(
         a, sample_uniform_states(n, N_UNIFORM_SAMPLES, child_seed(base, UNIFORM_MC_STREAM))
     )
-    c1 = moments[1]
     hv = (1 - c1**2) / (n + 1)
     se = float(vals.std(ddof=1)) / np.sqrt(N_UNIFORM_SAMPLES)
     err = abs(float(vals.mean()) - c1)

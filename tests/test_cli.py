@@ -114,6 +114,18 @@ def test_plot_into_missing_directory_fails(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
 
 
+@pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
+def test_plot_to_a_path_naming_no_file_fails(tmp_path, capsys, monkeypatch, out):
+    stats = tmp_path / "stats.csv"
+    write_stats_csv(stats, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 1.0)
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", "--stats", str(stats), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "names no file" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
+
+
 def test_meta_records_reproducibility_data(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "a"
@@ -122,8 +134,7 @@ def test_meta_records_reproducibility_data(tmp_path):
     assert meta["rng_algorithm"] == "philox4x64-10/u53/box-muller"
     assert "mix64" in meta["seed_derivation"]
     assert len(meta["seeds"]["trajectories"]) == 6
-    assert meta["spectral_moments"]["c1"] == 0.0
-    assert meta["spectral_moments"]["c2"] == 1.0
+    assert meta["observable"] == {"c1": 0.0, "n_plus": 60 // 2}
     assert meta["analytic"]["variance_bound"] > 0
     health = meta["health"]
     assert 0.0 <= health["unitarity_residual"] <= UNITARITY_RTOL
@@ -211,7 +222,7 @@ def test_subnormal_t_max_fails_at_parse(tmp_path, capsys):
 def test_unreadable_config_fails_cleanly(tmp_path, capsys, content, needle):
     cfg = tmp_path / "config.json"
     cfg.write_bytes(content)
-    assert main(["moments", "--config", str(cfg)]) == 1
+    assert main(["verify", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err and str(cfg) in err
@@ -228,14 +239,6 @@ def test_empty_output_directory_fails(tmp_path, capsys, monkeypatch, where):
     err = capsys.readouterr().err
     assert err == "error: field 'output.directory' must not be empty\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-
-def test_moments_table(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert main(["moments", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "all moment gates satisfied" in out
-    assert out.count("\n") >= 9
 
 
 def test_plot_from_run_outputs(tmp_path):

@@ -1,47 +1,32 @@
+import argparse
+
+import pytest
+
 import typlab
+from typlab.cli import _build_parser, main
 
 # The public API, sorted.  A name enters or leaves only by editing this list.
 EXPORTS = [
-    "CheckResult",
-    "ExperimentConfig",
-    "HermitianOperator",
-    "ModelSpec",
-    "ModelSystem",
-    "OmegaParams",
-    "OutputSettings",
-    "RNG_ALGORITHM",
-    "SeedStream",
-    "SpectralDecomposition",
-    "StateVector",
-    "TimeSettings",
     "TyplabError",
-    "build_model",
-    "build_observable_pm1",
-    "child_seed",
-    "commuting_unitary",
-    "eigendecompose",
-    "exact_hv_series",
     "execute_run",
-    "expectation",
-    "expectations",
-    "heisenberg_observable",
     "load_config",
-    "make_omega",
-    "make_omegas",
-    "mean_expectation_analytic",
-    "norm_variance_analytic",
-    "run_ensemble",
     "run_verification",
-    "sample_stats",
-    "sample_uniform_state",
-    "sample_uniform_states",
-    "spectral_moments",
-    "trajectory_omegas",
-    "variance_bound",
 ]
+
+# The CLI's subcommands.  A command enters or leaves only by editing this list.
+SUBCOMMANDS = ["plot", "run", "verify"]
 
 
 def test_all_is_the_pinned_sorted_list():
     assert EXPORTS == sorted(EXPORTS)
     assert typlab.__all__ == EXPORTS
     assert all(hasattr(typlab, name) for name in EXPORTS)
+
+
+def test_subcommands_are_the_pinned_list(capsys):
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == SUBCOMMANDS
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--config", "unused.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'moments'" in capsys.readouterr().err
