@@ -13,6 +13,7 @@ included, ends in one ``error:`` line on stderr and exit status 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -70,7 +71,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     out = Path(args.out)
-    if not out.name:  # "", "." and "/" name a directory, not a file
+    # "", ".", "/", a path ending in a separator and an existing directory name no file.
+    if not out.name or args.out[-1:] in (os.sep, os.altsep) or out.is_dir():
         raise TyplabError(f"--out {args.out!r} names no file")
     stats = read_stats_csv(args.stats)
     trajectories = None

@@ -4,12 +4,13 @@ parameters.
 The schema is the dataclasses themselves: the keys of each object are its
 fields in declaration order, and each value is converted by the field's
 annotated type.  Unknown keys are errors (they are usually typos in physics
-parameters), every key is required, and every value is type- and
-range-checked before any work starts, including a bound on the run's size:
-its dense matrices, state blocks and trajectory arrays must fit in physical
-memory.  A base seed or output directory given as an override (``typlab
-run --seed``, ``--out``) passes the same check as the file's.  All failures
-raise
+parameters), every key is required, and :func:`parse_config` only converts
+JSON to the types.  The range rules live in the types: :class:`ModelSpec`
+checks the model, and :class:`ExperimentConfig` checks the rest when it is
+built, including a bound on the run's size: its dense matrices, state blocks
+and trajectory arrays must fit in physical memory.  ``dataclasses.replace``
+re-runs those checks, so a config changed in code (``typlab run --seed``,
+``--out``) passes the same rules as a parsed one.  All failures raise
 :class:`TyplabError` naming the offending field.
 """
 from __future__ import annotations
@@ -74,30 +75,72 @@ class ExperimentConfig:
     base_seed: int
     output: OutputSettings
 
+    def __post_init__(self):
+        model, d, m = self.model, self.d, self.num_trajectories
+        t_max, points = self.time.t_max, self.time.points
+        # The variance bound is derived for d >= 0 only, and the closed forms
+        # target small deviations, whose mean expectation value stays well
+        # below the extreme eigenvalues.  NaN fails the comparison too.
+        if not 0 <= d < 1:
+            raise TyplabError(
+                f"field 'd' must satisfy 0 <= d < 1 (the variance bound needs d >= 0), got {d}"
+            )
+        if m < 2:
+            raise TyplabError(f"field 'M' must be >= 2 (variance needs it), got {m}")
+        if points < 2:
+            raise TyplabError(f"field 'time.points' must be >= 2, got {points}")
+        # Largest |energy| estimate: the H0 bandwidth plus n times the typical
+        # perturbation element (the constant kind's only nonzero eigenvalue).
+        e_max = (model.n - 1) * model.delta_e + model.n * math.sqrt(model.v_scale)
+        if t_max * e_max > MAX_PHASE:
+            raise TyplabError(
+                f"field 'time.t_max' = {t_max:g} reaches phases of {t_max * e_max:.3g} rad "
+                f"(estimated max |energy| {e_max:.3g}), above {MAX_PHASE:.0e}, where their "
+                "rounding exceeds ~1e-8"
+            )
+        if not 0 <= self.base_seed < 2**64:
+            raise TyplabError(f"field 'base_seed' must fit in 64 bits, got {self.base_seed}")
+        # An empty path would resolve to the working directory.
+        if not self.output.directory:
+            raise TyplabError("field 'output.directory' must not be empty")
+        # The first of n, M and points whose arrays take the run past physical
+        # memory is named.
+        memory, footprint, n = _physical_memory(), 0, model.n
+        for name, value, nbytes in (
+            ("model.n", n, PEAK_MATRICES * 16 * n**2),
+            ("M", m, STATE_BLOCKS * 16 * n * m),
+            ("time.points", points, TRAJECTORY_ARRAYS * 8 * m * points),
+        ):
+            footprint += nbytes
+            if memory is not None and footprint > memory:
+                raise TyplabError(
+                    f"field '{name}' = {value} needs about {footprint / 2**30:.3g} GiB, "
+                    f"more than the {memory / 2**30:.3g} GiB of physical memory"
+                )
+        # The grid is built only once its size is known to fit; besides
+        # t_max <= 0, a subnormal t_max fails here, since np.linspace then
+        # repeats times.
+        if np.any(np.diff(self.times) <= 0):
+            raise TyplabError(
+                f"field 'time.t_max' must be > 0 and give a strictly increasing grid of "
+                f"time.points = {points} times, got {t_max:g}"
+            )
+
+    @property
+    def times(self) -> np.ndarray:
+        """The run's grid: ``time.points`` equidistant times from 0 to ``time.t_max``."""
+        return np.linspace(0.0, self.time.t_max, self.time.points)
+
     def with_overrides(
         self, out_dir: str | None = None, base_seed: int | None = None
     ) -> "ExperimentConfig":
-        """A copy with the given output directory and base seed, each checked
-        as at parse."""
+        """A copy with the given output directory and base seed, checked as at parse."""
         cfg = self
         if out_dir is not None:
-            cfg = replace(cfg, output=replace(cfg.output, directory=_check_directory(out_dir)))
+            cfg = replace(cfg, output=replace(cfg.output, directory=out_dir))
         if base_seed is not None:
-            cfg = replace(cfg, base_seed=_check_base_seed(base_seed))
+            cfg = replace(cfg, base_seed=base_seed)
         return cfg
-
-
-def _check_base_seed(base_seed: int) -> int:
-    if not 0 <= base_seed < 2**64:
-        raise TyplabError(f"field 'base_seed' must fit in 64 bits, got {base_seed}")
-    return base_seed
-
-
-def _check_directory(directory: str) -> str:
-    # An empty path would resolve to the working directory.
-    if not directory:
-        raise TyplabError("field 'output.directory' must not be empty")
-    return directory
 
 
 def _as_int(value, path: str) -> int:
@@ -154,6 +197,8 @@ def _as_section(value, path: str, cls):
     try:
         return cls(**kwargs)
     except TyplabError as exc:
+        if not path:  # the root's rules name their fields themselves
+            raise
         raise TyplabError(f"field '{path}': {exc}") from exc
 
 
@@ -163,51 +208,9 @@ _CONVERTERS.update(
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document into an :class:`ExperimentConfig`."""
-    config = _as_section(raw, "", ExperimentConfig)
-    model, d, m = config.model, config.d, config.num_trajectories
-    t_max, points = config.time.t_max, config.time.points
-    if not 0 <= d < 1:
-        raise TyplabError(
-            f"field 'd' must satisfy 0 <= d < 1 (the variance bound needs d >= 0), got {d}"
-        )
-    if m < 2:
-        raise TyplabError(f"field 'M' must be >= 2 (variance needs it), got {m}")
-    if points < 2:
-        raise TyplabError(f"field 'time.points' must be >= 2, got {points}")
-    # Largest |energy| estimate: the H0 bandwidth plus n times the typical
-    # perturbation element (the constant kind's only nonzero eigenvalue).
-    e_max = (model.n - 1) * model.delta_e + model.n * math.sqrt(model.v_scale)
-    if t_max * e_max > MAX_PHASE:
-        raise TyplabError(
-            f"field 'time.t_max' = {t_max:g} reaches phases of {t_max * e_max:.3g} rad "
-            f"(estimated max |energy| {e_max:.3g}), above {MAX_PHASE:.0e}, where their "
-            "rounding exceeds ~1e-8"
-        )
-    _check_base_seed(config.base_seed)
-    _check_directory(config.output.directory)
-    # The first of n, M and points whose arrays take the run past physical
-    # memory is named.
-    memory, footprint, n = _physical_memory(), 0, model.n
-    for name, value, nbytes in (
-        ("model.n", n, PEAK_MATRICES * 16 * n**2),
-        ("M", m, STATE_BLOCKS * 16 * n * m),
-        ("time.points", points, TRAJECTORY_ARRAYS * 8 * m * points),
-    ):
-        footprint += nbytes
-        if memory is not None and footprint > memory:
-            raise TyplabError(
-                f"field '{name}' = {value} needs about {footprint / 2**30:.3g} GiB, "
-                f"more than the {memory / 2**30:.3g} GiB of physical memory"
-            )
-    # The run's grid, built once its size is known to fit; besides t_max <= 0,
-    # a subnormal t_max fails here, since np.linspace then repeats times.
-    if np.any(np.diff(np.linspace(0.0, t_max, points)) <= 0):
-        raise TyplabError(
-            f"field 'time.t_max' must be > 0 and give a strictly increasing grid of "
-            f"time.points = {points} times, got {t_max:g}"
-        )
-    return config
+    """Convert a parsed JSON document into an :class:`ExperimentConfig`,
+    whose construction checks it."""
+    return _as_section(raw, "", ExperimentConfig)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

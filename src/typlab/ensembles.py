@@ -8,7 +8,8 @@ substitute ensemble applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state
 and is deliberately not renormalized: its norm spread is part of what the
 closed-form statistics describe.  The observable is diagonal +/-1 and is
 carried as its sign vector, so the map acts elementwise; :class:`OmegaParams`
-is the one place that checks that form.
+is the one place that checks that form, and the other functions take a sign
+vector (never a matrix) and states of its dim.
 """
 from __future__ import annotations
 
@@ -32,14 +33,12 @@ STATE_BLOCK_VALUES = 8192
 
 @dataclass(frozen=True)
 class StateVector:
-    """A complex amplitude vector; immutable after construction."""
+    """A complex 1-d amplitude vector; immutable after construction."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amp.ndim != 1 or amp.size == 0:
-            raise TyplabError(f"expected a 1-d state, got shape {amp.shape}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -59,22 +58,15 @@ class OmegaParams:
     ``observable`` is the sign vector of a diagonal observable, A = 2 P_+ - I:
     its 1-d diagonal, non-empty, every entry exactly +1 or -1, stored as a
     read-only float64 copy; anything else, a matrix included, raises
-    :class:`TyplabError`, as does a matrix passed to any other function
-    that reads a sign vector.  ``d`` must satisfy 0 <= d < 1: the variance
-    bound is derived for d >= 0 only, the reachable mean expectation value
-    saturates well below the extreme eigenvalues, and the closed-form
-    statistics target the small-deviation regime.  Every ensemble,
-    propagation and exact variance reads the observable through this class,
-    so both rules are enforced here; config parse repeats the rule on d only
-    to name the offending field.
+    :class:`TyplabError`; every ensemble, propagation and exact variance
+    reads the observable through this class.  ``d`` is the deviation that
+    :class:`~typlab.config.ExperimentConfig` checks, 0 <= d < 1.
     """
 
     d: float
     observable: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.d < 1:  # also rejects NaN
-            raise TyplabError(f"deviation parameter must satisfy 0 <= d < 1, got {self.d}")
         a = np.asarray(self.observable)
         if a.ndim != 1 or not a.size or a.dtype.kind not in "iuf" or not np.all(np.abs(a) == 1):
             raise TyplabError(
@@ -111,10 +103,8 @@ def sample_uniform_state(n: int, seed: int) -> StateVector:
     """One state from the uniform distribution of normalized states.
 
     Draws 2n standard normals from the seed's stream (first n are the real
-    parts, next n the imaginary parts) and normalizes to unit norm.
+    parts, next n the imaginary parts) and normalizes to unit norm; n >= 1.
     """
-    if n < 1:
-        raise TyplabError(f"dimension must be >= 1, got {n}")
     z = SeedStream(seed).normal(2 * n)
     amp = z[:n] + 1j * z[n:]
     return StateVector(amp / np.linalg.norm(amp))
@@ -129,10 +119,8 @@ def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
     matters.  The rows are built in the normal block's own buffer: blocks
     of ``max(1, STATE_BLOCK_VALUES // n)`` rows are copied out, written
     back as complex amplitudes over the same bytes and normalized in
-    place, so the call needs little memory beyond its result.
+    place, so the call needs little memory beyond its result; n >= 1.
     """
-    if n < 1:
-        raise TyplabError(f"dimension must be >= 1, got {n}")
     z = SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n)
     amp = z.view(np.complex128)
     rows = max(1, STATE_BLOCK_VALUES // n)
@@ -174,10 +162,7 @@ def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
 def _deviation_map(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
     # The one home of the map.  make_omega reaches it here rather than
     # through make_omegas, so a profile of make_omegas counts block calls only.
-    a = params.observable
-    if psis.ndim != 2 or psis.shape[1] != a.size:
-        raise TyplabError(f"state block shape {psis.shape} does not match observable dim {a.size}")
-    return (psis + params.d * (a * psis)) / np.sqrt(1.0 + params.d**2)
+    return (psis + params.d * (params.observable * psis)) / np.sqrt(1.0 + params.d**2)
 
 
 def commuting_unitary(signs: np.ndarray, seed: int) -> np.ndarray:
@@ -187,9 +172,6 @@ def commuting_unitary(signs: np.ndarray, seed: int) -> np.ndarray:
 
     The angles are uniform in [0, 2*pi) from the seed's stream.  Apply it
     to a state elementwise, ``phases * psi``; ``np.diag(phases)`` commutes
-    with A identically.  A matrix in place of the sign vector raises
-    :class:`TyplabError`.
+    with A identically.
     """
-    if np.ndim(signs) != 1:
-        raise TyplabError(f"expected a sign vector, got shape {np.shape(signs)}")
     return np.exp(1j * SeedStream(seed).angles(len(signs)))

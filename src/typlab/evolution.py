@@ -37,8 +37,6 @@ def expectation(a_op: HermitianOperator, phi: StateVector) -> float:
     violation signals a Hermiticity bug upstream and raises
     :class:`TyplabError`.
     """
-    if phi.dim != a_op.dim:
-        raise TyplabError(f"state dim {phi.dim} does not match observable dim {a_op.dim}")
     value = complex(np.vdot(phi.amplitudes, a_op.matrix @ phi.amplitudes))
     if abs(value.imag) > IMAG_RESIDUE_RTOL * phi.norm_sq:
         raise TyplabError(
@@ -53,15 +51,9 @@ def expectations(signs: np.ndarray, states: np.ndarray) -> np.ndarray:
     diagonal observable of sign vector ``signs``.
 
     The value is ``sum_j a_j |phi_j|^2``: no n x n product, and real by
-    construction.  A matrix in place of the sign vector raises
-    :class:`TyplabError`.
+    construction.  ``signs`` is the (n,) vector, never a matrix, and the
+    states have n columns.
     """
-    if np.ndim(signs) != 1:
-        raise TyplabError(f"expected a sign vector, got shape {np.shape(signs)}")
-    if states.ndim != 2 or states.shape[1] != len(signs):
-        raise TyplabError(
-            f"state block shape {states.shape} does not match observable dim {len(signs)}"
-        )
     return (states.real**2 + states.imag**2) @ signs
 
 
@@ -70,10 +62,8 @@ def trajectory_omegas(params: OmegaParams, m: int, base_seed: int) -> np.ndarray
     ``make_omega(sample_uniform_state(n, child_seed(base_seed, i)), params)``.
 
     Initial values far from the analytic ensemble mean (3 sigma of the
-    variance bound) are logged with the trajectory's seed.
+    variance bound) are logged with the trajectory's seed; m >= 1.
     """
-    if m < 1:
-        raise TyplabError(f"trajectory count must be >= 1, got {m}")
     n = params.observable.size
     seeds = [child_seed(base_seed, i) for i in range(m)]
     omegas = np.empty((n, m), dtype=np.complex128)
@@ -101,7 +91,7 @@ def run_ensemble(
 ) -> np.ndarray:
     """The (M, T) array a_i(t_k) = <omega_i(t_k)|A|omega_i(t_k)> of the
     states in the M columns of ``omegas`` at the T entries of ``times``,
-    with A = ``params.observable``; config parse checks a run's grid.
+    with A = ``params.observable``; the run's grid is ``ExperimentConfig.times``.
 
     All states are rotated into the energy eigenbasis at once,
     C = U^dagger [omega_0 ... omega_{M-1}].  A is the validated sign vector,

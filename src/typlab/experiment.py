@@ -1,5 +1,5 @@
 """Experiment orchestration: build the model, draw the trajectory states,
-propagate them over the time grid that config parse checked, aggregate their
+propagate them over the config's checked time grid, aggregate their
 mean and variance, and emit the output files; the stages pass plain arrays.
 
 Outputs per run directory:
@@ -65,7 +65,7 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
     model = build_model(config.model)
     dec = eigendecompose(model.hamiltonian)
     params = OmegaParams(d=config.d, observable=model.observable)
-    times = np.linspace(0.0, config.time.t_max, config.time.points)
+    times = config.times
     trajectories = run_ensemble(
         dec, params, trajectory_omegas(params, config.num_trajectories, config.base_seed), times
     )

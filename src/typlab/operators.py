@@ -176,8 +176,6 @@ def spectral_moments(spectrum: np.ndarray) -> dict[int, float]:
     diagonal +/-1 observable), as a plain ``{order: value}`` dict.
     """
     values = np.asarray(spectrum, dtype=np.float64)
-    if values.ndim != 1:
-        raise TyplabError(f"expected a 1-d spectrum, got shape {values.shape}")
     return {i: float(np.mean(values**i)) for i in MOMENT_ORDERS}
 
 
@@ -189,10 +187,6 @@ def plus_rows(signs: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     that U^dagger P_+ U = U_+^dagger U_+.  The block is (n_+, n) and empty
     when A = -I.
     """
-    if np.shape(signs) != (dec.dim,):
-        raise TyplabError(
-            f"sign vector shape {np.shape(signs)} does not match decomposition dim {dec.dim}"
-        )
     return dec.eigenvectors[signs > 0]
 
 
@@ -206,8 +200,6 @@ def heisenberg_observable(
     against round-off before validation; at t = 0 it equals A up to the
     basis round trip (well below 1e-12 for the operators used here).
     """
-    if op.dim != dec.dim:
-        raise TyplabError(f"observable dim {op.dim} does not match decomposition dim {dec.dim}")
     u = dec.eigenvectors
     a_eig = u.conj().T @ op.matrix @ u
     phase = np.exp(1j * dec.eigenvalues * t)

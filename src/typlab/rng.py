@@ -63,10 +63,8 @@ def child_seed(base_seed: int, index: int) -> int:
 
     ``mix64(base ^ (index + 1) * KEY)`` with an odd 64-bit constant; the
     multiply is injective modulo 2^64 and mix64 is a bijection, so distinct
-    indices below 2^64 - 1 give distinct children for a fixed base.
+    indices in [0, 2^64 - 1) give distinct children for a fixed base.
     """
-    if index < 0:
-        raise TyplabError("child index must be non-negative")
     return mix64((base_seed ^ ((index + 1) * _CHILD_KEY)) & MASK64)
 
 

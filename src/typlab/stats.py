@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import TyplabError
 from .operators import SpectralDecomposition, plus_rows
 
 if TYPE_CHECKING:
@@ -52,8 +51,6 @@ def norm_variance_analytic(d: float, c1: float, n: int) -> float:
     It is the uniform-ensemble variance of ``(1 + d A)^2 / (1 + d^2)``, the
     identity mapped through D; the tests check the two agree.
     """
-    if n < 1:
-        raise TyplabError(f"dimension must be >= 1, got {n}")
     return (4 * d**2 + 4 * d**3 * c1) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
@@ -70,13 +67,9 @@ def variance_bound(d: float, n: int) -> float:
     It is the paper's bound for a general observable at c_4 = c_8 = 1, as
     for every sign vector; the numerator is summed term by term as there,
     not as (1 + d)^4, so both give the same bits.  Derived with
-    positive-coefficient Cauchy-Schwarz steps, hence valid for d >= 0 only;
-    negative d is rejected rather than guessed.
+    positive-coefficient Cauchy-Schwarz steps, hence valid for d >= 0 only,
+    which :class:`~typlab.config.ExperimentConfig` requires of every run.
     """
-    if d < 0:
-        raise TyplabError(f"the bound is derived for d >= 0, got d={d}")
-    if n < 1:
-        raise TyplabError(f"dimension must be >= 1, got {n}")
     return (1.0 + 4 * d + 6 * d**2 + 4 * d**3 + d**4) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
@@ -129,12 +122,10 @@ def sample_stats(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variance unbiased with the (M - 1) divisor.
 
     Summation runs over the rows in order, so repeated runs aggregate
-    identically.
+    identically; M >= 2, as the config requires.
     """
     values = np.asarray(trajectories, dtype=np.float64)
     m = values.shape[0]
-    if m < 2:
-        raise TyplabError(f"need at least 2 trajectories, got {m}")
     mean = values.mean(axis=0)
     centered = values - mean
     variance = (centered**2).sum(axis=0) / (m - 1)

@@ -114,7 +114,9 @@ def test_plot_into_missing_directory_fails(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
 
 
-@pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
+@pytest.mark.parametrize(
+    "out", ["", ".", "x/", ".."], ids=["empty", "dot", "trailing-separator", "parent"]
+)
 def test_plot_to_a_path_naming_no_file_fails(tmp_path, capsys, monkeypatch, out):
     stats = tmp_path / "stats.csv"
     write_stats_csv(stats, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 1.0)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import typlab
 from typlab.config import config_as_dict, load_config, parse_config
 from typlab.errors import TyplabError
+from typlab.experiment import execute_run
 
 
 def valid_raw():
@@ -113,19 +115,42 @@ def test_unknown_model_field_rejected():
         parse_config(raw)
 
 
+# Values that pass the type conversion and break a rule of ExperimentConfig.
+# The model's range case below is ModelSpec's, whose messages name no field
+# until parse prefixes them, so it is not among these.
+RANGE_CASES = [
+    (lambda r: r.__setitem__("M", 1), "M"),
+    (lambda r: r.__setitem__("d", 1.5), "d"),
+    (lambda r: r["time"].__setitem__("points", 1), "time.points"),
+    (lambda r: r["time"].__setitem__("t_max", -3.0), "time.t_max"),
+    (lambda r: r.__setitem__("base_seed", 2**64), "base_seed"),
+    pytest.param(lambda r: r.__setitem__("d", -0.1), "field 'd'", id="negative-d"),
+    pytest.param(
+        lambda r: r["time"].__setitem__("t_max", 1e9),
+        "field 'time.t_max' = 1e[+]09 reaches phases",
+        id="phase-overflow-t_max",
+    ),
+    pytest.param(
+        lambda r: r["time"].update(t_max=5e-324, points=3),
+        "field 'time.t_max' must be > 0 and give a strictly increasing grid",
+        id="subnormal-t_max",
+    ),
+    pytest.param(
+        lambda r: r["output"].__setitem__("directory", ""),
+        "field 'output.directory' must not be empty",
+        id="empty-directory",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
+        *RANGE_CASES,
         (lambda r: r["model"].__setitem__("n", "sixty"), "model.n"),
         (lambda r: r["model"].__setitem__("n", 61), "model"),
-        (lambda r: r.__setitem__("M", 1), "M"),
-        (lambda r: r.__setitem__("d", 1.5), "d"),
-        (lambda r: r["time"].__setitem__("points", 1), "time.points"),
-        (lambda r: r["time"].__setitem__("t_max", -3.0), "time.t_max"),
         (lambda r: r["output"].__setitem__("emit_plot", "yes"), "output.emit_plot"),
-        (lambda r: r.__setitem__("base_seed", 2**64), "base_seed"),
         (lambda r: r.__setitem__("M", True), "M"),
-        pytest.param(lambda r: r.__setitem__("d", -0.1), "field 'd'", id="negative-d"),
         pytest.param(
             lambda r: r["model"].__setitem__("v_scale", float("nan")),
             "field 'model.v_scale' must be finite",
@@ -151,16 +176,6 @@ def test_unknown_model_field_rejected():
             "field 'time.t_max' must be finite",
             id="huge-int-t_max",
         ),
-        pytest.param(
-            lambda r: r["time"].__setitem__("t_max", 1e9),
-            "field 'time.t_max' = 1e[+]09 reaches phases",
-            id="phase-overflow-t_max",
-        ),
-        pytest.param(
-            lambda r: r["time"].update(t_max=5e-324, points=3),
-            "field 'time.t_max' must be > 0 and give a strictly increasing grid",
-            id="subnormal-t_max",
-        ),
     ],
 )
 def test_invalid_values_named(mutate, needle):
@@ -170,6 +185,31 @@ def test_invalid_values_named(mutate, needle):
     match = needle if needle.startswith("field ") else f"field '{needle}'"
     with pytest.raises(TyplabError, match=match):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("mutate,needle", RANGE_CASES)
+def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, needle):
+    # A config built in code passes the same rules, with the same message,
+    # before any run starts: execute_run creates no directory.
+    monkeypatch.chdir(tmp_path)
+    valid = parse_config(valid_raw())
+    raw = valid_raw()
+    mutate(raw)
+    with pytest.raises(TyplabError) as parsed:
+        parse_config(raw)
+    with pytest.raises(TyplabError) as built:
+        execute_run(
+            replace(
+                valid,
+                d=raw["d"],
+                num_trajectories=raw["M"],
+                time=replace(valid.time, **raw["time"]),
+                base_seed=raw["base_seed"],
+                output=replace(valid.output, **raw["output"]),
+            )
+        )
+    assert str(built.value) == str(parsed.value)
+    assert not any(tmp_path.iterdir())
 
 
 def test_invalid_json_reports_line(tmp_path):

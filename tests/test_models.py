@@ -77,10 +77,6 @@ class TestObservable:
         b = build_observable_pm1(30, seed=2)
         assert not np.array_equal(a, b)
 
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(TyplabError, match="dimension must be even, got 5"):
-            build_observable_pm1(5, seed=0)
-
 
 class TestGaussianPerturbation:
     def test_zero_scale_is_zero_matrix(self):

@@ -40,11 +40,6 @@ def test_child_seed_injective_over_prefix():
     assert len(set(children)) == len(children)
 
 
-def test_child_seed_rejects_negative_index():
-    with pytest.raises(TyplabError, match="child index must be non-negative"):
-        child_seed(1, -1)
-
-
 def test_seed_stream_rejects_out_of_range_seed():
     with pytest.raises(TyplabError, match="seed must fit in 64 bits, got -1"):
         SeedStream(-1)

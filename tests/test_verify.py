@@ -121,7 +121,8 @@ def test_corrupted_kernel_fails_picture_equivalence(monkeypatch, corrupt):
 
 
 def test_negative_deviation_raises_typlab_error():
-    # Config parse rejects d < 0 first; a library caller reaches OmegaParams.
+    # The config rejects d < 0 when it is built, by parse or by replace, so
+    # run_verification never receives it.
     with pytest.raises(TyplabError, match="0 <= d < 1"):
         run_verification(replace(load_config(VERIFY_CONFIG), d=-0.1))
 
