@@ -7,11 +7,11 @@ annotated type.  Unknown keys are errors (they are usually typos in physics
 parameters), every key is required, and :func:`parse_config` only converts
 JSON to the types.  The range rules live in the types: :class:`ModelSpec`
 checks the model, and :class:`ExperimentConfig` checks the rest when it is
-built, including a bound on the run's size: its dense matrices, state blocks
-and trajectory arrays must fit in physical memory.  ``dataclasses.replace``
-re-runs those checks, so a config changed in code (``typlab run --seed``,
-``--out``) passes the same rules as a parsed one.  All failures raise
-:class:`TyplabError` naming the offending field.
+built, the types of its scalar fields first, and last a bound on the run's
+size: its dense matrices, state blocks and trajectory arrays must fit in
+physical memory.  ``dataclasses.replace`` re-runs those checks, so a config
+changed in code (``typlab run --seed``, ``--out``) passes the same rules as a
+parsed one.  All failures raise :class:`TyplabError` naming the offending field.
 """
 from __future__ import annotations
 
@@ -76,6 +76,11 @@ class ExperimentConfig:
     output: OutputSettings
 
     def __post_init__(self):
+        # Parse's converters first, so a wrong type fails as a parsed one does.
+        for section, prefix in ((self, ""), (self.time, "time."), (self.output, "output.")):
+            for f in fields(section):
+                if convert := _SCALARS.get(f.type):
+                    convert(getattr(section, f.name), prefix + _KEY_NAMES.get(f.name, f.name))
         model, d, m = self.model, self.d, self.num_trajectories
         t_max, points = self.time.t_max, self.time.points
         # The variance bound is derived for d >= 0 only, and the closed forms
@@ -173,8 +178,8 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-# Field annotation -> converter of a JSON value; the sections are added below.
-_CONVERTERS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
+# Scalar field annotation -> converter of a JSON value.
+_SCALARS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
 
 
 def _as_section(value, path: str, cls):
@@ -202,9 +207,10 @@ def _as_section(value, path: str, cls):
         raise TyplabError(f"field '{path}': {exc}") from exc
 
 
-_CONVERTERS.update(
-    {c.__name__: partial(_as_section, cls=c) for c in (ModelSpec, TimeSettings, OutputSettings)}
-)
+# Field annotation -> converter of a JSON value.
+_CONVERTERS = _SCALARS | {
+    c.__name__: partial(_as_section, cls=c) for c in (ModelSpec, TimeSettings, OutputSettings)
+}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

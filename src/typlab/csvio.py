@@ -3,8 +3,9 @@
 Numbers are written as the shortest decimal that round-trips binary64
 (Python's ``repr``), so files are a bit-exact interface: equal runs produce
 byte-identical files, and reading them back loses nothing.  Both files are
-read by one reader, which accepts only finite values and at least two rows
-of strictly increasing ``t``: what a plot needs.
+written by one writer and read by one reader, and each file's writer takes
+what its reader returns.  The reader accepts only finite values and at
+least two rows of strictly increasing ``t``: what a plot needs.
 """
 from __future__ import annotations
 
@@ -27,32 +28,23 @@ def trajectories_header(num_trajectories: int) -> list[str]:
     return ["t"] + [f"traj_{i}" for i in range(num_trajectories)]
 
 
-def write_stats_csv(
-    path: str | Path,
-    times: np.ndarray,
-    mean: np.ndarray,
-    variance: np.ndarray,
-    bound: float,
-) -> None:
-    """Write the per-time ensemble statistics; the bound column repeats the
-    time-independent analytic value on every row."""
-    bound_str = format_number(bound)
+def _write_table(path: str | Path, header: list[str], columns) -> None:
+    """Write ``header``, then row k of the equal-length ``columns``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(STATS_HEADER)
-        for t, m, v in zip(times, mean, variance):
-            writer.writerow([format_number(t), format_number(m), format_number(v), bound_str])
+        writer.writerow(header)
+        writer.writerows(map(format_number, row) for row in zip(*columns))
 
 
-def write_trajectories_csv(
-    path: str | Path, times: np.ndarray, values: np.ndarray
-) -> None:
+def write_stats_csv(path: str | Path, stats: dict[str, np.ndarray]) -> None:
+    """Write the per-time ensemble statistics, arrays keyed by column name as
+    :func:`read_stats_csv` returns them."""
+    _write_table(path, STATS_HEADER, [stats[name] for name in STATS_HEADER])
+
+
+def write_trajectories_csv(path: str | Path, times: np.ndarray, values: np.ndarray) -> None:
     """Write per-trajectory series; ``values`` has shape (M, len(times))."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(trajectories_header(values.shape[0]))
-        for k, t in enumerate(times):
-            writer.writerow([format_number(t)] + [format_number(v) for v in values[:, k]])
+    _write_table(path, trajectories_header(values.shape[0]), [times, *values])
 
 
 def _parse_float(cell: str, row: int) -> float:

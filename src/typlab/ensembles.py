@@ -43,10 +43,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amp)
 
     @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -140,7 +136,7 @@ def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
     renormalization: the image ensemble is only near-normalized.  A norm
     outside the 10-sigma analytic band is logged, not fatal.
     """
-    omega = StateVector(_deviation_map(psi.amplitudes[None, :], params)[0])
+    omega = StateVector(make_omegas(psi.amplitudes[None, :], params)[0])
     low, high = params.norm_sq_band
     if not low <= omega.norm_sq <= high:
         logger.warning(
@@ -153,15 +149,9 @@ def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
 
 
 def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
-    """:func:`make_omega` for a (count, n) block of states, one per row: A is
+    """The deviation map for a (count, n) block of states, one per row: A is
     diagonal +/-1, so the map is ``(psi + d * (a * psi)) / sqrt(1 + d^2)``
     elementwise with ``a = params.observable``."""
-    return _deviation_map(psis, params)
-
-
-def _deviation_map(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
-    # The one home of the map.  make_omega reaches it here rather than
-    # through make_omegas, so a profile of make_omegas counts block calls only.
     return (psis + params.d * (params.observable * psis)) / np.sqrt(1.0 + params.d**2)
 
 

@@ -32,7 +32,7 @@ from .ensembles import OmegaParams
 from .evolution import run_ensemble, trajectory_omegas
 from .models import OBSERVABLE_STREAM, PERTURBATION_STREAM, build_model
 from .operators import eigendecompose
-from .rng import RNG_ALGORITHM, child_seed
+from .rng import RNG_ALGORITHM, SEED_DERIVATION, child_seed
 from .stats import (
     mean_expectation_analytic,
     norm_variance_analytic,
@@ -40,8 +40,6 @@ from .stats import (
     variance_bound,
 )
 from .svgplot import render_figure
-
-SEED_DERIVATION = "child_seed(i) = mix64(base_seed XOR (i+1)*0x9e3779b97f4a7c15)"
 
 
 def _write_atomically(path: Path, write, *args) -> None:
@@ -70,9 +68,10 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
         dec, params, trajectory_omegas(params, config.num_trajectories, config.base_seed), times
     )
     mean, variance = sample_stats(trajectories)
+    bound = variance_bound(config.d, config.model.n)
+    stats = {"t": times, "mean": mean, "variance": variance, "bound": np.full_like(times, bound)}
 
     c1 = params.moments[1]
-    bound = variance_bound(config.d, config.model.n)
     meta = {
         "config": config_as_dict(config),
         "rng_algorithm": RNG_ALGORITHM,
@@ -98,7 +97,7 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
 
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "stats.csv"]
-    _write_atomically(written[-1], write_stats_csv, times, mean, variance, bound)
+    _write_atomically(written[-1], write_stats_csv, stats)
 
     if config.output.emit_trajectories:
         written.append(out / "trajectories.csv")
@@ -110,13 +109,7 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
 
     if config.output.emit_plot:
         written.append(out / "plot.svg")
-        stats_columns = {
-            "t": times,
-            "mean": mean,
-            "variance": variance,
-            "bound": np.full_like(times, bound),
-        }
         shown = (times, trajectories) if config.output.emit_trajectories else None
-        _write_atomically(written[-1], Path.write_text, render_figure(stats_columns, shown))
+        _write_atomically(written[-1], Path.write_text, render_figure(stats, shown))
 
     return written

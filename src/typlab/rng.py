@@ -30,11 +30,12 @@ from .errors import TyplabError
 
 MASK64 = (1 << 64) - 1
 
-RNG_ALGORITHM = "philox4x64-10/u53/box-muller"
-
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 _CHILD_KEY = 0x9E3779B97F4A7C15  # odd, so (i + 1) * key is injective mod 2^64
+
+RNG_ALGORITHM = "philox4x64-10/u53/box-muller"
+SEED_DERIVATION = f"child_seed(i) = mix64(base_seed XOR (i+1)*{_CHILD_KEY:#x})"
 
 # Box-Muller pairs per block: each temporary of a block is 64 KiB, below
 # glibc's mmap threshold, so the blocks reuse heap memory and freeing them

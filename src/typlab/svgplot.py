@@ -22,14 +22,15 @@ VARIANCE_STYLE = 'fill="none" stroke="#2166ac" stroke-width="1.5"'
 BOUND_STYLE = 'stroke="#b2182b" stroke-width="1.5" stroke-dasharray="6,3"'
 AXIS_STYLE = 'stroke="#000000" stroke-width="1"'
 FONT = 'font-family="sans-serif" font-size="12"'
+TICK_COUNT = 5
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    raw_step = (hi - lo) / (count - 1)
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    raw_step = (hi - lo) / (TICK_COUNT - 1)
     if not raw_step > 0:  # an empty span, or one so narrow that its step underflows
         return np.array([lo])
     power = 10.0 ** np.floor(np.log10(raw_step))
@@ -69,22 +70,20 @@ class _Axes:
             f'height="{_fmt(self.height)}" fill="none" {AXIS_STYLE}/>'
         )
 
-    def tick_marks(self, label_size: int = 12) -> list[str]:
+    def tick_marks(self) -> list[str]:
         parts = []
         for tx in _ticks(*self.xlim):
             px = float(self.px(tx))
             y1 = self.y0 + self.height
             parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y1)}" x2="{_fmt(px)}" y2="{_fmt(y1 + 5)}" {AXIS_STYLE}/>')
             parts.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(y1 + 18)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="{label_size}">{tx:g}</text>'
+                f'<text x="{_fmt(px)}" y="{_fmt(y1 + 18)}" text-anchor="middle" {FONT}>{tx:g}</text>'
             )
         for ty in _ticks(*self.ylim):
             py = float(self.py(ty))
             parts.append(f'<line x1="{_fmt(self.x0 - 5)}" y1="{_fmt(py)}" x2="{_fmt(self.x0)}" y2="{_fmt(py)}" {AXIS_STYLE}/>')
             parts.append(
-                f'<text x="{_fmt(self.x0 - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="{label_size}">{ty:g}</text>'
+                f'<text x="{_fmt(self.x0 - 8)}" y="{_fmt(py + 4)}" text-anchor="end" {FONT}>{ty:g}</text>'
             )
         return parts
 

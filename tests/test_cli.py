@@ -39,6 +39,16 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def stats_table(times: np.ndarray, variance: np.ndarray, bound: float) -> dict:
+    """The stats table of a zero mean, keyed by column as ``write_stats_csv`` takes it."""
+    return {
+        "t": times,
+        "mean": np.zeros_like(times),
+        "variance": variance,
+        "bound": np.full_like(times, bound),
+    }
+
+
 @pytest.mark.parametrize("config", REPO_CONFIGS, ids=lambda p: p.name)
 def test_shipped_configs_load(config):
     from typlab.config import load_config
@@ -105,7 +115,7 @@ def test_run_into_existing_file_fails(tmp_path, capsys):
 
 def test_plot_into_missing_directory_fails(tmp_path, capsys):
     stats = tmp_path / "stats.csv"
-    write_stats_csv(stats, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 1.0)
+    write_stats_csv(stats, stats_table(np.array([0.0, 1.0]), np.zeros(2), 1.0))
     missing = tmp_path / "missing"
     assert main(["plot", "--stats", str(stats), "--out", str(missing / "fig.svg")]) == 1
     err = capsys.readouterr().err
@@ -119,7 +129,7 @@ def test_plot_into_missing_directory_fails(tmp_path, capsys):
 )
 def test_plot_to_a_path_naming_no_file_fails(tmp_path, capsys, monkeypatch, out):
     stats = tmp_path / "stats.csv"
-    write_stats_csv(stats, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 1.0)
+    write_stats_csv(stats, stats_table(np.array([0.0, 1.0]), np.zeros(2), 1.0))
     monkeypatch.chdir(tmp_path)
     assert main(["plot", "--stats", str(stats), "--out", out]) == 1
     err = capsys.readouterr().err
@@ -305,7 +315,7 @@ def test_plot_non_finite_stats_fails_cleanly(tmp_path, capsys, cell):
 
 def test_plot_rejects_trajectories_on_another_grid(tmp_path, capsys):
     stats, trajectories = tmp_path / "stats.csv", tmp_path / "trajectories.csv"
-    write_stats_csv(stats, np.linspace(0.0, 10.0, 5), np.zeros(5), np.ones(5), 2.0)
+    write_stats_csv(stats, stats_table(np.linspace(0.0, 10.0, 5), np.ones(5), 2.0))
     write_trajectories_csv(trajectories, np.linspace(0.0, 300.0, 5), np.zeros((2, 5)))
     fig = tmp_path / "fig.svg"
     argv = ["plot", "--stats", str(stats), "--trajectories", str(trajectories)]
@@ -320,7 +330,7 @@ def test_plot_rejects_trajectories_on_another_grid(tmp_path, capsys):
 def test_plot_non_utf8_csv_fails_cleanly(tmp_path, capsys, flag):
     stats, trajectories = tmp_path / "stats.csv", tmp_path / "trajectories.csv"
     times = np.linspace(0.0, 1.0, 5)
-    write_stats_csv(stats, times, np.zeros(5), np.ones(5), 2.0)
+    write_stats_csv(stats, stats_table(times, np.ones(5), 2.0))
     write_trajectories_csv(trajectories, times, np.zeros((2, 5)))
     bad = {"--stats": stats, "--trajectories": trajectories}[flag]
     lines = bad.read_bytes().split(b"\n")

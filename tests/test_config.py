@@ -187,7 +187,20 @@ def test_invalid_values_named(mutate, needle):
         parse_config(raw)
 
 
-@pytest.mark.parametrize("mutate,needle", RANGE_CASES)
+# Values of the wrong type: a config built in code meets parse's converters.
+TYPE_CASES = [
+    pytest.param(lambda r: r.__setitem__("M", 2.5), "M", id="M-float"),
+    pytest.param(lambda r: r.__setitem__("M", True), "M", id="M-bool"),
+    pytest.param(lambda r: r.__setitem__("base_seed", "7"), "base_seed", id="base_seed-str"),
+    pytest.param(lambda r: r.__setitem__("d", "0.1"), "d", id="d-str"),
+    pytest.param(lambda r: r["time"].__setitem__("points", 2.5), "time.points", id="points-float"),
+    pytest.param(
+        lambda r: r["output"].__setitem__("emit_plot", "yes"), "output.emit_plot", id="emit_plot-str"
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate,needle", RANGE_CASES + TYPE_CASES)
 def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, needle):
     # A config built in code passes the same rules, with the same message,
     # before any run starts: execute_run creates no directory.

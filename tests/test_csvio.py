@@ -21,12 +21,29 @@ def test_stats_roundtrip_exact(tmp_path):
     times = np.linspace(0.0, 7.0, 13)
     mean = np.sin(times) / 3
     variance = np.abs(np.cos(times)) * 1e-3
-    write_stats_csv(path, times, mean, variance, bound=2.5e-3)
+    bound = np.full_like(times, 2.5e-3)
+    write_stats_csv(path, {"t": times, "mean": mean, "variance": variance, "bound": bound})
     data = read_stats_csv(path)
     assert np.array_equal(data["t"], times)
     assert np.array_equal(data["mean"], mean)
     assert np.array_equal(data["variance"], variance)
     assert np.all(data["bound"] == 2.5e-3)
+
+
+def test_writers_take_what_the_readers_return(tmp_path):
+    # Each writer, handed what its reader read from a written file, writes
+    # that file's bytes again.
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.exponential(size=9))
+    values = rng.standard_normal((4, 9)) * 10.0 ** rng.integers(-300, 300, size=(4, 9))
+    stats = {"t": times, "mean": values[0], "variance": np.abs(values[1]), "bound": values[2]}
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_stats_csv(first, stats)
+    write_stats_csv(second, read_stats_csv(first))
+    assert second.read_bytes() == first.read_bytes()
+    write_trajectories_csv(first, times, values)
+    write_trajectories_csv(second, *read_trajectories_csv(first))
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_trajectories_roundtrip_exact(tmp_path):

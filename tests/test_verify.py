@@ -9,7 +9,7 @@ import typlab.verify
 from typlab.config import load_config, parse_config
 from typlab.errors import TyplabError
 from typlab.operators import SpectralDecomposition
-from typlab.verify import format_report, run_verification
+from typlab.verify import CheckResult, _bound_sampled_error, format_report, run_verification
 
 VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "verify_small.json"
 
@@ -90,8 +90,10 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch):
     monkeypatch.setattr(typlab.verify, "build_model", corrupted)
     results = run_verification(config)
     by_name = {r.name: r for r in results}
-    assert not by_name["moment-gate"].passed
-    assert "c1" in by_name["moment-gate"].measured
+    gate = by_name["moment-gate"]
+    assert not gate.passed
+    assert gate.measured == "c1 = 1, n_plus = 60"
+    assert gate.margin == 1.0 - 1.0 / 1e-12
     report = format_report(results)
     assert "first failing: moment-gate" in report
 
@@ -175,3 +177,33 @@ def test_commuting_invariance_reuses_the_trajectory_states(monkeypatch):
     assert [omegas.shape for omegas in drawn] == [(60, 7), (100, 5)]
     commuting = {r.name: r for r in results}["commuting-invariance"]
     assert "over 7 states x 10 unitaries" in commuting.criterion
+
+
+def test_a_check_passes_at_its_tolerance():
+    check = CheckResult("c", 0.25, 0.25, "", "")
+    assert check.passed and check.margin == 0.0
+    assert not CheckResult("c", np.nextafter(0.25, 1.0), 0.25, "", "").passed
+
+
+@pytest.mark.parametrize("error,margin", [(0.0, 1.0), (1e-300, -np.inf)])
+def test_zero_tolerance_margin(error, margin):
+    check = CheckResult("c", error, 0.0, "", "")
+    assert check.margin == margin
+    assert check.passed == (error == 0.0)
+
+
+@pytest.mark.parametrize(
+    "fraction,ratio,passed",
+    [
+        (np.mean(np.arange(300) < 3), 1.0, True),
+        (0.0, 1.5, True),
+        (0.01, 1.5, True),
+        (np.nextafter(0.01, 1.0), 1.0, False),
+        (0.0, np.nextafter(1.5, 2.0), False),
+    ],
+    ids=["1%", "1.5x", "both", "past-1%", "past-1.5x"],
+)
+def test_bound_sampled_error_edges(fraction, ratio, passed):
+    # At most 1% of points above the bound, none beyond 1.5 times it.
+    check = CheckResult("bound-sampled", _bound_sampled_error(fraction, ratio), 1.0, "", "")
+    assert check.passed == passed
