@@ -7,9 +7,9 @@ annotated type.  Unknown keys are errors (they are usually typos in physics
 parameters), every key is required, and :func:`parse_config` only converts
 JSON to the types.  The range rules live in the types: :class:`ModelSpec`
 checks the model, and :class:`ExperimentConfig` checks the rest when it is
-built, the types of its scalar fields first, and last a bound on the run's
-size: its dense matrices, state blocks and trajectory arrays must fit in
-physical memory.  ``dataclasses.replace`` re-runs those checks, so a config
+built, the types of its scalar fields first (storing them converted, as
+parse does), and last a bound on the run's size: its dense matrices, state
+blocks and trajectory arrays must fit in physical memory.  ``dataclasses.replace`` re-runs those checks, so a config
 changed in code (``typlab run --seed``, ``--out``) passes the same rules as a
 parsed one.  All failures raise :class:`TyplabError` naming the offending field.
 """
@@ -76,11 +76,14 @@ class ExperimentConfig:
     output: OutputSettings
 
     def __post_init__(self):
-        # Parse's converters first, so a wrong type fails as a parsed one does.
-        for section, prefix in ((self, ""), (self.time, "time."), (self.output, "output.")):
-            for f in fields(section):
-                if convert := _SCALARS.get(f.type):
-                    convert(getattr(section, f.name), prefix + _KEY_NAMES.get(f.name, f.name))
+        # Parse's converters first, so a wrong type fails as a parsed one does
+        # and a right one is stored as parse stores it (an int d as a float).
+        # The nested sections are rebuilt, not changed, as others may share them.
+        for name, value in _converted(self, "").items():
+            object.__setattr__(self, name, value)
+        for name in ("time", "output"):
+            section = getattr(self, name)
+            object.__setattr__(self, name, replace(section, **_converted(section, f"{name}.")))
         model, d, m = self.model, self.d, self.num_trajectories
         t_max, points = self.time.t_max, self.time.points
         # The variance bound is derived for d >= 0 only, and the closed forms
@@ -180,6 +183,16 @@ def _as_bool(value, path: str) -> bool:
 
 # Scalar field annotation -> converter of a JSON value.
 _SCALARS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
+
+
+def _converted(section, prefix: str) -> dict:
+    """The scalar fields of a dataclass instance through parse's converters,
+    each under its field path."""
+    return {
+        f.name: _SCALARS[f.type](getattr(section, f.name), prefix + _KEY_NAMES.get(f.name, f.name))
+        for f in fields(section)
+        if f.type in _SCALARS
+    }
 
 
 def _as_section(value, path: str, cls):

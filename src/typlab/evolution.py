@@ -52,9 +52,12 @@ def expectations(signs: np.ndarray, states: np.ndarray) -> np.ndarray:
 
     The value is ``sum_j a_j |phi_j|^2``: no n x n product, and real by
     construction.  ``signs`` is the (n,) vector, never a matrix, and the
-    states have n columns.
+    states have n columns.  The squares are summed in place, so the call
+    holds one float temporary of the states' shape.
     """
-    return (states.real**2 + states.imag**2) @ signs
+    sq = states.real**2
+    sq += states.imag**2
+    return sq @ signs
 
 
 def trajectory_omegas(params: OmegaParams, m: int, base_seed: int) -> np.ndarray:

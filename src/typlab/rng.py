@@ -7,8 +7,10 @@ stream:
 
 * uniforms: the high 53 bits of each word, scaled by 2^-53;
 * normals: Box-Muller on uniform pairs, cosine block first (a request for
-  ``count`` normals consumes ``ceil(count/2)`` words for each of the two
-  uniform blocks, drawn together as one run of words);
+  ``count`` normals consumes ``half = ceil(count/2)`` words for each of the
+  two uniform blocks, drawn together as one run of words: pair j reads
+  words j and half + j, output position p < half is the cosine of pair p
+  and position p >= half the sine of pair p - half);
 * shuffles: descending Fisher-Yates with ``j = floor(u * (i + 1))``;
 * angles: ``2*pi*u``.
 
@@ -21,8 +23,18 @@ identity is recorded in run metadata as :data:`RNG_ALGORITHM`.
 ``NORMAL_BLOCK_PAIRS`` pairs and writes the normals over the words it drew.
 Neither the blocking nor the reuse of the word buffer changes a value or
 the stream position, so :data:`RNG_ALGORITHM` is unchanged by it.
+
+Philox is counter-based, so any word of a stream is reached without
+drawing the ones before it: ``np.random.Philox(key=seed).advance(k)`` skips
+4k words, as one counter step gives four, and drawing ``offset % 4`` more
+reaches word ``offset``.  :meth:`SeedStream.normal_chunks` seeks this way
+to yield ``normal(count)`` slice by slice, each with the bits
+:meth:`SeedStream.normal` gives it, and never holds the whole draw; both
+methods apply one transform, :func:`_box_muller`.
 """
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,6 +58,14 @@ NORMAL_BLOCK_PAIRS = 8192
 def _u53(words: np.ndarray) -> np.ndarray:
     """Doubles in [0, 1) from the high 53 bits of each 64-bit word."""
     return (words >> np.uint64(11)) * np.float64(2.0**-53)
+
+
+def _box_muller(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and angle of the Box-Muller pairs whose uniforms come from the
+    words ``w1`` (mapped to (0, 1] so the log stays finite) and ``w2``."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - _u53(w1)))
+    theta = (2.0 * np.pi) * _u53(w2)
+    return radius, theta
 
 
 def mix64(x: int) -> int:
@@ -78,9 +98,18 @@ class SeedStream:
             raise TyplabError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._bits = np.random.Philox(key=seed)
+        self._position = 0  # words drawn so far
+
+    def _seek(self, position: int) -> np.random.Philox:
+        """A fresh generator at word ``position`` of this seed's stream."""
+        bits = np.random.Philox(key=self.seed)
+        bits.advance(position // 4)  # one counter step gives four words
+        bits.random_raw(position % 4)
+        return bits
 
     def raw(self, count: int) -> np.ndarray:
         """``count`` raw 64-bit words from the Philox counter stream."""
+        self._position += count
         return np.atleast_1d(self._bits.random_raw(count))
 
     def uniform(self, count: int) -> np.ndarray:
@@ -109,13 +138,47 @@ class SeedStream:
         out = words.view(np.float64)
         for s in range(0, half, NORMAL_BLOCK_PAIRS):
             e = min(s + NORMAL_BLOCK_PAIRS, half)
-            u1 = 1.0 - _u53(words[s:e])
-            u2 = _u53(words[half + s : half + e])
-            radius = np.sqrt(-2.0 * np.log(u1))
-            theta = (2.0 * np.pi) * u2
+            radius, theta = _box_muller(words[s:e], words[half + s : half + e])
             np.multiply(radius, np.cos(theta), out=out[s:e])
             np.multiply(radius, np.sin(theta), out=out[half + s : half + e])
         return out[:count]
+
+    def normal_chunks(self, count: int, size: int) -> Iterator[np.ndarray]:
+        """``normal(count)`` as consecutive slices of ``size`` values (the
+        last may be shorter), each bit-identical to that slice; size >= 1.
+
+        The stream moves on at once by the ``2 * ceil(count/2)`` words
+        ``normal(count)`` draws.  Each slice seeks its words instead: its
+        cosine positions ``[lo, hi)`` read words ``[lo, hi)`` and
+        ``[half + lo, half + hi)``, and its sine positions those of pairs
+        ``[lo - half, hi - half)``.  The transform runs in blocks of
+        ``NORMAL_BLOCK_PAIRS``, so one slice and one block of temporaries
+        are all a consumer holds.  A pair's words are read twice, once for
+        its cosine and once for its sine.
+        """
+        half = (count + 1) // 2
+        start = self._position
+        self._position += 2 * half
+        self._bits = self._seek(self._position)
+        return self._normal_slices(start, half, count, size)
+
+    def _normal_slices(self, start: int, half: int, count: int, size: int):
+        for s in range(0, count, size):
+            e = min(s + size, count)
+            out = np.empty(e - s)
+            # The slice's cosines of pairs [lo, hi), then its sines of pairs
+            # [lo - half, hi - half), each in blocks of NORMAL_BLOCK_PAIRS.
+            parts = ((np.cos, s, min(e, half), 0), (np.sin, max(s, half), e, half))
+            for trig, lo, hi, first in parts:
+                if lo >= hi:
+                    continue
+                words1 = self._seek(start + lo - first)
+                words2 = self._seek(start + half + lo - first)
+                for p in range(lo, hi, NORMAL_BLOCK_PAIRS):
+                    q = min(p + NORMAL_BLOCK_PAIRS, hi)
+                    radius, theta = _box_muller(words1.random_raw(q - p), words2.random_raw(q - p))
+                    np.multiply(radius, trig(theta), out=out[p - s : q - s])
+            yield out
 
     def angles(self, count: int) -> np.ndarray:
         """Uniform angles in [0, 2*pi)."""

@@ -46,18 +46,20 @@ if TYPE_CHECKING:
 
 def norm_variance_analytic(d: float, c1: float, n: int) -> float:
     """Variance of omega norms:
-    ``(4 d^2 + 4 d^3 c_1) / ((n + 1) (1 + d^2)^2)``.
+    ``4 d^2 (1 - c_1^2) / ((n + 1) (1 + d^2)^2)``.
 
-    It is the uniform-ensemble variance of ``(1 + d A)^2 / (1 + d^2)``, the
-    identity mapped through D; the tests check the two agree.
+    It is the uniform-ensemble variance of ``(1 + d A)^2 / (1 + d^2)
+    = 1 + 2 d A / (1 + d^2)``, the identity mapped through D; the tests
+    check the two agree, for unbalanced observables and A = I too.
     """
-    return (4 * d**2 + 4 * d**3 * c1) / ((n + 1) * (1.0 + d**2) ** 2)
+    return 4 * d**2 * (1 - c1**2) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
 def mean_expectation_analytic(d: float, c1: float) -> float:
     """Mean expectation value over the substitute ensemble:
-    ``(2 d + d^2 c_1) / (1 + d^2)`` (the general c_3 is c_1 here)."""
-    return (2 * d + d**2 * c1) / (1.0 + d**2)
+    ``c_1 + 2 d / (1 + d^2)``, the normalized trace of
+    ``(1 + d A) A (1 + d A) / (1 + d^2) = A + 2 d / (1 + d^2)``."""
+    return c1 + 2 * d / (1 + d**2)
 
 
 def variance_bound(d: float, n: int) -> float:

@@ -13,6 +13,13 @@ Heisenberg-picture values ``<omega|A(t)|omega>`` of the same states.
 
 Each check is deterministic given the config's base seed; Monte Carlo
 streams use dedicated child indices far above the trajectory range.
+
+verify holds no Monte Carlo block: the uniform and substitute-ensemble
+checks draw their states with :func:`~typlab.ensembles.uniform_state_blocks`
+and reduce each row block to its per-state scalars as it is drawn, which
+gives the values the whole (count, n) block gives, bit for bit.  The
+largest arrays verify holds are then the n = 800 scaling model and its
+eigendecomposition.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from .ensembles import (
     StateVector,
     commuting_unitary,
     make_omegas,
-    sample_uniform_states,
+    uniform_state_blocks,
 )
 from .evolution import expectation, expectations, run_ensemble, trajectory_omegas
 from .models import ModelSpec, build_model
@@ -84,6 +91,30 @@ def _bound_sampled_error(fraction: float, ratio: float) -> float:
     return max(fraction / BOUND_EXCEED_FRACTION, (ratio - 1) / (BOUND_EXCEED_FACTOR - 1))
 
 
+def _uniform_expectations(a: np.ndarray, seed: int) -> np.ndarray:
+    """<psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states drawn from ``seed``,
+    each block of states reduced as it is drawn."""
+    vals = np.empty(N_UNIFORM_SAMPLES)
+    for first, block in uniform_state_blocks(a.size, N_UNIFORM_SAMPLES, seed):
+        vals[first : first + len(block)] = expectations(a, block)
+    return vals
+
+
+def _omega_norms_and_expectations(
+    params: OmegaParams, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """<omega|omega> and <omega|A|omega> of ``N_OMEGA_SAMPLES`` substitute-
+    ensemble states drawn from ``seed``, each block reduced as it is drawn."""
+    norms = np.empty(N_OMEGA_SAMPLES)
+    qev = np.empty(N_OMEGA_SAMPLES)
+    for first, block in uniform_state_blocks(params.observable.size, N_OMEGA_SAMPLES, seed):
+        omegas = make_omegas(block, params)
+        rows = slice(first, first + len(block))
+        norms[rows] = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
+        qev[rows] = expectations(params.observable, omegas)
+    return norms, qev
+
+
 def run_verification(config: ExperimentConfig) -> list[CheckResult]:
     """Run every verification check; returns results in a fixed order."""
     model = build_model(config.model)
@@ -108,11 +139,8 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
     )
 
     # Uniform-ensemble mean c1 and variance (1 - c1^2)/(n + 1) (c2 = 1 for a
-    # sign vector) against the Monte Carlo estimator.  The state block is
-    # not kept: it is freed before the omega block is built.
-    vals = expectations(
-        a, sample_uniform_states(n, N_UNIFORM_SAMPLES, child_seed(base, UNIFORM_MC_STREAM))
-    )
+    # sign vector) against the Monte Carlo estimator.
+    vals = _uniform_expectations(a, child_seed(base, UNIFORM_MC_STREAM))
     hv = (1 - c1**2) / (n + 1)
     se = float(vals.std(ddof=1)) / np.sqrt(N_UNIFORM_SAMPLES)
     err = abs(float(vals.mean()) - c1)
@@ -140,10 +168,7 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
     eq_norm_var = norm_variance_analytic(d, c1, n)
     eq_mean = mean_expectation_analytic(d, c1)
     eq_bound = variance_bound(d, n)
-    omegas = make_omegas(
-        sample_uniform_states(n, N_OMEGA_SAMPLES, child_seed(base, OMEGA_MC_STREAM)), params
-    )
-    norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
+    norms, qev = _omega_norms_and_expectations(params, child_seed(base, OMEGA_MC_STREAM))
     tol = max(3 * np.sqrt(eq_norm_var / N_OMEGA_SAMPLES), 1e-12)
     results.append(
         CheckResult(
@@ -163,8 +188,6 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
             "relative error <= 15%",
         )
     )
-    qev = expectations(a, omegas)
-    del omegas  # freed before the decomposition below is built
     tol = max(3 * np.sqrt(eq_bound / N_OMEGA_SAMPLES), 1e-12)
     results.append(
         CheckResult(

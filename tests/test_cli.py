@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import typlab
 from typlab.cli import main
 from typlab.csvio import read_stats_csv, write_stats_csv, write_trajectories_csv
 from typlab.errors import TyplabError
@@ -342,3 +346,26 @@ def test_plot_non_utf8_csv_fails_cleanly(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
     assert not fig.exists()
+
+
+def test_typlab_loads_no_scipy(tmp_path):
+    # scipy is installed beside numpy but is no dependency: importing it
+    # would add its own memory and a second BLAS thread pool to every run.
+    model = {"n": 8, "delta_e": 0.1, "v_kind": "gaussian", "v_scale": 1e-3, "seed": 7}
+    cfg = write_config(tmp_path, model=model)
+    script = (
+        "import sys\n"
+        "import typlab.cli\n"
+        "assert typlab.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(typlab.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(cfg)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "default_out" / "plot.svg").is_file()

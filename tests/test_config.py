@@ -225,6 +225,28 @@ def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, need
     assert not any(tmp_path.iterdir())
 
 
+def test_hand_built_config_writes_the_meta_of_its_parsed_twin(tmp_path, monkeypatch):
+    # An int where a float belongs is stored as parse stores it, so the meta
+    # echo reads "d": 0.0 and "t_max": 30.0; the section passed in is rebuilt,
+    # not changed.
+    parsed = parse_config(valid_raw())
+    time = replace(parsed.time, t_max=30)
+    built = replace(parsed, d=0, time=time)
+    raw = valid_raw()
+    raw["d"], raw["time"]["t_max"] = 0.0, 30.0
+    metas = []
+    for name, config in (("built", built), ("parsed", parse_config(raw))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        execute_run(config)
+        metas.append((tmp_path / name / "out" / "meta").read_bytes())
+    assert metas[0] == metas[1]
+    echo = json.loads(metas[0])["config"]
+    assert (echo["d"], echo["time"]["t_max"]) == (0.0, 30.0)
+    assert type(echo["d"]) is float and type(echo["time"]["t_max"]) is float
+    assert type(time.t_max) is int and built.time is not time
+
+
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "model": \n}')

@@ -15,10 +15,12 @@ from typlab.ensembles import (
     make_omegas,
     sample_uniform_state,
     sample_uniform_states,
+    uniform_state_blocks,
 )
 from typlab.errors import TyplabError
 from typlab.evolution import expectation, expectations
 from typlab.models import build_observable_pm1
+from typlab.rng import SeedStream
 from typlab.stats import norm_variance_analytic
 
 from conftest import (
@@ -31,6 +33,19 @@ from conftest import (
 
 def array_sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def whole_draw_states(n: int, count: int, seed: int) -> np.ndarray:
+    """Uniform states from one whole (count, 2n) normal draw, normalized row
+    by row (the reference for the row-block sampler)."""
+    z = SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n)
+    states = np.empty((count, n), dtype=np.complex128)
+    states.real = z[:, :n]
+    states.imag = z[:, n:]
+    del z
+    for row in states:
+        row /= np.linalg.norm(row[None, :], axis=1)
+    return states
 
 
 class TestUniformSampling:
@@ -70,7 +85,7 @@ class TestUniformSampling:
     @pytest.mark.parametrize(
         "n, count, seed, digest",
         [
-            # n above the block size: one row per block
+            # large n, a few rows
             (9000, 3, 11, "7e95152704885044f2ebd10c3db2976d007a9821bfc58d73ee69689a7f706c09"),
             # odd n and odd count, the last block shorter than the others
             (201, 77, 13, "f4e85874f3cbec37292e12bc3ff829a6e17873f2eb748334449fb11e4315f792"),
@@ -79,6 +94,26 @@ class TestUniformSampling:
     def test_batch_bits_pinned_at_block_edges(self, n, count, seed, digest):
         # sha256 of the bytes the whole-array assembly produced
         assert array_sha256(sample_uniform_states(n, count, seed)) == digest
+
+    @pytest.mark.parametrize(
+        "n, count, seed",
+        [
+            (200, 20_000, 7),  # verify's sizes, many blocks
+            (201, 77, 13),  # odd count: the middle row straddles the cosine/sine boundary
+            (9000, 3, 11),  # large n, a few rows in one block
+            (140_000, 3, 5),  # n above the block size: one row per block
+            (5, 7, 1),  # fewer rows than one block
+        ],
+    )
+    def test_blocks_are_the_rows_of_one_whole_draw(self, n, count, seed):
+        reference = whole_draw_states(n, count, seed)
+        rows = 0
+        for first, block in uniform_state_blocks(n, count, seed):
+            assert first == rows
+            assert np.array_equal(block, reference[first : first + len(block)])
+            rows += len(block)
+        assert rows == count
+        assert np.array_equal(sample_uniform_states(n, count, seed), reference)
 
     def test_batch_peak_memory_near_result_size(self):
         tracemalloc.start()

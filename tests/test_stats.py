@@ -32,14 +32,17 @@ def pm1_operator(n: int, seed: int) -> HermitianOperator:
     return dense_observable(build_observable_pm1(n, seed))
 
 
-def general_norm_variance(d, c3, c4, n):
-    """The norm variance for a general observable, in c_3 and c_4."""
-    return (4 * d**2 + 4 * d**3 * c3 + d**4 * (c4 - 1.0)) / ((n + 1) * (1.0 + d**2) ** 2)
+def general_norm_variance(d, c1, c2, c3, c4, n):
+    """The norm variance for a general observable in its moments c_1..c_4:
+    the uniform variance of (1 + dA)^2 / (1 + d^2)."""
+    numerator = 4 * d**2 * (c2 - c1**2) + 4 * d**3 * (c3 - c1 * c2) + d**4 * (c4 - c2**2)
+    return numerator / ((n + 1) * (1.0 + d**2) ** 2)
 
 
-def general_mean_expectation(d, c3):
-    """The mean expectation value for a general observable, in c_3."""
-    return (2 * d + d**2 * c3) / (1.0 + d**2)
+def general_mean_expectation(d, c1, c2, c3):
+    """The mean expectation value for a general observable in its moments
+    c_1..c_3: the normalized trace of (1 + dA) A (1 + dA) / (1 + d^2)."""
+    return (c1 + 2 * d * c2 + d**2 * c3) / (1.0 + d**2)
 
 
 def general_variance_bound(d, c4, c8, n):
@@ -147,6 +150,26 @@ class TestAnalyticIdentities:
         composed = ha_uniform(moment_map(a, a, d))
         assert abs(direct - composed) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "signs, mean, norm_variance",
+        [
+            (pm1_with_plus_fraction(60, 0.7, seed=4), 0.9505, 4.173e-3),  # c1 = 0.4
+            (np.ones(60), 1.5505, 0.0),  # A = I, c1 = 1
+        ],
+        ids=["c1=0.4", "identity"],
+    )
+    def test_identities_off_trace_free(self, signs, mean, norm_variance):
+        # the dense composition (1 + dA) C (1 + dA) / (1 + d^2) at n = 60, d = 0.3
+        n, d = 60, 0.3
+        a = dense_observable(signs)
+        c1 = float(np.mean(signs))
+        composed_mean = ha_uniform(moment_map(a, a, d))
+        composed_norm_variance = hv_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
+        assert abs(mean_expectation_analytic(d, c1) - composed_mean) <= 1e-12
+        assert abs(norm_variance_analytic(d, c1, n) - composed_norm_variance) <= 1e-12
+        assert composed_mean == pytest.approx(mean, abs=1e-4)
+        assert composed_norm_variance == pytest.approx(norm_variance, abs=1e-6)
+
     def test_norm_variance_values(self):
         assert norm_variance_analytic(0.0, 0.0, 100) == 0.0
         # 4 d^2 / ((n+1) (1+d^2)^2) with d=0.1, n=6000
@@ -170,10 +193,19 @@ def bits(x: float) -> bytes:
 @pytest.mark.parametrize("c1", [-1.0, -0.5, 0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 60, 600, 1200])
 def test_sign_vector_forms_equal_the_general_ones_bit_for_bit(c1, n):
-    # a sign vector has c3 = c1 and c4 = c8 = 1 exactly
+    # a sign vector has c2 = c4 = c8 = 1 and c3 = c1 exactly; the forms
+    # regroup the general ones, so off c1 = 0 they agree to rounding
     for d in [float(x) for x in np.linspace(0.0, 0.999, 334)] + [0.1, 0.3, 1 / 3]:
-        assert bits(norm_variance_analytic(d, c1, n)) == bits(general_norm_variance(d, c1, 1.0, n))
-        assert bits(mean_expectation_analytic(d, c1)) == bits(general_mean_expectation(d, c1))
+        norm_variance = norm_variance_analytic(d, c1, n)
+        mean = mean_expectation_analytic(d, c1)
+        general = general_norm_variance(d, c1, 1.0, c1, 1.0, n)
+        general_mean = general_mean_expectation(d, c1, 1.0, c1)
+        if c1 == 0.0:
+            assert bits(norm_variance) == bits(general)
+            assert bits(mean) == bits(general_mean)
+        else:
+            assert norm_variance == pytest.approx(general, rel=1e-14, abs=0.0)
+            assert mean == pytest.approx(general_mean, rel=0.0, abs=1e-15)
         assert bits(variance_bound(d, n)) == bits(general_variance_bound(d, 1.0, 1.0, n))
 
 

@@ -1,15 +1,32 @@
+import logging
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import typlab.ensembles
 import typlab.evolution
 import typlab.verify
 from typlab.config import load_config, parse_config
+from typlab.ensembles import OmegaParams, make_omegas, sample_uniform_states
 from typlab.errors import TyplabError
+from typlab.models import build_model
 from typlab.operators import SpectralDecomposition
-from typlab.verify import CheckResult, _bound_sampled_error, format_report, run_verification
+from typlab.rng import child_seed
+from typlab.verify import (
+    N_OMEGA_SAMPLES,
+    N_UNIFORM_SAMPLES,
+    OMEGA_MC_STREAM,
+    UNIFORM_MC_STREAM,
+    CheckResult,
+    _bound_sampled_error,
+    _omega_norms_and_expectations,
+    _uniform_expectations,
+    format_report,
+    run_verification,
+)
 
 VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "verify_small.json"
 
@@ -76,7 +93,7 @@ def test_zero_deviation_targets_zero_mean():
     assert by_name["omega-norm-mean"].passed
 
 
-def test_corrupted_observable_fails_moment_gate(monkeypatch):
+def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     config = parse_config(tiny_raw())
     original = typlab.verify.build_model
 
@@ -88,7 +105,11 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch):
         return replace(model, observable=np.ones(spec.n))
 
     monkeypatch.setattr(typlab.verify, "build_model", corrupted)
-    results = run_verification(config)
+    with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
+        results = run_verification(config)
+    # the start band is centred on the mean at c1 = 1, so no trajectory
+    # state is reported outside it
+    assert [r.getMessage() for r in caplog.records if r.name == "typlab.evolution"] == []
     by_name = {r.name: r for r in results}
     gate = by_name["moment-gate"]
     assert not gate.passed
@@ -207,3 +228,42 @@ def test_bound_sampled_error_edges(fraction, ratio, passed):
     # At most 1% of points above the bound, none beyond 1.5 times it.
     check = CheckResult("bound-sampled", _bound_sampled_error(fraction, ratio), 1.0, "", "")
     assert check.passed == passed
+
+
+@pytest.fixture(scope="module")
+def whole_block_values():
+    """verify_small's Monte Carlo values from whole (count, n) state blocks,
+    reduced as the whole-block verify reduced them."""
+    config = load_config(VERIFY_CONFIG)
+    params = OmegaParams(d=config.d, observable=build_model(config.model).observable)
+    a, n = params.observable, params.observable.size
+    seeds = [child_seed(config.base_seed, s) for s in (UNIFORM_MC_STREAM, OMEGA_MC_STREAM)]
+    states = sample_uniform_states(n, N_UNIFORM_SAMPLES, seeds[0])
+    vals = (states.real**2 + states.imag**2) @ a
+    del states
+    omegas = make_omegas(sample_uniform_states(n, N_OMEGA_SAMPLES, seeds[1]), params)
+    norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
+    qev = (omegas.real**2 + omegas.imag**2) @ a
+    return params, seeds, vals, norms, qev
+
+
+@pytest.mark.parametrize("rows", [64, 512, 1000])
+def test_monte_carlo_values_equal_the_whole_block_ones(monkeypatch, whole_block_values, rows):
+    params, seeds, vals, norms, qev = whole_block_values
+    monkeypatch.setattr(typlab.ensembles, "STATE_BLOCK_AMPLITUDES", rows * params.observable.size)
+    assert np.array_equal(_uniform_expectations(params.observable, seeds[0]), vals)
+    block_norms, block_qev = _omega_norms_and_expectations(params, seeds[1])
+    assert np.array_equal(block_norms, norms)
+    assert np.array_equal(block_qev, qev)
+
+
+def test_verification_holds_no_monte_carlo_block():
+    config = load_config(VERIFY_CONFIG)
+    tracemalloc.start()
+    try:
+        run_verification(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # below the (20000, 200) complex block of uniform states, 61 MiB
+    assert peak < N_UNIFORM_SAMPLES * config.model.n * 16
