@@ -27,7 +27,12 @@ import numpy as np
 from .errors import TyplabError
 from .operators import spectral_moments
 from .rng import SeedStream
-from .stats import mean_expectation_analytic, norm_variance_analytic, variance_bound
+from .stats import (
+    mean_expectation_analytic,
+    norm_mean_analytic,
+    norm_variance_analytic,
+    variance_bound,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -88,10 +93,14 @@ class OmegaParams:
 
     @cached_property
     def norm_sq_band(self) -> tuple[float, float]:
-        """Soft plausibility band for omega norms: 1 +/- 10 sqrt(norm HV)."""
-        n = self.observable.size
-        spread = NORM_BAND_SIGMAS * np.sqrt(norm_variance_analytic(self.d, self.moments[1], n))
-        return 1.0 - spread, 1.0 + spread
+        """Soft plausibility band for omega norms: the analytic mean +/- 10
+        sqrt(norm HV), and at least +/- 1e-12, so that a zero variance (d = 0
+        or A = +/-I) leaves room for rounding."""
+        c1 = self.moments[1]
+        center = norm_mean_analytic(self.d, c1)
+        variance = norm_variance_analytic(self.d, c1, self.observable.size)
+        spread = max(NORM_BAND_SIGMAS * np.sqrt(variance), 1e-12)
+        return center - spread, center + spread
 
     @cached_property
     def start_value_band(self) -> tuple[float, float]:

@@ -19,18 +19,15 @@ mapping from bits to variates may change between numpy releases, whereas
 the raw Philox output and the transforms above are fixed here.  The stream
 identity is recorded in run metadata as :data:`RNG_ALGORITHM`.
 
-:meth:`SeedStream.normal` evaluates Box-Muller in blocks of
-``NORMAL_BLOCK_PAIRS`` pairs and writes the normals over the words it drew.
-Neither the blocking nor the reuse of the word buffer changes a value or
-the stream position, so :data:`RNG_ALGORITHM` is unchanged by it.
-
 Philox is counter-based, so any word of a stream is reached without
 drawing the ones before it: ``np.random.Philox(key=seed).advance(k)`` skips
 4k words, as one counter step gives four, and drawing ``offset % 4`` more
 reaches word ``offset``.  :meth:`SeedStream.normal_chunks` seeks this way
-to yield ``normal(count)`` slice by slice, each with the bits
-:meth:`SeedStream.normal` gives it, and never holds the whole draw; both
-methods apply one transform, :func:`_box_muller`.
+to yield a request for normals slice by slice, and never holds the whole
+draw; :meth:`SeedStream.normal` is its one slice.  Box-Muller runs in
+blocks of ``NORMAL_BLOCK_PAIRS`` pairs.  Neither the slicing nor the
+blocking changes a value or the stream position, so :data:`RNG_ALGORITHM`
+is unchanged by them.
 """
 from __future__ import annotations
 
@@ -66,6 +63,17 @@ def _box_muller(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     radius = np.sqrt(-2.0 * np.log(1.0 - _u53(w1)))
     theta = (2.0 * np.pi) * _u53(w2)
     return radius, theta
+
+
+def _merged_spans(*spans: tuple[int, int]) -> list[tuple[int, int]]:
+    """The non-empty ``[lo, hi)`` spans, overlapping or touching ones merged."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(span for span in spans if span[0] < span[1]):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def mix64(x: int) -> int:
@@ -117,44 +125,24 @@ class SeedStream:
         return _u53(self.raw(count))
 
     def normal(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller.
-
-        Draws ``half = ceil(count/2)`` uniforms u1 (mapped to (0, 1] so the
-        log stays finite) and ``half`` uniforms u2, then returns the cosine
-        block followed by the sine block, truncated to ``count``.
-
-        The ``2 * half`` words come from one draw, which leaves the stream
-        where two draws of ``half`` would.  Pairs are transformed in blocks
-        of ``NORMAL_BLOCK_PAIRS``: block ``[s, e)`` reads u1 from words
-        ``[s, e)`` and u2 from words ``[half + s, half + e)`` and writes its
-        cosines and sines over exactly those words, which no later block
-        reads.  The result is a view of the word buffer, so the call needs
-        no memory beyond its result and one block of temporaries.
-        """
+        """``count`` standard normals via Box-Muller, in the layout of the
+        module docstring: the one slice of ``normal_chunks(count, count)``."""
         if count == 0:
             return np.empty(0)
-        half = (count + 1) // 2
-        words = self.raw(2 * half)
-        out = words.view(np.float64)
-        for s in range(0, half, NORMAL_BLOCK_PAIRS):
-            e = min(s + NORMAL_BLOCK_PAIRS, half)
-            radius, theta = _box_muller(words[s:e], words[half + s : half + e])
-            np.multiply(radius, np.cos(theta), out=out[s:e])
-            np.multiply(radius, np.sin(theta), out=out[half + s : half + e])
-        return out[:count]
+        return next(self.normal_chunks(count, count))
 
     def normal_chunks(self, count: int, size: int) -> Iterator[np.ndarray]:
-        """``normal(count)`` as consecutive slices of ``size`` values (the
-        last may be shorter), each bit-identical to that slice; size >= 1.
+        """``count`` standard normals as consecutive slices of ``size``
+        values (the last may be shorter); size >= 1.
 
-        The stream moves on at once by the ``2 * ceil(count/2)`` words
-        ``normal(count)`` draws.  Each slice seeks its words instead: its
+        The stream moves on at once by the ``2 * ceil(count/2)`` words the
+        request draws.  Each slice seeks its words instead: its
         cosine positions ``[lo, hi)`` read words ``[lo, hi)`` and
         ``[half + lo, half + hi)``, and its sine positions those of pairs
-        ``[lo - half, hi - half)``.  The transform runs in blocks of
-        ``NORMAL_BLOCK_PAIRS``, so one slice and one block of temporaries
-        are all a consumer holds.  A pair's words are read twice, once for
-        its cosine and once for its sine.
+        ``[lo - half, hi - half)``.  A pair whose cosine and sine both fall
+        in the slice, as all do in ``normal``'s one slice, is transformed
+        once.  The transform runs in blocks of ``NORMAL_BLOCK_PAIRS``, so
+        one slice and one block of temporaries are all a consumer holds.
         """
         half = (count + 1) // 2
         start = self._position
@@ -166,18 +154,25 @@ class SeedStream:
         for s in range(0, count, size):
             e = min(s + size, count)
             out = np.empty(e - s)
-            # The slice's cosines of pairs [lo, hi), then its sines of pairs
-            # [lo - half, hi - half), each in blocks of NORMAL_BLOCK_PAIRS.
-            parts = ((np.cos, s, min(e, half), 0), (np.sin, max(s, half), e, half))
-            for trig, lo, hi, first in parts:
-                if lo >= hi:
-                    continue
-                words1 = self._seek(start + lo - first)
-                words2 = self._seek(start + half + lo - first)
+            # The slice holds the cosines of pairs [s, e) and the sines of
+            # pairs [s - half, e - half), each cut to [0, half).  A pair in
+            # both spans is transformed once.
+            cosines = (s, min(e, half))
+            sines = (max(s - half, 0), e - half)
+            for lo, hi in _merged_spans(cosines, sines):
+                words1 = self._seek(start + lo)
+                words2 = self._seek(start + half + lo)
                 for p in range(lo, hi, NORMAL_BLOCK_PAIRS):
                     q = min(p + NORMAL_BLOCK_PAIRS, hi)
                     radius, theta = _box_muller(words1.random_raw(q - p), words2.random_raw(q - p))
-                    np.multiply(radius, trig(theta), out=out[p - s : q - s])
+                    for trig, (a, b), first in ((np.cos, cosines, s), (np.sin, sines, s - half)):
+                        a, b = max(a, p), min(b, q)
+                        if a < b:
+                            np.multiply(
+                                radius[a - p : b - p],
+                                trig(theta[a - p : b - p]),
+                                out=out[a - first : b - first],
+                            )
             yield out
 
     def angles(self, count: int) -> np.ndarray:

@@ -55,6 +55,12 @@ def norm_variance_analytic(d: float, c1: float, n: int) -> float:
     return 4 * d**2 * (1 - c1**2) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
+def norm_mean_analytic(d: float, c1: float) -> float:
+    """Mean of omega norms: ``1 + 2 d c_1 / (1 + d^2)``, the normalized
+    trace of ``(1 + d A)^2 / (1 + d^2)``; exactly 1 at c_1 = 0."""
+    return 1 + 2 * d * c1 / (1 + d**2)
+
+
 def mean_expectation_analytic(d: float, c1: float) -> float:
     """Mean expectation value over the substitute ensemble:
     ``c_1 + 2 d / (1 + d^2)``, the normalized trace of

@@ -11,6 +11,7 @@ from typlab.operators import HermitianOperator, eigendecompose
 from typlab.stats import (
     exact_hv_series,
     mean_expectation_analytic,
+    norm_mean_analytic,
     norm_variance_analytic,
     sample_stats,
     variance_bound,
@@ -151,23 +152,26 @@ class TestAnalyticIdentities:
         assert abs(direct - composed) <= 1e-12
 
     @pytest.mark.parametrize(
-        "signs, mean, norm_variance",
+        "signs, mean, norm_mean, norm_variance",
         [
-            (pm1_with_plus_fraction(60, 0.7, seed=4), 0.9505, 4.173e-3),  # c1 = 0.4
-            (np.ones(60), 1.5505, 0.0),  # A = I, c1 = 1
+            (pm1_with_plus_fraction(60, 0.7, seed=4), 0.9505, 1.2202, 4.173e-3),  # c1 = 0.4
+            (np.ones(60), 1.5505, 1.5505, 0.0),  # A = I, c1 = 1
         ],
         ids=["c1=0.4", "identity"],
     )
-    def test_identities_off_trace_free(self, signs, mean, norm_variance):
+    def test_identities_off_trace_free(self, signs, mean, norm_mean, norm_variance):
         # the dense composition (1 + dA) C (1 + dA) / (1 + d^2) at n = 60, d = 0.3
         n, d = 60, 0.3
         a = dense_observable(signs)
         c1 = float(np.mean(signs))
         composed_mean = ha_uniform(moment_map(a, a, d))
+        composed_norm_mean = ha_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
         composed_norm_variance = hv_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
         assert abs(mean_expectation_analytic(d, c1) - composed_mean) <= 1e-12
+        assert abs(norm_mean_analytic(d, c1) - composed_norm_mean) <= 1e-12
         assert abs(norm_variance_analytic(d, c1, n) - composed_norm_variance) <= 1e-12
         assert composed_mean == pytest.approx(mean, abs=1e-4)
+        assert composed_norm_mean == pytest.approx(norm_mean, abs=1e-4)
         assert composed_norm_variance == pytest.approx(norm_variance, abs=1e-6)
 
     def test_norm_variance_values(self):
@@ -176,6 +180,11 @@ class TestAnalyticIdentities:
         expected = 0.04 / (6001 * 1.01**2)
         assert norm_variance_analytic(0.1, 0.0, 6000) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(6.534e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.999])
+    def test_norm_mean_is_one_when_trace_free(self, d):
+        # the report's "analytic 1" and the norm band keep their bits at c1 = 0
+        assert norm_mean_analytic(d, 0.0) == 1.0
 
     def test_mean_expectation_values(self):
         assert mean_expectation_analytic(0.0, 0.0) == 0.0

@@ -105,16 +105,18 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
         return replace(model, observable=np.ones(spec.n))
 
     monkeypatch.setattr(typlab.verify, "build_model", corrupted)
-    with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
+    with caplog.at_level(logging.WARNING, logger="typlab"):
         results = run_verification(config)
-    # the start band is centred on the mean at c1 = 1, so no trajectory
-    # state is reported outside it
-    assert [r.getMessage() for r in caplog.records if r.name == "typlab.evolution"] == []
+    # the start and norm bands are centred on their means at c1 = 1, so no
+    # trajectory state or omega norm is reported outside them
+    assert [r.getMessage() for r in caplog.records if r.name.startswith("typlab")] == []
     by_name = {r.name: r for r in results}
     gate = by_name["moment-gate"]
     assert not gate.passed
     assert gate.measured == "c1 = 1, n_plus = 60"
     assert gate.margin == 1.0 - 1.0 / 1e-12
+    # every omega norm is the mean 1 + 2d/(1 + d^2) up to rounding
+    assert by_name["omega-norm-mean"].passed
     report = format_report(results)
     assert "first failing: moment-gate" in report
 
