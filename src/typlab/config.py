@@ -9,9 +9,10 @@ JSON to the types.  The range rules live in the types: :class:`ModelSpec`
 checks the model, and :class:`ExperimentConfig` checks the rest when it is
 built, the types of its scalar fields first (storing them converted, as
 parse does), and last a bound on the run's size: its dense matrices, state
-blocks and trajectory arrays must fit in physical memory.  ``dataclasses.replace`` re-runs those checks, so a config
-changed in code (``typlab run --seed``, ``--out``) passes the same rules as a
-parsed one.  All failures raise :class:`TyplabError` naming the offending field.
+blocks and trajectory arrays must fit in physical memory.
+``dataclasses.replace`` re-runs those checks, so a config changed in code
+(``typlab run --seed``, ``--out``) passes the same rules as a parsed one.
+All failures raise :class:`TyplabError` naming the offending field.
 """
 from __future__ import annotations
 

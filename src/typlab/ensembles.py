@@ -4,10 +4,9 @@ substitute ensemble, and commuting unitaries for invariance tests.
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting
 distribution on the unit sphere is invariant under every unitary.  A batch
-is drawn in row blocks (:func:`uniform_state_blocks`): each block seeks its
-own normals in the seed's counter-based stream, so a consumer that reduces
-each block as it comes holds one block, never the batch, and the gathered
-blocks are bit-identical to one whole draw.  The substitute ensemble
+is drawn in row blocks (:func:`uniform_state_blocks`), each the next draw of
+one stream, so a consumer that reduces each block as it comes holds one
+block, never the batch.  The substitute ensemble
 applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state and is deliberately
 not renormalized: its norm spread is part of what the closed-form
 statistics describe.  The observable is diagonal +/-1 and is
@@ -39,7 +38,9 @@ logger = logging.getLogger(__name__)
 NORM_BAND_SIGMAS = 10.0
 # Complex amplitudes per row block of uniform states (2 MiB, 655 rows at
 # verify's n = 200).  There, on 2 cores, verify's Monte Carlo stage timed
-# alike with blocks of 64 to 2048 rows and 1.7x slower with 4096 rows.
+# alike with blocks of 64 to 2048 rows and 1.7x slower with 4096 rows.  Each
+# block is its own draw, so this size is part of verify's sample layout:
+# changing it changes every Monte Carlo state after the first block.
 STATE_BLOCK_AMPLITUDES = 1 << 17
 
 
@@ -127,16 +128,16 @@ def uniform_state_blocks(n: int, count: int, seed: int) -> Iterator[tuple[int, n
     ``(first_row, block)`` pairs, one (rows, n) block at a time.
 
     Blocks have ``max(1, STATE_BLOCK_AMPLITUDES // n)`` rows, the last
-    fewer.  Each is built from its own slice of the stream's normals, drawn
-    by :meth:`~typlab.rng.SeedStream.normal_chunks`, so no (count, n) array
-    is ever held and a block is freed as soon as its consumer drops it.
-    With an odd count, the middle row's real parts are Box-Muller cosines
-    and its imaginary parts sines; n >= 1.
+    fewer.  Each is built from the next ``normal(2 * n * rows)`` of one
+    ``SeedStream(seed)``: row i of the block from its normals
+    ``[2 n i, 2 n (i + 1))``, the first n the real parts and the last n the
+    imaginary parts.  No (count, n) array is ever held, and a block is freed
+    as soon as its consumer drops it; n >= 1.
     """
+    stream = SeedStream(seed)
     rows = max(1, STATE_BLOCK_AMPLITUDES // n)
-    normals = SeedStream(seed).normal_chunks(2 * n * count, 2 * n * rows)
-    for first, z in zip(range(0, count, rows), normals):
-        z = z.reshape(-1, 2 * n)
+    for first in range(0, count, rows):
+        z = stream.normal(2 * n * min(rows, count - first)).reshape(-1, 2 * n)
         block = np.empty((len(z), n), dtype=np.complex128)
         block.real = z[:, :n]
         block.imag = z[:, n:]
@@ -145,15 +146,15 @@ def uniform_state_blocks(n: int, count: int, seed: int) -> Iterator[tuple[int, n
 
 
 def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` uniform states as rows of a (count, n) array.
+    """``count`` uniform states as rows of a (count, n) array: the gather of
+    :func:`uniform_state_blocks`.
 
-    All states come from one stream: row i is built from normals
-    ``[2 n i, 2 n (i + 1))`` of one (count, 2n) draw, its first n the real
-    parts and its last n the imaginary parts.  This batch layout differs
-    from repeated single-state calls and exists for Monte Carlo estimates
-    where only the joint distribution matters.  The result is the gather of
-    :func:`uniform_state_blocks`, so the call needs little memory beyond
-    it; n >= 1.
+    All states come from one stream, drawn block by block, so a batch that
+    fits in one block is one (count, 2n) normal draw and a longer one is
+    the concatenation of such draws.  This batch layout differs from
+    repeated single-state calls and exists for Monte Carlo estimates where
+    only the joint distribution matters.  The call needs little memory
+    beyond its result; n >= 1.
     """
     states = np.empty((count, n), dtype=np.complex128)
     for first, block in uniform_state_blocks(n, count, seed):

@@ -17,6 +17,11 @@ Outputs per run directory:
 
 Each file is written under a temporary name and renamed, so a failed run
 leaves no partial file and, failing before its statistics exist, no directory.
+
+The same config writes byte-identical files on one BLAS build and thread
+count.  Across thread counts the BLAS sums in another order: on
+``scenario_i``, ``OPENBLAS_NUM_THREADS=1`` and ``=2`` differed in 19180 of
+20200 trajectory cells, by at most 1.09e-14.
 """
 from __future__ import annotations
 

@@ -19,19 +19,12 @@ mapping from bits to variates may change between numpy releases, whereas
 the raw Philox output and the transforms above are fixed here.  The stream
 identity is recorded in run metadata as :data:`RNG_ALGORITHM`.
 
-Philox is counter-based, so any word of a stream is reached without
-drawing the ones before it: ``np.random.Philox(key=seed).advance(k)`` skips
-4k words, as one counter step gives four, and drawing ``offset % 4`` more
-reaches word ``offset``.  :meth:`SeedStream.normal_chunks` seeks this way
-to yield a request for normals slice by slice, and never holds the whole
-draw; :meth:`SeedStream.normal` is its one slice.  Box-Muller runs in
-blocks of ``NORMAL_BLOCK_PAIRS`` pairs.  Neither the slicing nor the
-blocking changes a value or the stream position, so :data:`RNG_ALGORITHM`
-is unchanged by them.
+:meth:`SeedStream.normal` evaluates Box-Muller in blocks of
+``NORMAL_BLOCK_PAIRS`` pairs and writes the normals over the words it drew.
+Neither the blocking nor the reuse of the word buffer changes a value or
+the stream position, so :data:`RNG_ALGORITHM` is unchanged by it.
 """
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -55,25 +48,6 @@ NORMAL_BLOCK_PAIRS = 8192
 def _u53(words: np.ndarray) -> np.ndarray:
     """Doubles in [0, 1) from the high 53 bits of each 64-bit word."""
     return (words >> np.uint64(11)) * np.float64(2.0**-53)
-
-
-def _box_muller(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and angle of the Box-Muller pairs whose uniforms come from the
-    words ``w1`` (mapped to (0, 1] so the log stays finite) and ``w2``."""
-    radius = np.sqrt(-2.0 * np.log(1.0 - _u53(w1)))
-    theta = (2.0 * np.pi) * _u53(w2)
-    return radius, theta
-
-
-def _merged_spans(*spans: tuple[int, int]) -> list[tuple[int, int]]:
-    """The non-empty ``[lo, hi)`` spans, overlapping or touching ones merged."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(span for span in spans if span[0] < span[1]):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 def mix64(x: int) -> int:
@@ -106,18 +80,9 @@ class SeedStream:
             raise TyplabError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._bits = np.random.Philox(key=seed)
-        self._position = 0  # words drawn so far
-
-    def _seek(self, position: int) -> np.random.Philox:
-        """A fresh generator at word ``position`` of this seed's stream."""
-        bits = np.random.Philox(key=self.seed)
-        bits.advance(position // 4)  # one counter step gives four words
-        bits.random_raw(position % 4)
-        return bits
 
     def raw(self, count: int) -> np.ndarray:
         """``count`` raw 64-bit words from the Philox counter stream."""
-        self._position += count
         return np.atleast_1d(self._bits.random_raw(count))
 
     def uniform(self, count: int) -> np.ndarray:
@@ -126,54 +91,29 @@ class SeedStream:
 
     def normal(self, count: int) -> np.ndarray:
         """``count`` standard normals via Box-Muller, in the layout of the
-        module docstring: the one slice of ``normal_chunks(count, count)``."""
+        module docstring.
+
+        The ``2 * half`` words come from one draw, which leaves the stream
+        where two draws of ``half`` would.  Pairs are transformed in blocks
+        of ``NORMAL_BLOCK_PAIRS``: block ``[s, e)`` reads u1 (mapped to
+        (0, 1] so the log stays finite) from words ``[s, e)`` and u2 from
+        words ``[half + s, half + e)``, and writes its cosines and sines over
+        exactly those words, which no later block reads.  The result is a
+        view of the word buffer, so the call needs no memory beyond its
+        result and one block of temporaries.
+        """
         if count == 0:
             return np.empty(0)
-        return next(self.normal_chunks(count, count))
-
-    def normal_chunks(self, count: int, size: int) -> Iterator[np.ndarray]:
-        """``count`` standard normals as consecutive slices of ``size``
-        values (the last may be shorter); size >= 1.
-
-        The stream moves on at once by the ``2 * ceil(count/2)`` words the
-        request draws.  Each slice seeks its words instead: its
-        cosine positions ``[lo, hi)`` read words ``[lo, hi)`` and
-        ``[half + lo, half + hi)``, and its sine positions those of pairs
-        ``[lo - half, hi - half)``.  A pair whose cosine and sine both fall
-        in the slice, as all do in ``normal``'s one slice, is transformed
-        once.  The transform runs in blocks of ``NORMAL_BLOCK_PAIRS``, so
-        one slice and one block of temporaries are all a consumer holds.
-        """
         half = (count + 1) // 2
-        start = self._position
-        self._position += 2 * half
-        self._bits = self._seek(self._position)
-        return self._normal_slices(start, half, count, size)
-
-    def _normal_slices(self, start: int, half: int, count: int, size: int):
-        for s in range(0, count, size):
-            e = min(s + size, count)
-            out = np.empty(e - s)
-            # The slice holds the cosines of pairs [s, e) and the sines of
-            # pairs [s - half, e - half), each cut to [0, half).  A pair in
-            # both spans is transformed once.
-            cosines = (s, min(e, half))
-            sines = (max(s - half, 0), e - half)
-            for lo, hi in _merged_spans(cosines, sines):
-                words1 = self._seek(start + lo)
-                words2 = self._seek(start + half + lo)
-                for p in range(lo, hi, NORMAL_BLOCK_PAIRS):
-                    q = min(p + NORMAL_BLOCK_PAIRS, hi)
-                    radius, theta = _box_muller(words1.random_raw(q - p), words2.random_raw(q - p))
-                    for trig, (a, b), first in ((np.cos, cosines, s), (np.sin, sines, s - half)):
-                        a, b = max(a, p), min(b, q)
-                        if a < b:
-                            np.multiply(
-                                radius[a - p : b - p],
-                                trig(theta[a - p : b - p]),
-                                out=out[a - first : b - first],
-                            )
-            yield out
+        words = self.raw(2 * half)
+        out = words.view(np.float64)
+        for s in range(0, half, NORMAL_BLOCK_PAIRS):
+            e = min(s + NORMAL_BLOCK_PAIRS, half)
+            radius = np.sqrt(-2.0 * np.log(1.0 - _u53(words[s:e])))
+            theta = (2.0 * np.pi) * _u53(words[half + s : half + e])
+            np.multiply(radius, np.cos(theta), out=out[s:e])
+            np.multiply(radius, np.sin(theta), out=out[half + s : half + e])
+        return out[:count]
 
     def angles(self, count: int) -> np.ndarray:
         """Uniform angles in [0, 2*pi)."""

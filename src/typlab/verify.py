@@ -1,11 +1,13 @@
-"""End-to-end verification checks: Monte Carlo estimates against every
-closed-form ensemble formula, bound domination (exact and sampled),
+"""End-to-end verification checks: Monte Carlo estimates of the uniform
+ensemble's closed forms, the exact deviation map of the substitute
+ensemble, bound domination, the sampled variance against the exact one,
 commuting-unitary invariance, picture equivalence, and the 1/n scaling of
 the typicality variance.  Each check is one error against one tolerance.
 
-The checks reuse what verify builds once: the trajectory states of
-``bound-sampled``, drawn by :func:`~typlab.evolution.trajectory_omegas`,
-are the states of commuting invariance, and the smallest scaling model's
+The checks reuse what verify builds once: the exact variance series of
+``bound-exact`` is the target of ``variance-sampled``, whose trajectory
+states, drawn by :func:`~typlab.evolution.trajectory_omegas`, are the
+states of commuting invariance, and the smallest scaling model's
 decomposition is the one picture equivalence propagates on.  Picture
 equivalence checks the propagation kernel that ``typlab run`` ships:
 :func:`~typlab.evolution.run_ensemble`'s trajectories against the dense
@@ -14,12 +16,17 @@ Heisenberg-picture values ``<omega|A(t)|omega>`` of the same states.
 Each check is deterministic given the config's base seed; Monte Carlo
 streams use dedicated child indices far above the trajectory range.
 
-verify holds no Monte Carlo block: the uniform and substitute-ensemble
-checks draw their states with :func:`~typlab.ensembles.uniform_state_blocks`
-and reduce each row block to its per-state scalars as it is drawn, which
-gives the values the whole (count, n) block gives, bit for bit.  The
-largest arrays verify holds are then the n = 800 scaling model and its
-eigendecomposition.
+The substitute ensemble's closed forms are affine images of one Haar
+scalar u = <psi|A|psi>: for A^2 = I and alpha = 1 + d^2, the map
+``(1 + d A)/sqrt(alpha)`` gives ||omega||^2 = 1 + 2 d u/alpha and
+<omega|A|omega> = u + 2 d/alpha exactly.  So one Monte Carlo pass samples u
+for the uniform checks, and ``deviation-map`` checks those two identities
+per state and the closed forms against the images of u's mean and variance.
+
+verify holds no Monte Carlo block: the pass draws its states with
+:func:`~typlab.ensembles.uniform_state_blocks` and reduces each row block
+to its per-state scalars as it is drawn.  The largest arrays verify holds
+are then the n = 800 scaling model and its eigendecomposition.
 """
 from __future__ import annotations
 
@@ -49,7 +56,6 @@ from .stats import (
 )
 
 N_UNIFORM_SAMPLES = 20_000
-N_OMEGA_SAMPLES = 10_000
 N_COMMUTING_UNITARIES = 10
 N_PICTURE_STATES = 5
 N_PICTURE_TIMES = 8
@@ -57,12 +63,8 @@ SCALING_DIMS = (100, 200, 400, 800)
 SCALING_GRID_POINTS = 25
 
 UNIFORM_MC_STREAM = 0x7E000001
-OMEGA_MC_STREAM = 0x7E000002
 COMMUTING_UNITARY_STREAM = 0x7E000004
 PICTURE_STATE_STREAM = 0x7E000005
-
-BOUND_EXCEED_FRACTION = 0.01
-BOUND_EXCEED_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -87,33 +89,26 @@ class CheckResult:
         return 1.0 if self.error == 0 else -np.inf  # a zero tolerance
 
 
-def _bound_sampled_error(fraction: float, ratio: float) -> float:
-    # Each of bound-sampled's conditions in units of its allowance; both hold at <= 1.
-    return max(fraction / BOUND_EXCEED_FRACTION, (ratio - 1) / (BOUND_EXCEED_FACTOR - 1))
-
-
-def _uniform_expectations(a: np.ndarray, seed: int) -> np.ndarray:
-    """<psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states drawn from ``seed``,
-    each block of states reduced as it is drawn."""
+def _haar_scalars(params: OmegaParams, seed: int) -> tuple[np.ndarray, float]:
+    """u = <psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states drawn from
+    ``seed``, and the worst residual of ||omega||^2 = 1 + 2 d u/alpha and
+    <omega|A|omega> = u + 2 d/alpha over their images ``make_omegas(psi)``,
+    alpha = 1 + d^2; each block of states is reduced as it is drawn."""
+    a, d = params.observable, params.d
+    alpha = 1 + d**2
     vals = np.empty(N_UNIFORM_SAMPLES)
+    worst = 0.0
     for first, block in uniform_state_blocks(a.size, N_UNIFORM_SAMPLES, seed):
-        vals[first : first + len(block)] = expectations(a, block)
-    return vals
-
-
-def _omega_norms_and_expectations(
-    params: OmegaParams, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """<omega|omega> and <omega|A|omega> of ``N_OMEGA_SAMPLES`` substitute-
-    ensemble states drawn from ``seed``, each block reduced as it is drawn."""
-    norms = np.empty(N_OMEGA_SAMPLES)
-    qev = np.empty(N_OMEGA_SAMPLES)
-    for first, block in uniform_state_blocks(params.observable.size, N_OMEGA_SAMPLES, seed):
+        u = expectations(a, block)
+        vals[first : first + len(block)] = u
         omegas = make_omegas(block, params)
-        rows = slice(first, first + len(block))
-        norms[rows] = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
-        qev[rows] = expectations(params.observable, omegas)
-    return norms, qev
+        norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
+        worst = max(
+            worst,
+            float(np.abs(norms - (1 + 2 * d * u / alpha)).max()),
+            float(np.abs(expectations(a, omegas) - (u + 2 * d / alpha)).max()),
+        )
+    return vals, worst
 
 
 def run_verification(config: ExperimentConfig) -> list[CheckResult]:
@@ -141,7 +136,7 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
 
     # Uniform-ensemble mean c1 and variance (1 - c1^2)/(n + 1) (c2 = 1 for a
     # sign vector) against the Monte Carlo estimator.
-    vals = _uniform_expectations(a, child_seed(base, UNIFORM_MC_STREAM))
+    vals, worst_map = _haar_scalars(params, child_seed(base, UNIFORM_MC_STREAM))
     hv = (1 - c1**2) / (n + 1)
     se = float(vals.std(ddof=1)) / np.sqrt(N_UNIFORM_SAMPLES)
     err = abs(float(vals.mean()) - c1)
@@ -165,43 +160,29 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
         )
     )
 
-    # Substitute-ensemble norm and expectation statistics.
-    eq_norm_mean = norm_mean_analytic(d, c1)
-    eq_norm_var = norm_variance_analytic(d, c1, n)
-    eq_mean = mean_expectation_analytic(d, c1)
-    eq_bound = variance_bound(d, n)
-    norms, qev = _omega_norms_and_expectations(params, child_seed(base, OMEGA_MC_STREAM))
-    tol = max(3 * np.sqrt(eq_norm_var / N_OMEGA_SAMPLES), 1e-12)
-    results.append(
-        CheckResult(
-            "omega-norm-mean",
-            abs(float(norms.mean()) - eq_norm_mean),
-            tol,
-            f"sample {norms.mean():.6f} vs analytic {eq_norm_mean:.6g}",
-            f"|diff| <= 3 sigma = {tol:.2e} ({N_OMEGA_SAMPLES} states)",
-        )
+    # The substitute ensemble is the deviation map of those states: its two
+    # per-state identities, and its closed forms against the affine images
+    # of u's mean c1 and variance hv.
+    alpha = 1 + d**2
+    worst_map = max(
+        worst_map,
+        abs(norm_mean_analytic(d, c1) - (1 + 2 * d * c1 / alpha)),
+        abs(norm_variance_analytic(d, c1, n) - (2 * d / alpha) ** 2 * hv),
+        abs(mean_expectation_analytic(d, c1) - (c1 + 2 * d / alpha)),
     )
     results.append(
         CheckResult(
-            "omega-norm-variance",
-            abs(float(norms.var(ddof=1)) - eq_norm_var),
-            max(0.15 * eq_norm_var, 1e-20),
-            f"sample {norms.var(ddof=1):.4e} vs analytic {eq_norm_var:.4e}",
-            "relative error <= 15%",
-        )
-    )
-    tol = max(3 * np.sqrt(eq_bound / N_OMEGA_SAMPLES), 1e-12)
-    results.append(
-        CheckResult(
-            "omega-mean-qev",
-            abs(float(qev.mean()) - eq_mean),
-            tol,
-            f"sample {qev.mean():.6f} vs analytic {eq_mean:.6f}",
-            f"|diff| <= 3 sigma of bound = {tol:.2e}",
+            "deviation-map",
+            worst_map,
+            1e-12,
+            f"max residual = {worst_map:.2e}",
+            f"|w|^2 = 1 + 2du/alpha and <w|A|w> = u + 2d/alpha over {N_UNIFORM_SAMPLES} "
+            "states, and the 3 closed forms, to 1e-12",
         )
     )
 
-    # Bound domination, exact and sampled, on the config's grid.
+    # Bound domination on the config's grid.
+    eq_bound = variance_bound(d, n)
     dec = eigendecompose(model.hamiltonian)
     times = config.times
     series = exact_hv_series(dec, params, times)
@@ -215,22 +196,27 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
             "exact HV <= bound + 1e-10 at every grid point",
         )
     )
-    omegas = trajectory_omegas(params, config.num_trajectories, base)
+
+    # The sampled variance against the exact HV on the same grid, in units of
+    # the standard error sqrt(2/(M - 1)) of var/HV for near-Gaussian a_i(t).
+    # 4.5 is a family-wise threshold over the correlated grid points: a
+    # correct sampler reads 1.78 on verify_small, and a zero variance
+    # sqrt((M - 1)/2), 7.04 at M = 100.
+    m = config.num_trajectories
+    omegas = trajectory_omegas(params, m, base)
     _, variance = sample_stats(run_ensemble(dec, params, omegas, times))
-    exceed_fraction = float((variance > eq_bound).mean())
-    worst_ratio = float((variance / eq_bound).max())
+    z = float((np.abs(variance / series - 1) / np.sqrt(2 / (m - 1))).max())
     results.append(
         CheckResult(
-            "bound-sampled",
-            _bound_sampled_error(exceed_fraction, worst_ratio),
-            1.0,
-            f"{exceed_fraction * 100:.1f}% of points exceed; worst var/bound = {worst_ratio:.3f}",
-            f"<= {BOUND_EXCEED_FRACTION * 100:.0f}% of points exceed, none beyond "
-            f"{BOUND_EXCEED_FACTOR:.1f}x (M = {config.num_trajectories})",
+            "variance-sampled",
+            z,
+            4.5,
+            f"max |var/HV - 1| / sqrt(2/(M - 1)) = {z:.2f}",
+            f"<= 4.5 over {len(times)} grid points (M = {m})",
         )
     )
 
-    # Per-state invariance of the bound-sampled states under unitaries
+    # Per-state invariance of the variance-sampled states under unitaries
     # commuting with the observable.
     states = omegas.T
     reference = expectations(a, states)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from typlab.ensembles import (
+    STATE_BLOCK_AMPLITUDES,
     OmegaParams,
     StateVector,
     commuting_unitary,
@@ -35,17 +36,30 @@ def array_sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
-def whole_draw_states(n: int, count: int, seed: int) -> np.ndarray:
-    """Uniform states from one whole (count, 2n) normal draw, normalized row
-    by row (the reference for the row-block sampler)."""
-    z = SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n)
-    states = np.empty((count, n), dtype=np.complex128)
+def normalized_rows(z: np.ndarray) -> np.ndarray:
+    """States from a (count, 2n) normal block, real parts first, normalized
+    row by row."""
+    n = z.shape[1] // 2
+    states = np.empty((len(z), n), dtype=np.complex128)
     states.real = z[:, :n]
     states.imag = z[:, n:]
-    del z
     for row in states:
         row /= np.linalg.norm(row[None, :], axis=1)
     return states
+
+
+def whole_draw_states(n: int, count: int, seed: int) -> np.ndarray:
+    """Uniform states from one whole (count, 2n) normal draw."""
+    return normalized_rows(SeedStream(seed).normal(2 * n * count).reshape(count, 2 * n))
+
+
+def block_draw_states(n: int, count: int, seed: int) -> np.ndarray:
+    """Uniform states from consecutive ``normal(2 n rows)`` draws of one
+    stream (the reference for the row-block sampler)."""
+    rows = max(1, STATE_BLOCK_AMPLITUDES // n)
+    stream = SeedStream(seed)
+    z = np.concatenate([stream.normal(2 * n * min(rows, count - s)) for s in range(0, count, rows)])
+    return normalized_rows(z.reshape(count, 2 * n))
 
 
 class TestUniformSampling:
@@ -75,11 +89,10 @@ class TestUniformSampling:
         assert values.var(ddof=1) == pytest.approx(1.0 / (n + 1), rel=0.10)
 
     def test_batch_bits_pinned(self):
-        # sha256 of the bytes z_re + 1j * z_im gave: assembling the complex
-        # block in place must not change a bit
+        # two blocks, of 655 and 345 rows, each its own draw of one stream
         states = sample_uniform_states(200, 1000, 7)
         assert array_sha256(states) == (
-            "951800a31df4faba5124aff08bc81d52ae22a7558b95e9654adcc5c0b9e575a8"
+            "963e145ce89a444dd9766f9dfd4017a7b6d6cdd8346b94971fc69817dae1a03a"
         )
 
     @pytest.mark.parametrize(
@@ -105,14 +118,16 @@ class TestUniformSampling:
             (5, 7, 1),  # fewer rows than one block
         ],
     )
-    def test_blocks_are_the_rows_of_one_whole_draw(self, n, count, seed):
-        reference = whole_draw_states(n, count, seed)
-        rows = 0
+    def test_blocks_are_consecutive_draws_of_one_stream(self, n, count, seed):
+        reference = block_draw_states(n, count, seed)
+        rows = max(1, STATE_BLOCK_AMPLITUDES // n)
+        drawn = 0
         for first, block in uniform_state_blocks(n, count, seed):
-            assert first == rows
+            assert first == drawn
+            assert len(block) == min(rows, count - first)
             assert np.array_equal(block, reference[first : first + len(block)])
-            rows += len(block)
-        assert rows == count
+            drawn += len(block)
+        assert drawn == count
         assert np.array_equal(sample_uniform_states(n, count, seed), reference)
 
     def test_batch_peak_memory_near_result_size(self):
@@ -166,7 +181,7 @@ class TestOmega:
         # sha256 of the array bytes the dense-matrix kernels produced: the
         # elementwise kernels must reproduce them bit for bit
         params = OmegaParams(d=0.1, observable=build_observable_pm1(200, seed=3))
-        omegas = make_omegas(sample_uniform_states(200, 1000, 7), params)
+        omegas = make_omegas(whole_draw_states(200, 1000, 7), params)
         assert array_sha256(omegas) == (
             "d837eb2b24421b2ca0ed547398a7bf43e82c47f8a23788da2e90df394adf8131"
         )

@@ -119,53 +119,6 @@ def test_normal_matches_unblocked_reference(count):
     assert np.array_equal(stream.raw(3), reference.raw(3))  # same stream position
 
 
-# (count, slice size, whether a slice straddles the cosine/sine boundary at
-# half = ceil(count/2)); where none does, the boundary is a slice edge.
-NORMAL_CHUNK_CASES = [
-    (1, 1, False),
-    (1, 5, False),
-    (2, 2, True),
-    (2, 1, False),
-    (7, 3, True),
-    (7, 2, False),
-    (8193, 1000, True),
-    (8193, 2 * NORMAL_BLOCK_PAIRS + 5, True),  # one slice
-    (100_001, 4096, True),
-    (100_001, 30_000, True),
-]
-
-
-@pytest.mark.parametrize("count, size, straddles", NORMAL_CHUNK_CASES)
-def test_normal_chunks_are_the_slices_of_normal(count, size, straddles):
-    stream, reference = SeedStream(31), SeedStream(31)
-    reference.raw(5)
-    stream.raw(5)  # a stream position that is not a counter step
-    chunks = stream.normal_chunks(count, size)
-    after = stream.raw(3)  # the stream has moved on before a slice is drawn
-    values = reference.normal(count)
-    assert np.array_equal(after, reference.raw(3))
-    slices = list(chunks)
-    assert [len(c) for c in slices[:-1]] == [size] * (len(slices) - 1)
-    assert np.array_equal(np.concatenate(slices), values)
-    half = (count + 1) // 2
-    assert any(s < half < min(s + size, count) for s in range(0, count, size)) == straddles
-
-
-@pytest.mark.parametrize("count", sorted(NORMAL_PINS))
-def test_normal_chunks_keep_the_pinned_bits_of_two_draws(count):
-    stream = SeedStream(2024)
-    values = np.concatenate(list(stream.normal_chunks(count, 5000)))
-    following = np.concatenate(list(stream.normal_chunks(7, 3)))
-    digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (values, following))
-    assert digests == NORMAL_PINS[count]
-
-
-def test_normal_chunks_of_nothing():
-    stream = SeedStream(4)
-    assert list(stream.normal_chunks(0, 10)) == []
-    assert np.array_equal(stream.raw(2), SeedStream(4).raw(2))
-
-
 def test_angles_range():
     a = SeedStream(5).angles(10_000)
     assert a.min() >= 0.0

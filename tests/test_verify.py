@@ -16,14 +16,10 @@ from typlab.models import build_model
 from typlab.operators import SpectralDecomposition
 from typlab.rng import child_seed
 from typlab.verify import (
-    N_OMEGA_SAMPLES,
     N_UNIFORM_SAMPLES,
-    OMEGA_MC_STREAM,
     UNIFORM_MC_STREAM,
     CheckResult,
-    _bound_sampled_error,
-    _omega_norms_and_expectations,
-    _uniform_expectations,
+    _haar_scalars,
     format_report,
     run_verification,
 )
@@ -66,11 +62,9 @@ def test_expected_check_names(small_results):
         "moment-gate",
         "uniform-mean",
         "uniform-variance",
-        "omega-norm-mean",
-        "omega-norm-variance",
-        "omega-mean-qev",
+        "deviation-map",
         "bound-exact",
-        "bound-sampled",
+        "variance-sampled",
         "commuting-invariance",
         "picture-equivalence",
         "inverse-n-scaling",
@@ -80,17 +74,14 @@ def test_expected_check_names(small_results):
 def test_report_format(small_results):
     report = format_report(small_results)
     assert report.count("[PASS]") == len(small_results)
-    assert "11/11 checks passed" in report
+    assert "9/9 checks passed" in report
 
 
 def test_zero_deviation_targets_zero_mean():
+    # At d = 0 the exact HV equals the bound 1/(n + 1) at every time, and the
+    # deviation map is the identity: every check still passes.
     results = run_verification(parse_config(tiny_raw(d=0.0)))
-    by_name = {r.name: r for r in results}
-    qev = by_name["omega-mean-qev"]
-    assert qev.passed
-    assert "analytic 0.000000" in qev.measured
-    assert by_name["moment-gate"].passed
-    assert by_name["omega-norm-mean"].passed
+    assert [r.name for r in results if not r.passed] == []
 
 
 def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
@@ -115,8 +106,8 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     assert not gate.passed
     assert gate.measured == "c1 = 1, n_plus = 60"
     assert gate.margin == 1.0 - 1.0 / 1e-12
-    # every omega norm is the mean 1 + 2d/(1 + d^2) up to rounding
-    assert by_name["omega-norm-mean"].passed
+    # u = 1 for every state, so both identities and the closed forms hold
+    assert by_name["deviation-map"].passed
     report = format_report(results)
     assert "first failing: moment-gate" in report
 
@@ -186,7 +177,7 @@ def test_heisenberg_observable_formed_once_per_time(monkeypatch):
 
 
 def test_commuting_invariance_reuses_the_trajectory_states(monkeypatch):
-    # The states are the M trajectory states bound-sampled propagates.
+    # The states are the M trajectory states variance-sampled propagates.
     drawn = []
     original = typlab.verify.trajectory_omegas
 
@@ -215,48 +206,72 @@ def test_zero_tolerance_margin(error, margin):
     assert check.passed == (error == 0.0)
 
 
-@pytest.mark.parametrize(
-    "fraction,ratio,passed",
-    [
-        (np.mean(np.arange(300) < 3), 1.0, True),
-        (0.0, 1.5, True),
-        (0.01, 1.5, True),
-        (np.nextafter(0.01, 1.0), 1.0, False),
-        (0.0, np.nextafter(1.5, 2.0), False),
-    ],
-    ids=["1%", "1.5x", "both", "past-1%", "past-1.5x"],
-)
-def test_bound_sampled_error_edges(fraction, ratio, passed):
-    # At most 1% of points above the bound, none beyond 1.5 times it.
-    check = CheckResult("bound-sampled", _bound_sampled_error(fraction, ratio), 1.0, "", "")
-    assert check.passed == passed
+def opposite_map(monkeypatch):
+    # The map (1 - d A) in place of (1 + d A).
+    monkeypatch.setattr(
+        typlab.verify,
+        "make_omegas",
+        lambda psis, params: make_omegas(psis, replace(params, d=-params.d)),
+    )
 
 
-@pytest.fixture(scope="module")
-def whole_block_values():
-    """verify_small's Monte Carlo values from whole (count, n) state blocks,
-    reduced as the whole-block verify reduced them."""
-    config = load_config(VERIFY_CONFIG)
-    params = OmegaParams(d=config.d, observable=build_model(config.model).observable)
-    a, n = params.observable, params.observable.size
-    seeds = [child_seed(config.base_seed, s) for s in (UNIFORM_MC_STREAM, OMEGA_MC_STREAM)]
-    states = sample_uniform_states(n, N_UNIFORM_SAMPLES, seeds[0])
-    vals = (states.real**2 + states.imag**2) @ a
-    del states
-    omegas = make_omegas(sample_uniform_states(n, N_OMEGA_SAMPLES, seeds[1]), params)
-    norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
-    qev = (omegas.real**2 + omegas.imag**2) @ a
-    return params, seeds, vals, norms, qev
+def scaled_omegas(monkeypatch):
+    monkeypatch.setattr(
+        typlab.verify, "make_omegas", lambda psis, params: (1 + 1e-9) * make_omegas(psis, params)
+    )
+
+
+def unnormalized_states(monkeypatch):
+    original = typlab.verify.uniform_state_blocks
+
+    def scaled(*args):
+        for first, block in original(*args):
+            yield first, (1 + 1e-6) * block
+
+    monkeypatch.setattr(typlab.verify, "uniform_state_blocks", scaled)
+
+
+@pytest.mark.parametrize("corrupt", [opposite_map, scaled_omegas, unnormalized_states])
+def test_corrupted_deviation_map_fails(monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    results = run_verification(parse_config(tiny_raw()))
+    assert [r.name for r in results if not r.passed] == ["deviation-map"]
+
+
+def test_collapsed_sampler_fails_variance_sampled(monkeypatch):
+    # Every trajectory starts from state 0: the sampled variance is zero.
+    original = typlab.verify.trajectory_omegas
+
+    def collapsed(params, m, base_seed):
+        omegas = original(params, m, base_seed)
+        return np.repeat(omegas[:, :1], m, axis=1)
+
+    monkeypatch.setattr(typlab.verify, "trajectory_omegas", collapsed)
+    results = run_verification(parse_config(tiny_raw()))
+    assert [r.name for r in results if not r.passed] == ["variance-sampled"]
 
 
 @pytest.mark.parametrize("rows", [64, 512, 1000])
-def test_monte_carlo_values_equal_the_whole_block_ones(monkeypatch, whole_block_values, rows):
-    params, seeds, vals, norms, qev = whole_block_values
-    monkeypatch.setattr(typlab.ensembles, "STATE_BLOCK_AMPLITUDES", rows * params.observable.size)
-    assert np.array_equal(_uniform_expectations(params.observable, seeds[0]), vals)
-    block_norms, block_qev = _omega_norms_and_expectations(params, seeds[1])
-    assert np.array_equal(block_norms, norms)
-    assert np.array_equal(block_qev, qev)
+def test_monte_carlo_values_equal_the_whole_block_ones(monkeypatch, rows):
+    # The one pass reduces each block as it is drawn; the same reductions
+    # over the gathered (count, n) block give the same bits.
+    config = load_config(VERIFY_CONFIG)
+    params = OmegaParams(d=config.d, observable=build_model(config.model).observable)
+    a, n, d = params.observable, params.observable.size, params.d
+    seed = child_seed(config.base_seed, UNIFORM_MC_STREAM)
+    monkeypatch.setattr(typlab.ensembles, "STATE_BLOCK_AMPLITUDES", rows * n)
+    states = sample_uniform_states(n, N_UNIFORM_SAMPLES, seed)
+    vals = (states.real**2 + states.imag**2) @ a
+    omegas = make_omegas(states, params)
+    del states
+    norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
+    worst = max(
+        float(np.abs(norms - (1 + 2 * d * vals / (1 + d**2))).max()),
+        float(np.abs((omegas.real**2 + omegas.imag**2) @ a - (vals + 2 * d / (1 + d**2))).max()),
+    )
+    block_vals, block_worst = _haar_scalars(params, seed)
+    assert np.array_equal(block_vals, vals)
+    assert block_worst == worst
 
 
 def test_verification_holds_no_monte_carlo_block():
