@@ -9,14 +9,15 @@ one stream, so a consumer that reduces each block as it comes holds one
 block, never the batch.  The substitute ensemble
 applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state and is deliberately
 not renormalized: its norm spread is part of what the closed-form
-statistics describe.  The observable is diagonal +/-1 and is
-carried as its sign vector, so the map acts elementwise; :class:`OmegaParams`
-is the one place that checks that form, and the other functions take a sign
-vector (never a matrix) and states of its dim.
+statistics describe.  Sampling checks no drawn state; a run's one per-state
+diagnostic, the start band, is counted in :mod:`typlab.experiment`.  The
+observable is diagonal +/-1 and is carried as its sign vector, so the map
+acts elementwise; :class:`OmegaParams` is the one place that checks that
+form, and the other functions take a sign vector (never a matrix) and
+states of its dim.
 """
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,16 +27,7 @@ import numpy as np
 from .errors import TyplabError
 from .operators import spectral_moments
 from .rng import SeedStream
-from .stats import (
-    mean_expectation_analytic,
-    norm_mean_analytic,
-    norm_variance_analytic,
-    variance_bound,
-)
 
-logger = logging.getLogger(__name__)
-
-NORM_BAND_SIGMAS = 10.0
 # Complex amplitudes per row block of uniform states (2 MiB, 655 rows at
 # verify's n = 200).  There, on 2 cores, verify's Monte Carlo stage timed
 # alike with blocks of 64 to 2048 rows and 1.7x slower with 4096 rows.  Each
@@ -92,25 +84,6 @@ class OmegaParams:
         sign vector the even ones are 1 and the odd ones equal c_1."""
         return spectral_moments(self.observable)
 
-    @cached_property
-    def norm_sq_band(self) -> tuple[float, float]:
-        """Soft plausibility band for omega norms: the analytic mean +/- 10
-        sqrt(norm HV), and at least +/- 1e-12, so that a zero variance (d = 0
-        or A = +/-I) leaves room for rounding."""
-        c1 = self.moments[1]
-        center = norm_mean_analytic(self.d, c1)
-        variance = norm_variance_analytic(self.d, c1, self.observable.size)
-        spread = max(NORM_BAND_SIGMAS * np.sqrt(variance), 1e-12)
-        return center - spread, center + spread
-
-    @cached_property
-    def start_value_band(self) -> tuple[float, float]:
-        """Analytic mean of initial expectation values and a 3-sigma spread
-        from the variance bound."""
-        center = mean_expectation_analytic(self.d, self.moments[1])
-        spread = 3.0 * np.sqrt(variance_bound(self.d, self.observable.size))
-        return center, spread
-
 
 def sample_uniform_state(n: int, seed: int) -> StateVector:
     """One state from the uniform distribution of normalized states.
@@ -163,22 +136,10 @@ def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def make_omega(psi: StateVector, params: OmegaParams) -> StateVector:
-    """Apply the deviation map ``(1 + d A)/sqrt(1 + d^2)`` to a state.
-
-    The map of :func:`make_omegas`, applied to the state's one-row view.  No
-    renormalization: the image ensemble is only near-normalized.  A norm
-    outside the 10-sigma analytic band is logged, not fatal.
-    """
-    omega = StateVector(make_omegas(psi.amplitudes[None, :], params)[0])
-    low, high = params.norm_sq_band
-    if not low <= omega.norm_sq <= high:
-        logger.warning(
-            "omega norm^2 = %.6f outside soft band [%.6f, %.6f]",
-            omega.norm_sq,
-            low,
-            high,
-        )
-    return omega
+    """Apply the deviation map ``(1 + d A)/sqrt(1 + d^2)`` to a state: the
+    map of :func:`make_omegas` on the state's one-row view.  No
+    renormalization: the image ensemble is only near-normalized."""
+    return StateVector(make_omegas(psi.amplitudes[None, :], params)[0])
 
 
 def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The trajectory sampler, the propagation kernel and expectation values.
 
-:func:`trajectory_omegas` draws every trajectory state.  :func:`run_ensemble`
+:func:`trajectory_omegas` draws every trajectory state and checks none;
+``execute_run`` counts the starts outside the start band.  :func:`run_ensemble`
 is the one propagation kernel, for any state block; ``typlab run`` ships it
 and verify's picture-equivalence check tests it.  One eigendecomposition of
 H is reused for every trajectory and time: all states are rotated into the
@@ -16,16 +17,12 @@ kernel) and checks its imaginary residue, never silently discarding it.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .ensembles import OmegaParams, StateVector, make_omega, sample_uniform_state
 from .errors import TyplabError
 from .operators import HermitianOperator, SpectralDecomposition, plus_rows
 from .rng import child_seed
-
-logger = logging.getLogger(__name__)
 
 IMAG_RESIDUE_RTOL = 1e-10
 
@@ -62,27 +59,13 @@ def expectations(signs: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def trajectory_omegas(params: OmegaParams, m: int, base_seed: int) -> np.ndarray:
     """The C-contiguous (n, M) block of trajectory states: column i is
-    ``make_omega(sample_uniform_state(n, child_seed(base_seed, i)), params)``.
-
-    Initial values far from the analytic ensemble mean (3 sigma of the
-    variance bound) are logged with the trajectory's seed; m >= 1.
-    """
+    ``make_omega(sample_uniform_state(n, child_seed(base_seed, i)), params)``;
+    m >= 1."""
     n = params.observable.size
-    seeds = [child_seed(base_seed, i) for i in range(m)]
     omegas = np.empty((n, m), dtype=np.complex128)
-    for i, seed in enumerate(seeds):
-        omegas[:, i] = make_omega(sample_uniform_state(n, seed), params).amplitudes
-
-    center, spread = params.start_value_band
-    for seed, start in zip(seeds, expectations(params.observable, omegas.T)):
-        if abs(start - center) > spread:
-            logger.warning(
-                "trajectory seed %d starts at %.4f, outside %.4f +/- %.4f",
-                seed,
-                start,
-                center,
-                spread,
-            )
+    for i in range(m):
+        psi = sample_uniform_state(n, child_seed(base_seed, i))
+        omegas[:, i] = make_omega(psi, params).amplitudes
     return omegas
 
 

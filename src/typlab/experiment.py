@@ -11,12 +11,16 @@ Outputs per run directory:
   seed derivation rule, all derived seeds, the observable's trace per
   dimension ``c1`` and its number ``n_plus`` of +1 entries (with n they fix
   every spectral moment of a sign vector), the analytic ensemble values, and
-  the relative unitarity and reconstruction residuals of the
-  eigendecomposition (``health``);
+  the run's health: the relative unitarity and reconstruction residuals of
+  the eigendecomposition, and ``start_band_excursions``, the number of
+  trajectories whose t = 0 value lies outside the start band
+  ``mean_expectation +/- 3 sqrt(variance_bound)``;
 * ``plot.svg`` (optional) -- trajectories, mean, and the variance inset.
 
 Each file is written under a temporary name and renamed, so a failed run
 leaves no partial file and, failing before its statistics exist, no directory.
+A run with a start-band excursion also logs one warning naming the
+trajectory indices; ``meta["seeds"]`` maps each index to its seed.
 
 The same config writes byte-identical files on one BLAS build and thread
 count.  Across thread counts the BLAS sums in another order: on
@@ -26,6 +30,7 @@ count.  Across thread counts the BLAS sums in another order: on
 from __future__ import annotations
 
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -45,6 +50,8 @@ from .stats import (
     variance_bound,
 )
 from .svgplot import render_figure
+
+logger = logging.getLogger(__name__)
 
 
 def _write_atomically(path: Path, write, *args) -> None:
@@ -77,6 +84,19 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
     stats = {"t": times, "mean": mean, "variance": variance, "bound": np.full_like(times, bound)}
 
     c1 = params.moments[1]
+    start_mean = mean_expectation_analytic(config.d, c1)
+    start_spread = 3.0 * np.sqrt(bound)
+    # The grid starts at t = 0, so column 0 holds the start values.
+    outside = np.flatnonzero(np.abs(trajectories[:, 0] - start_mean) > start_spread)
+    if outside.size:
+        logger.warning(
+            "%d of %d trajectories start outside %.4f +/- %.4f: indices %s",
+            outside.size,
+            config.num_trajectories,
+            start_mean,
+            start_spread,
+            outside.tolist(),
+        )
     meta = {
         "config": config_as_dict(config),
         "rng_algorithm": RNG_ALGORITHM,
@@ -91,12 +111,13 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
         "observable": {"c1": c1, "n_plus": int(np.count_nonzero(params.observable > 0))},
         "analytic": {
             "norm_variance": norm_variance_analytic(config.d, c1, config.model.n),
-            "mean_expectation": mean_expectation_analytic(config.d, c1),
+            "mean_expectation": start_mean,
             "variance_bound": bound,
         },
         "health": {
             "unitarity_residual": dec.unitarity_residual,
             "reconstruction_residual": dec.reconstruction_residual,
+            "start_band_excursions": int(outside.size),
         },
     }
 

@@ -201,11 +201,13 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
     # the standard error sqrt(2/(M - 1)) of var/HV for near-Gaussian a_i(t).
     # 4.5 is a family-wise threshold over the correlated grid points: a
     # correct sampler reads 1.78 on verify_small, and a zero variance
-    # sqrt((M - 1)/2), 7.04 at M = 100.
+    # sqrt((M - 1)/2), 7.04 at M = 100.  The exact HV is 0 to rounding for
+    # A = +/-I; flooring it at 1e-12 bound keeps the ratio finite there.
     m = config.num_trajectories
     omegas = trajectory_omegas(params, m, base)
     _, variance = sample_stats(run_ensemble(dec, params, omegas, times))
-    z = float((np.abs(variance / series - 1) / np.sqrt(2 / (m - 1))).max())
+    ratio = variance / np.maximum(series, 1e-12 * eq_bound)
+    z = float((np.abs(ratio - 1) / np.sqrt(2 / (m - 1))).max())
     results.append(
         CheckResult(
             "variance-sampled",

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from typlab.errors import TyplabError
 from typlab.operators import RECONSTRUCTION_RTOL, UNITARITY_RTOL
 
 REPO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+SMALL_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "verify_small.json"
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -155,6 +157,44 @@ def test_meta_records_reproducibility_data(tmp_path):
     health = meta["health"]
     assert 0.0 <= health["unitarity_residual"] <= UNITARITY_RTOL
     assert 0.0 <= health["reconstruction_residual"] <= RECONSTRUCTION_RTOL
+
+
+def test_out_of_band_start_counted_and_logged_once(tmp_path, monkeypatch, caplog):
+    import typlab.evolution
+    from typlab.config import load_config
+    from typlab.ensembles import StateVector
+    from typlab.models import build_model
+    from typlab.rng import child_seed
+
+    cfg = write_config(tmp_path)
+    # Trajectory 1 starts from a +1 eigenvector of A, at (1 + d)^2 / (1 + d^2)
+    # = 1.198, outside the start band 0.198 +/- 0.460 of n = 60.
+    plus = np.zeros(60, dtype=complex)
+    plus[int(np.argmax(build_model(load_config(cfg).model).observable))] = 1.0
+    outlier = child_seed(5, 1)
+    sample = typlab.evolution.sample_uniform_state
+    monkeypatch.setattr(
+        typlab.evolution,
+        "sample_uniform_state",
+        lambda n, seed: StateVector(plus) if seed == outlier else sample(n, seed),
+    )
+    out = tmp_path / "a"
+    with caplog.at_level(logging.WARNING, logger="typlab"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta").read_text())
+    assert meta["health"]["start_band_excursions"] == 1
+    assert meta["seeds"]["trajectories"][1] == outlier
+    messages = [r.getMessage() for r in caplog.records if r.name.startswith("typlab")]
+    assert messages == ["1 of 6 trajectories start outside 0.1980 +/- 0.4602: indices [1]"]
+
+
+def test_shipped_config_run_counts_no_excursion(tmp_path, caplog):
+    out = tmp_path / "a"
+    with caplog.at_level(logging.WARNING, logger="typlab"):
+        assert main(["run", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta").read_text())
+    assert meta["health"]["start_band_excursions"] == 0
+    assert [r for r in caplog.records if r.name.startswith("typlab")] == []
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):

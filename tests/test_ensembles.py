@@ -1,5 +1,4 @@
 import hashlib
-import logging
 import tracemalloc
 
 import numpy as np
@@ -203,26 +202,6 @@ class TestOmega:
         assert params.observable.dtype == np.float64
         assert params.observable.tolist() == [1.0, -1.0, -1.0, 1.0]
         assert not params.observable.flags.writeable
-
-    @pytest.mark.parametrize(
-        "d, signs", [(0.3, np.ones(60)), (0.0, np.ones(60)), (0.0, build_observable_pm1(60, seed=1))],
-        ids=["identity", "identity-d0", "trace-free-d0"],
-    )
-    def test_zero_norm_variance_logs_nothing(self, caplog, d, signs):
-        # every norm equals the mean up to rounding, which the band admits
-        params = OmegaParams(d=d, observable=signs)
-        with caplog.at_level(logging.WARNING, logger="typlab"):
-            for seed in range(20):
-                make_omega(sample_uniform_state(60, seed), params)
-        assert caplog.records == []
-
-    def test_out_of_band_norm_logged(self, caplog):
-        a = build_observable_pm1(4, seed=1)
-        params = OmegaParams(d=0.1, observable=a)
-        wild = StateVector(np.full(4, 10.0 + 0j))
-        with caplog.at_level(logging.WARNING, logger="typlab.ensembles"):
-            make_omega(wild, params)
-        assert any("outside soft band" in record.message for record in caplog.records)
 
 
 class TestAverageDensity:

@@ -1,11 +1,9 @@
-import logging
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import typlab.evolution
 from typlab.config import load_config
 from typlab.ensembles import (
     OmegaParams,
@@ -194,35 +192,6 @@ class TestEnsembleRuns:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n**2
-
-    def test_out_of_band_start_logged_with_seed(self, dense_model, monkeypatch, caplog):
-        model, dec = dense_model
-        params = OmegaParams(d=0.1, observable=model.observable)
-        # an eigenvector of A with eigenvalue +1 starts at (1 + d)^2 / (1 + d^2)
-        plus = np.zeros(40, dtype=complex)
-        plus[int(np.argmax(model.observable))] = 1.0
-        outlier = child_seed(8, 1)
-        sample = typlab.evolution.sample_uniform_state
-        monkeypatch.setattr(
-            typlab.evolution,
-            "sample_uniform_state",
-            lambda n, seed: StateVector(plus) if seed == outlier else sample(n, seed),
-        )
-        with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
-            trajectory_omegas(params, 3, 8)
-        messages = [r.getMessage() for r in caplog.records if r.name == "typlab.evolution"]
-        assert len(messages) == 1
-        assert f"trajectory seed {outlier} starts at 1.1980" in messages[0]
-
-    def test_in_band_ensemble_logs_nothing(self, dense_model, caplog):
-        model, dec = dense_model
-        params = OmegaParams(d=0.1, observable=model.observable)
-        with caplog.at_level(logging.WARNING, logger="typlab.evolution"):
-            omegas = trajectory_omegas(params, 20, 8)
-        values = run_ensemble(dec, params, omegas, np.linspace(0.0, 1.0, 3))
-        center, spread = params.start_value_band
-        assert np.abs(values[:, 0] - center).max() <= spread
-        assert [r for r in caplog.records if r.name == "typlab.evolution"] == []
 
 
 class TestTrajectoryOmegas:

@@ -15,6 +15,7 @@ from typlab.errors import TyplabError
 from typlab.models import build_model
 from typlab.operators import SpectralDecomposition
 from typlab.rng import child_seed
+from typlab.stats import variance_bound
 from typlab.verify import (
     N_UNIFORM_SAMPLES,
     UNIFORM_MC_STREAM,
@@ -84,6 +85,7 @@ def test_zero_deviation_targets_zero_mean():
     assert [r.name for r in results if not r.passed] == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     config = parse_config(tiny_raw())
     original = typlab.verify.build_model
@@ -98,8 +100,8 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     monkeypatch.setattr(typlab.verify, "build_model", corrupted)
     with caplog.at_level(logging.WARNING, logger="typlab"):
         results = run_verification(config)
-    # the start and norm bands are centred on their means at c1 = 1, so no
-    # trajectory state or omega norm is reported outside them
+    # verify draws its states through samplers that check none of them, so
+    # it writes no log record
     assert [r.getMessage() for r in caplog.records if r.name.startswith("typlab")] == []
     by_name = {r.name: r for r in results}
     gate = by_name["moment-gate"]
@@ -108,6 +110,12 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     assert gate.margin == 1.0 - 1.0 / 1e-12
     # u = 1 for every state, so both identities and the closed forms hold
     assert by_name["deviation-map"].passed
+    # Every trajectory is constant and the exact HV is 0 to rounding: over the
+    # floored HV, the zero sampled variance reads sqrt((M - 1)/2) and fails.
+    sampled = by_name["variance-sampled"]
+    assert np.isfinite(sampled.error) and not sampled.passed
+    assert sampled.measured.endswith("= 7.04")
+    assert [r.name for r in results if not r.passed] == ["moment-gate", "variance-sampled"]
     report = format_report(results)
     assert "first failing: moment-gate" in report
 
@@ -249,6 +257,74 @@ def test_collapsed_sampler_fails_variance_sampled(monkeypatch):
     monkeypatch.setattr(typlab.verify, "trajectory_omegas", collapsed)
     results = run_verification(parse_config(tiny_raw()))
     assert [r.name for r in results if not r.passed] == ["variance-sampled"]
+
+
+def hv_over_bound(monkeypatch):
+    # Every exact HV series scaled so its maximum is 1.01 times the bound.
+    original = typlab.verify.exact_hv_series
+
+    def scaled(dec, params, times):
+        series = original(dec, params, times)
+        return series * (1.01 * variance_bound(params.d, params.observable.size) / series.max())
+
+    monkeypatch.setattr(typlab.verify, "exact_hv_series", scaled)
+
+
+def hv_times_n_plus_1(monkeypatch):
+    # The scaling models' series multiplied by n + 1: the log-log slope is 0.
+    original = typlab.verify.exact_hv_series
+
+    def flattened(dec, params, times):
+        series = original(dec, params, times)
+        if len(times) == typlab.verify.SCALING_GRID_POINTS:
+            return series * (params.observable.size + 1)
+        return series
+
+    monkeypatch.setattr(typlab.verify, "exact_hv_series", flattened)
+
+
+def reweighted_states(monkeypatch, weights):
+    # Each uniform state's amplitudes times weights(a), then renormalised.
+    original = typlab.verify.uniform_state_blocks
+    w = weights(build_model(parse_config(tiny_raw()).model).observable)
+
+    def reweighted(*args):
+        for first, block in original(*args):
+            block = block * w
+            yield first, block / np.linalg.norm(block, axis=1)[:, None]
+
+    monkeypatch.setattr(typlab.verify, "uniform_state_blocks", reweighted)
+
+
+def states_biased_to_plus(monkeypatch):
+    # The +1 amplitudes grow by 1 %: the mean of u moves by about 0.01.
+    reweighted_states(monkeypatch, lambda a: np.where(a > 0, 1.01, 1.0))
+
+
+def states_on_four_vectors(monkeypatch):
+    # Two +1 and two -1 basis vectors: u keeps its mean 0, but its variance
+    # is 1/5, not 1/(n + 1).
+    def four(a):
+        keep = np.zeros(a.size)
+        keep[np.flatnonzero(a > 0)[:2]] = keep[np.flatnonzero(a < 0)[:2]] = 1.0
+        return keep
+
+    reweighted_states(monkeypatch, four)
+
+
+@pytest.mark.parametrize(
+    "corrupt, check",
+    [
+        (hv_over_bound, "bound-exact"),
+        (hv_times_n_plus_1, "inverse-n-scaling"),
+        (states_biased_to_plus, "uniform-mean"),
+        (states_on_four_vectors, "uniform-variance"),
+    ],
+)
+def test_corruption_fails_its_check(monkeypatch, corrupt, check):
+    corrupt(monkeypatch)
+    results = run_verification(parse_config(tiny_raw()))
+    assert [r.name for r in results if not r.passed] == [check]
 
 
 @pytest.mark.parametrize("rows", [64, 512, 1000])
