@@ -82,7 +82,7 @@ class ExperimentConfig:
         # The nested sections are rebuilt, not changed, as others may share them.
         for name, value in _converted(self, "").items():
             object.__setattr__(self, name, value)
-        for name in ("time", "output"):
+        for name in ("model", "time", "output"):
             section = getattr(self, name)
             object.__setattr__(self, name, replace(section, **_converted(section, f"{name}.")))
         model, d, m = self.model, self.d, self.num_trajectories

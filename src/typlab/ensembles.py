@@ -1,5 +1,7 @@
 """Pure-state ensembles: uniform (Haar) samples, the near-constrained
-substitute ensemble, and commuting unitaries for invariance tests.
+substitute ensemble, and commuting unitaries.  No typlab code calls the
+last: they stay only because ``perfbench/tracer`` names them, until the
+benchmark's next revision drops that name.
 
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting

@@ -133,8 +133,4 @@ def sample_stats(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     identically; M >= 2, as the config requires.
     """
     values = np.asarray(trajectories, dtype=np.float64)
-    m = values.shape[0]
-    mean = values.mean(axis=0)
-    centered = values - mean
-    variance = (centered**2).sum(axis=0) / (m - 1)
-    return mean, variance
+    return values.mean(axis=0), values.var(axis=0, ddof=1)

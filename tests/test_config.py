@@ -197,6 +197,8 @@ TYPE_CASES = [
     pytest.param(
         lambda r: r["output"].__setitem__("emit_plot", "yes"), "output.emit_plot", id="emit_plot-str"
     ),
+    pytest.param(lambda r: r["model"].__setitem__("seed", "7"), "model.seed", id="seed-str"),
+    pytest.param(lambda r: r["model"].__setitem__("n", 200.0), "model.n", id="n-float"),
 ]
 
 
@@ -214,6 +216,7 @@ def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, need
         execute_run(
             replace(
                 valid,
+                model=replace(valid.model, **raw["model"]),
                 d=raw["d"],
                 num_trajectories=raw["M"],
                 time=replace(valid.time, **raw["time"]),
@@ -227,13 +230,14 @@ def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, need
 
 def test_hand_built_config_writes_the_meta_of_its_parsed_twin(tmp_path, monkeypatch):
     # An int where a float belongs is stored as parse stores it, so the meta
-    # echo reads "d": 0.0 and "t_max": 30.0; the section passed in is rebuilt,
-    # not changed.
+    # echo reads "d": 0.0, "t_max": 30.0 and "delta_e": 1.0; the sections
+    # passed in are rebuilt, not changed.
     parsed = parse_config(valid_raw())
     time = replace(parsed.time, t_max=30)
-    built = replace(parsed, d=0, time=time)
+    model = replace(parsed.model, delta_e=1)
+    built = replace(parsed, model=model, d=0, time=time)
     raw = valid_raw()
-    raw["d"], raw["time"]["t_max"] = 0.0, 30.0
+    raw["d"], raw["time"]["t_max"], raw["model"]["delta_e"] = 0.0, 30.0, 1.0
     metas = []
     for name, config in (("built", built), ("parsed", parse_config(raw))):
         (tmp_path / name).mkdir()
@@ -242,9 +246,10 @@ def test_hand_built_config_writes_the_meta_of_its_parsed_twin(tmp_path, monkeypa
         metas.append((tmp_path / name / "out" / "meta").read_bytes())
     assert metas[0] == metas[1]
     echo = json.loads(metas[0])["config"]
-    assert (echo["d"], echo["time"]["t_max"]) == (0.0, 30.0)
-    assert type(echo["d"]) is float and type(echo["time"]["t_max"]) is float
+    assert (echo["d"], echo["time"]["t_max"], echo["model"]["delta_e"]) == (0.0, 30.0, 1.0)
+    assert {type(echo["d"]), type(echo["time"]["t_max"]), type(echo["model"]["delta_e"])} == {float}
     assert type(time.t_max) is int and built.time is not time
+    assert type(model.delta_e) is int and built.model is not model
 
 
 def test_invalid_json_reports_line(tmp_path):

@@ -320,6 +320,16 @@ class TestSampleStats:
         _, variance = sample_stats(np.array([np.full(3, 0.0), np.full(3, 1.0)]))
         assert np.allclose(variance, 0.5)  # (M-1) divisor
 
+    def test_equals_the_centred_formula(self):
+        # numpy's mean and ddof=1 variance are the explicit centred sums,
+        # bit for bit, on 100 shapes from (2, 1) to (1000, 200).
+        rng = np.random.default_rng(3)
+        for m, t in [(2, 5), (1000, 3), *rng.integers([2, 1], [1001, 201], size=(98, 2))]:
+            values = rng.normal(0.1, 0.05, size=(m, t))
+            mean = values.sum(axis=0) / m
+            variance = ((values - mean) ** 2).sum(axis=0) / (m - 1)
+            assert all(map(np.array_equal, sample_stats(values), (mean, variance)))
+
     def test_law_of_large_numbers_initial_mean(self):
         n, m, d = 20, 10_000, 0.1
         a = build_observable_pm1(n, seed=2)

@@ -66,7 +66,6 @@ def test_expected_check_names(small_results):
         "deviation-map",
         "bound-exact",
         "variance-sampled",
-        "commuting-invariance",
         "picture-equivalence",
         "inverse-n-scaling",
     ]
@@ -75,7 +74,7 @@ def test_expected_check_names(small_results):
 def test_report_format(small_results):
     report = format_report(small_results)
     assert report.count("[PASS]") == len(small_results)
-    assert "9/9 checks passed" in report
+    assert "8/8 checks passed" in report
 
 
 def test_zero_deviation_targets_zero_mean():
@@ -85,21 +84,24 @@ def test_zero_deviation_targets_zero_mean():
     assert [r.name for r in results if not r.passed] == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
+def identity_observable(monkeypatch):
+    # The config's model gets A = I: c1 = 1, trace-free gate broken.
     config = parse_config(tiny_raw())
     original = typlab.verify.build_model
 
     def corrupted(spec):
-        # the config's model gets A = I: c1 = 1, trace-free gate broken
         model = original(spec)
         if spec != config.model:
             return model
         return replace(model, observable=np.ones(spec.n))
 
     monkeypatch.setattr(typlab.verify, "build_model", corrupted)
+
+
+def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
+    identity_observable(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="typlab"):
-        results = run_verification(config)
+        results = run_verification(parse_config(tiny_raw()))
     # verify draws its states through samplers that check none of them, so
     # it writes no log record
     assert [r.getMessage() for r in caplog.records if r.name.startswith("typlab")] == []
@@ -137,7 +139,7 @@ def conjugated_eigenvectors(monkeypatch):
     monkeypatch.setattr(typlab.verify, "run_ensemble", corrupted)
 
 
-@pytest.mark.parametrize("corrupt", [minus_rows, conjugated_eigenvectors])
+@pytest.mark.parametrize("corrupt", [conjugated_eigenvectors])
 def test_corrupted_kernel_fails_picture_equivalence(monkeypatch, corrupt):
     corrupt(monkeypatch)
     results = run_verification(parse_config(tiny_raw()))
@@ -153,8 +155,7 @@ def test_negative_deviation_raises_typlab_error():
 
 def test_scaling_check_reuses_the_config_model(monkeypatch):
     # n = 200 is one of the scaling sizes: its model and decomposition are
-    # the ones the bound checks already built.  Picture equivalence runs on
-    # the n = 100 scaling model and builds none of its own.
+    # the ones the config's checks already built.
     calls = []
     original = typlab.verify.eigendecompose
 
@@ -184,21 +185,23 @@ def test_heisenberg_observable_formed_once_per_time(monkeypatch):
     assert len(calls) == 8 == len(set(calls))
 
 
-def test_commuting_invariance_reuses_the_trajectory_states(monkeypatch):
-    # The states are the M trajectory states variance-sampled propagates.
-    drawn = []
-    original = typlab.verify.trajectory_omegas
+def test_one_trajectory_ensemble_per_verification(monkeypatch):
+    # variance-sampled and picture equivalence read the same M states and
+    # their one propagation; with M = 3 and 5 grid points, picture
+    # equivalence takes every state at every time.
+    calls = []
+    for name in ("trajectory_omegas", "run_ensemble"):
+        original = getattr(typlab.verify, name)
 
-    def recording(params, m, base_seed):
-        omegas = original(params, m, base_seed)
-        drawn.append(omegas)
-        return omegas
+        def recording(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(typlab.verify, "trajectory_omegas", recording)
-    results = run_verification(parse_config(tiny_raw(M=7)))
-    assert [omegas.shape for omegas in drawn] == [(60, 7), (100, 5)]
-    commuting = {r.name: r for r in results}["commuting-invariance"]
-    assert "over 7 states x 10 unitaries" in commuting.criterion
+        monkeypatch.setattr(typlab.verify, name, recording)
+    results = run_verification(parse_config(tiny_raw(M=3, time={"t_max": 30.0, "points": 5})))
+    assert calls == ["trajectory_omegas", "run_ensemble"]
+    picture = {r.name: r for r in results}["picture-equivalence"]
+    assert picture.passed and picture.criterion.endswith("at n = 60, 3 states x 5 times")
 
 
 def test_a_check_passes_at_its_tolerance():
@@ -239,14 +242,14 @@ def unnormalized_states(monkeypatch):
     monkeypatch.setattr(typlab.verify, "uniform_state_blocks", scaled)
 
 
-@pytest.mark.parametrize("corrupt", [opposite_map, scaled_omegas, unnormalized_states])
+@pytest.mark.parametrize("corrupt", [scaled_omegas, unnormalized_states])
 def test_corrupted_deviation_map_fails(monkeypatch, corrupt):
     corrupt(monkeypatch)
     results = run_verification(parse_config(tiny_raw()))
     assert [r.name for r in results if not r.passed] == ["deviation-map"]
 
 
-def test_collapsed_sampler_fails_variance_sampled(monkeypatch):
+def collapsed_sampler(monkeypatch):
     # Every trajectory starts from state 0: the sampled variance is zero.
     original = typlab.verify.trajectory_omegas
 
@@ -255,8 +258,6 @@ def test_collapsed_sampler_fails_variance_sampled(monkeypatch):
         return np.repeat(omegas[:, :1], m, axis=1)
 
     monkeypatch.setattr(typlab.verify, "trajectory_omegas", collapsed)
-    results = run_verification(parse_config(tiny_raw()))
-    assert [r.name for r in results if not r.passed] == ["variance-sampled"]
 
 
 def hv_over_bound(monkeypatch):
@@ -312,19 +313,31 @@ def states_on_four_vectors(monkeypatch):
     reweighted_states(monkeypatch, four)
 
 
-@pytest.mark.parametrize(
-    "corrupt, check",
-    [
-        (hv_over_bound, "bound-exact"),
-        (hv_times_n_plus_1, "inverse-n-scaling"),
-        (states_biased_to_plus, "uniform-mean"),
-        (states_on_four_vectors, "uniform-variance"),
-    ],
-)
+# One corruption per check, in report order: every check can fail.
+CORRUPTIONS = {
+    "moment-gate": identity_observable,
+    "uniform-mean": states_biased_to_plus,
+    "uniform-variance": states_on_four_vectors,
+    "deviation-map": opposite_map,
+    "bound-exact": hv_over_bound,
+    "variance-sampled": collapsed_sampler,
+    "picture-equivalence": minus_rows,
+    "inverse-n-scaling": hv_times_n_plus_1,
+}
+
+
+def test_every_check_has_a_corruption(small_results):
+    assert list(CORRUPTIONS) == [r.name for r in small_results]
+
+
+@pytest.mark.parametrize("corrupt, check", [(c, name) for name, c in CORRUPTIONS.items()])
 def test_corruption_fails_its_check(monkeypatch, corrupt, check):
     corrupt(monkeypatch)
     results = run_verification(parse_config(tiny_raw()))
-    assert [r.name for r in results if not r.passed] == [check]
+    failed = [r.name for r in results if not r.passed]
+    # A = I also makes every trajectory constant, which variance-sampled
+    # must see (pinned above); every other corruption fails its check alone.
+    assert failed == [check] + (["variance-sampled"] if check == "moment-gate" else [])
 
 
 @pytest.mark.parametrize("rows", [64, 512, 1000])
