@@ -8,11 +8,14 @@ Subcommands::
 
 ``--seed`` overrides the config's base seed, ``--out`` its output
 directory.  Every failure, a bad config or an unwritable output path
-included, ends in one ``error:`` line on stderr and exit status 1.
+included, ends in one ``error:`` line on stderr and exit status 1; a
+warning, such as trajectories that start outside the start band, is one
+``warning:`` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -93,11 +96,20 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "plot": _cmd_plot,
     }[args.command]
+    # A run's warnings reach stderr as one "warning:" line each, as failures
+    # reach it as one "error:" line.
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setLevel(logging.WARNING)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("typlab")
+    logger.addHandler(warnings)
     try:
         return handler(args)
     except (TyplabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(warnings)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ fields in declaration order, and each value is converted by the field's
 annotated type.  Unknown keys are errors (they are usually typos in physics
 parameters), every key is required, and :func:`parse_config` only converts
 JSON to the types.  The range rules live in the types: :class:`ModelSpec`
-checks the model, and :class:`ExperimentConfig` checks the rest when it is
-built, the types of its scalar fields first (storing them converted, as
-parse does), and last a bound on the run's size: its dense matrices, state
-blocks and trajectory arrays must fit in physical memory.
+checks the model, the types of its fields first with parse's converters,
+and :class:`ExperimentConfig` checks the rest when it is built, the types of
+its scalar fields first (storing them converted, as parse does), and last a
+bound on the run's size: its dense matrices, state and node blocks and
+trajectory arrays must fit in physical memory.
 ``dataclasses.replace`` re-runs those checks, so a config changed in code
 (``typlab run --seed``, ``--out``) passes the same rules as a parsed one.
 All failures raise :class:`TyplabError` naming the offending field.
@@ -26,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TyplabError
-from .models import ModelSpec
+from .evolution import GRID_BLOCK
 from .operators import PEAK_MATRICES
+from .rng import MASK64
 
 # Config keys that differ from the dataclass fields they fill.
 _KEY_NAMES = {"num_trajectories": "M"}
@@ -36,11 +38,14 @@ _KEY_NAMES = {"num_trajectories": "M"}
 # rounding grows like 1e-16 * |E| t, so beyond 1e8 rad it exceeds ~1e-8.
 MAX_PHASE = 1e8
 # Beyond PEAK_MATRICES n x n matrices, propagation holds STATE_BLOCKS complex
-# (n, M) blocks (the states, their eigenbasis coefficients, the phased
-# coefficients and the evolved +1 rows with their squares) and aggregation
-# TRAJECTORY_ARRAYS float (M, T) arrays (the trajectories, their centred
-# copy and its square).
-STATE_BLOCKS = 4
+# (n, M) blocks (the states, their eigenbasis coefficients and, while those
+# are formed, the conjugated states or the squares of their norms) and
+# NODE_BLOCKS complex (r, n) blocks of r <= min(T, GRID_BLOCK) nodes (the
+# node phases, one state's phased coefficients, and its evolved +1 rows
+# with their interpolated grid rows); aggregation holds TRAJECTORY_ARRAYS
+# float (M, T) arrays (the trajectories, their centred copy and its square).
+STATE_BLOCKS = 3
+NODE_BLOCKS = 3
 TRAJECTORY_ARRAYS = 3
 
 
@@ -50,6 +55,45 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+V_KINDS = ("gaussian", "constant")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Parameters of one model system, the config's ``model`` section.
+
+    ``v_scale`` is the mean squared magnitude of the perturbation's
+    off-diagonal elements for the gaussian kind, and the squared common
+    value for the constant kind.  The perturbation diagonal is real
+    gaussian of the same scale for the gaussian kind, and the common
+    constant for the constant kind.
+    """
+
+    n: int
+    delta_e: float
+    v_kind: str
+    v_scale: float
+    seed: int
+
+    def __post_init__(self):
+        # Parse's converters check the types before any comparison, with
+        # parse's messages; the fields are kept as given, and
+        # ExperimentConfig stores the converted copy.
+        _converted(self, "model.")
+        if self.n < 2:
+            raise TyplabError(f"dimension must be >= 2, got {self.n}")
+        if self.n % 2:
+            raise TyplabError(f"dimension must be even, got {self.n}")
+        if not self.delta_e > 0:
+            raise TyplabError(f"level spacing must be > 0, got {self.delta_e}")
+        if self.v_kind not in V_KINDS:
+            raise TyplabError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
+        if self.v_scale < 0:
+            raise TyplabError(f"v_scale must be >= 0, got {self.v_scale}")
+        if not 0 <= self.seed <= MASK64:
+            raise TyplabError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +162,11 @@ class ExperimentConfig:
         for name, value, nbytes in (
             ("model.n", n, PEAK_MATRICES * 16 * n**2),
             ("M", m, STATE_BLOCKS * 16 * n * m),
-            ("time.points", points, TRAJECTORY_ARRAYS * 8 * m * points),
+            (
+                "time.points",
+                points,
+                TRAJECTORY_ARRAYS * 8 * m * points + NODE_BLOCKS * 16 * n * min(points, GRID_BLOCK),
+            ),
         ):
             footprint += nbytes
             if memory is not None and footprint > memory:

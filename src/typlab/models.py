@@ -6,9 +6,10 @@ Everything is built in the eigenbasis of H0, where the observable is
 diagonal; it is carried as its sign vector, the (n,) vector of its +/-1
 diagonal entries, and never as a dense matrix.  V is a plain array,
 Hermitian by construction; H = H0 + V is validated once.  All construction
-is deterministic under a :class:`ModelSpec` seed; the observable placement
-and the perturbation entries draw from separate child streams of that seed
-(indices ``OBSERVABLE_STREAM`` and ``PERTURBATION_STREAM``).
+is deterministic under the seed of a :class:`~typlab.config.ModelSpec`, the
+config's model section; the observable placement and the perturbation
+entries draw from separate child streams of that seed (indices
+``OBSERVABLE_STREAM`` and ``PERTURBATION_STREAM``).
 """
 from __future__ import annotations
 
@@ -16,46 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TyplabError
+from .config import ModelSpec
 from .operators import HermitianOperator
-from .rng import MASK64, SeedStream, child_seed
-
-V_KINDS = ("gaussian", "constant")
+from .rng import SeedStream, child_seed
 
 OBSERVABLE_STREAM = 0
 PERTURBATION_STREAM = 1
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Parameters of one model system.
-
-    ``v_scale`` is the mean squared magnitude of the perturbation's
-    off-diagonal elements for the gaussian kind, and the squared common
-    value for the constant kind.  The perturbation diagonal is real
-    gaussian of the same scale for the gaussian kind, and the common
-    constant for the constant kind.
-    """
-
-    n: int
-    delta_e: float
-    v_kind: str
-    v_scale: float
-    seed: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise TyplabError(f"dimension must be >= 2, got {self.n}")
-        if self.n % 2:
-            raise TyplabError(f"dimension must be even, got {self.n}")
-        if not self.delta_e > 0:
-            raise TyplabError(f"level spacing must be > 0, got {self.delta_e}")
-        if self.v_kind not in V_KINDS:
-            raise TyplabError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
-        if self.v_scale < 0:
-            raise TyplabError(f"v_scale must be >= 0, got {self.v_scale}")
-        if not 0 <= int(self.seed) <= MASK64:
-            raise TyplabError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 class SignVector(np.ndarray):

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, ModelSpec
 from .ensembles import OmegaParams, StateVector, make_omegas, uniform_state_blocks
 from .evolution import expectation, expectations, run_ensemble, trajectory_omegas
-from .models import ModelSpec, build_model
+from .models import build_model
 from .operators import HermitianOperator, eigendecompose, heisenberg_observable
 from .rng import child_seed
 from .stats import (

@@ -157,6 +157,9 @@ def test_meta_records_reproducibility_data(tmp_path):
     health = meta["health"]
     assert 0.0 <= health["unitarity_residual"] <= UNITARITY_RTOL
     assert 0.0 <= health["reconstruction_residual"] <= RECONSTRUCTION_RTOL
+    # 40 points over t = 30 take fewer nodes than points: the values are
+    # interpolated, within the certified bound.
+    assert 0.0 < health["propagation_error_bound"] < 1e-12
 
 
 def test_out_of_band_start_counted_and_logged_once(tmp_path, monkeypatch, caplog):
@@ -186,6 +189,31 @@ def test_out_of_band_start_counted_and_logged_once(tmp_path, monkeypatch, caplog
     assert meta["seeds"]["trajectories"][1] == outlier
     messages = [r.getMessage() for r in caplog.records if r.name.startswith("typlab")]
     assert messages == ["1 of 6 trajectories start outside 0.1980 +/- 0.4602: indices [1]"]
+
+
+def test_start_band_warning_is_one_warning_line(tmp_path, monkeypatch, capsys):
+    import typlab.evolution
+    from typlab.ensembles import StateVector
+    from typlab.rng import child_seed
+
+    # Every trajectory starts from basis state 0, a +1 eigenvector of this
+    # config's A, at 1.198: outside the start band 0.198 +/- 0.460.
+    cfg = write_config(tmp_path)
+    first = np.zeros(60, dtype=complex)
+    first[0] = 1.0
+    monkeypatch.setattr(
+        typlab.evolution, "sample_uniform_state", lambda n, seed: StateVector(first)
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err
+    meta = json.loads((tmp_path / "a" / "meta").read_text())
+    assert meta["health"]["start_band_excursions"] == 6
+    assert err == (
+        "warning: 6 of 6 trajectories start outside 0.1980 +/- 0.4602: "
+        "indices [0, 1, 2, 3, 4, 5]\n"
+    )
+    # The handler lives for one invocation only.
+    assert logging.getLogger("typlab").handlers == []
 
 
 def test_shipped_config_run_counts_no_excursion(tmp_path, caplog):

@@ -228,6 +228,24 @@ def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, need
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "field,value,kind",
+    [("seed", "x", "an integer"), ("n", "sixty", "an integer"), ("delta_e", "0.1", "a number")],
+)
+def test_model_section_of_the_wrong_type_names_its_field(field, value, kind):
+    # ModelSpec checks its types before it compares its fields, with parse's
+    # message, so no bare ValueError or TypeError escapes.
+    model = parse_config(valid_raw()).model
+    with pytest.raises(TyplabError) as built:
+        replace(model, **{field: value})
+    assert str(built.value) == f"field 'model.{field}' must be {kind}, got {value!r}"
+    raw = valid_raw()
+    raw["model"][field] = value
+    with pytest.raises(TyplabError) as parsed:
+        parse_config(raw)
+    assert str(parsed.value) == str(built.value)
+
+
 def test_hand_built_config_writes_the_meta_of_its_parsed_twin(tmp_path, monkeypatch):
     # An int where a float belongs is stored as parse stores it, so the meta
     # echo reads "d": 0.0, "t_max": 30.0 and "delta_e": 1.0; the sections

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from typlab.config import load_config
+from typlab.config import ModelSpec, load_config
 from typlab.ensembles import (
     OmegaParams,
     StateVector,
@@ -17,10 +17,12 @@ from typlab.errors import TyplabError
 from typlab.evolution import (
     expectation,
     expectations,
+    propagation_error_bound,
+    propagation_plan,
     run_ensemble,
     trajectory_omegas,
 )
-from typlab.models import ModelSpec, build_model, build_observable_pm1
+from typlab.models import build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.rng import child_seed
 from typlab.stats import sample_stats
@@ -47,6 +49,19 @@ def reference_series(dec, a_op, omega, times):
     values = np.sum(evolved.conj() * (a_eig @ evolved), axis=0)
     assert np.abs(values.imag).max() <= 1e-10 * omega.norm_sq
     return values.real
+
+
+def per_point_series(dec, signs, omegas, times):
+    """The per-point kernel the node interpolation replaced: one
+    (n_+ x n) by (n x M) product per grid time, for a sign vector A."""
+    u_plus = dec.eigenvectors[np.asarray(signs) > 0]
+    coeff = dec.eigenvectors.conj().T @ omegas
+    norms_sq = np.sum(np.abs(omegas) ** 2, axis=0)
+    values = np.empty((omegas.shape[1], len(times)))
+    for k, t in enumerate(times):
+        evolved = u_plus @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
+        values[:, k] = 2.0 * np.sum(np.abs(evolved) ** 2, axis=0) - norms_sq
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +191,9 @@ class TestEnsembleRuns:
         assert np.array_equal(a, b)
 
     def test_peak_memory_below_one_dense_matrix(self):
-        # no n x n temporary: U^dagger omega is formed without conj(U)
+        # No n x n temporary: U^dagger omega is formed without conj(U).  No
+        # buffer grows with the grid either: the long grid, whose blocks take
+        # far fewer nodes than points, holds no (n x T) array.
         n = 400
         model = build_model(
             ModelSpec(n=n, delta_e=0.01, v_kind="gaussian", v_scale=1e-4, seed=3)
@@ -184,14 +201,121 @@ class TestEnsembleRuns:
         dec = eigendecompose(model.hamiltonian)
         params = OmegaParams(d=0.1, observable=model.observable)
         omegas = trajectory_omegas(params, 4, base_seed=8)
-        times = np.linspace(0.0, 10.0, 5)
-        tracemalloc.start()
-        try:
-            run_ensemble(dec, params, omegas, times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * n**2
+        long_grid = np.linspace(0.0, 10.0, 4000)
+        plan = propagation_plan(dec.eigenvalues, long_grid)
+        assert sum(len(block.nodes) for block in plan) < len(long_grid) / 10
+        for times in (np.linspace(0.0, 10.0, 5), long_grid):
+            tracemalloc.start()
+            try:
+                run_ensemble(dec, params, omegas, times)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * n**2
+
+
+class TestNodeInterpolation:
+    """The kernel propagates at Chebyshev nodes and interpolates to the
+    grid; the per-point kernel is the reference."""
+
+    @pytest.mark.parametrize("name", ["scenario_i", "scenario_ii", "scenario_iii"])
+    def test_scenarios_match_per_point_kernel(self, name):
+        # scenario_iii's constant perturbation has an outlier level, which
+        # widens the spectrum and takes the most nodes.
+        config = load_config(CONFIGS / f"{name}.json")
+        model = build_model(config.model)
+        dec = eigendecompose(model.hamiltonian)
+        params = OmegaParams(d=config.d, observable=model.observable)
+        omegas = trajectory_omegas(params, config.num_trajectories, config.base_seed)
+        times = config.times
+        plan = propagation_plan(dec.eigenvalues, times)
+        assert [block.weights is not None for block in plan] == [True]
+        assert len(plan[0].nodes) < len(times)
+        values = run_ensemble(dec, params, omegas, times, plan)
+        worst = np.abs(values - per_point_series(dec, model.observable, omegas, times)).max()
+        # |delta a| <= 2 max ||omega||^2 (2 eps + eps^2), below 1e-12.
+        bound = propagation_error_bound(plan, omegas)
+        eps = plan[0].phase_error
+        max_norm_sq = np.max(np.sum(np.abs(omegas) ** 2, axis=0))
+        assert bound == pytest.approx(2 * max_norm_sq * (2 * eps + eps**2), rel=1e-12, abs=0)
+        assert 0.0 < eps <= 1e-13 and bound < 1e-12
+        assert worst <= min(1e-13, bound)
+
+    def test_odd_grid_midpoint_on_a_node(self, dense_model):
+        # 41 points on [0, 10] take 17 nodes: the middle node is the middle
+        # grid point exactly, and its row of Q is that node's unit row, with
+        # no division by zero.
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        times = np.linspace(0.0, 10.0, 41)
+        (block,) = propagation_plan(dec.eigenvalues, times)
+        assert len(block.nodes) == 17
+        assert block.nodes[8] == times[20]
+        assert np.array_equal(block.weights[20], np.eye(17)[8])
+        omegas = trajectory_omegas(params, 4, base_seed=41)
+        values = run_ensemble(dec, params, omegas, times, [block])
+        reference = per_point_series(dec, model.observable, omegas, times)
+        assert np.abs(values - reference).max() <= 1e-13
+
+    def test_two_points_are_propagated_directly(self, dense_model):
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        times = np.array([0.0, 7.5])
+        plan = propagation_plan(dec.eigenvalues, times)
+        assert [(b.weights, b.phase_error) for b in plan] == [(None, 0.0)]
+        omegas = trajectory_omegas(params, 3, base_seed=2)
+        values = run_ensemble(dec, params, omegas, times)
+        assert values.shape == (3, 2)
+        reference = per_point_series(dec, model.observable, omegas, times)
+        assert np.abs(values - reference).max() <= 1e-13
+        assert propagation_error_bound(plan, omegas) == 0.0
+
+    def test_undersampled_grid_is_propagated_directly(self, dense_model):
+        # 30 points over t = 600: 16 rad of the spectral width per step, past
+        # the Nyquist limit, so the block's grid points are its nodes.
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        times = np.linspace(0.0, 600.0, 30)
+        plan = propagation_plan(dec.eigenvalues, times)
+        assert [b.weights for b in plan] == [None]
+        assert np.array_equal(plan[0].nodes, times)
+        omegas = trajectory_omegas(params, 3, base_seed=4)
+        values = run_ensemble(dec, params, omegas, times)
+        reference = per_point_series(dec, model.observable, omegas, times)
+        assert np.abs(values - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["identity", "minus-identity"])
+    def test_identity_observables(self, dense_model, sign):
+        # A = I keeps every +1 row and A = -I none: a(t) = +/-||omega||^2.
+        _, dec = dense_model
+        params = OmegaParams(d=0.1, observable=np.full(40, sign))
+        times = np.linspace(0.0, 40.0, 120)
+        plan = propagation_plan(dec.eigenvalues, times)
+        assert all(block.weights is not None for block in plan)
+        omegas = trajectory_omegas(params, 3, base_seed=6)
+        values = run_ensemble(dec, params, omegas, times, plan)
+        norms_sq = np.sum(np.abs(omegas) ** 2, axis=0)
+        assert np.abs(values - sign * norms_sq[:, None]).max() <= max(
+            propagation_error_bound(plan, omegas), 1e-14
+        )
+        reference = per_point_series(dec, params.observable, omegas, times)
+        assert np.abs(values - reference).max() <= 1e-13
+
+    def test_long_grid_blocks_meet_the_tolerance(self, dense_model):
+        # More points than one block: the blocks tile the grid in order, and
+        # each keeps its own phase error within the tolerance.
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        times = np.linspace(0.0, 30.0, 700)
+        plan = propagation_plan(dec.eigenvalues, times)
+        assert len(plan) == 3
+        assert [b.rows.start for b in plan] == [0] + [b.rows.stop for b in plan[:-1]]
+        assert plan[-1].rows.stop == len(times)
+        assert all(0.0 < b.phase_error <= 1e-13 for b in plan)
+        omegas = trajectory_omegas(params, 3, base_seed=8)
+        values = run_ensemble(dec, params, omegas, times, plan)
+        reference = per_point_series(dec, model.observable, omegas, times)
+        assert np.abs(values - reference).max() <= 1e-13
 
 
 class TestTrajectoryOmegas:

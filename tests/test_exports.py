@@ -24,6 +24,7 @@ SUBCOMMANDS = ["plot", "run", "verify"]
 CHECK_HOMES = {
     "cli._cmd_plot": 2,
     "config.ExperimentConfig.__post_init__": 8,
+    "config.ModelSpec.__post_init__": 6,
     "config._as_bool": 1,
     "config._as_float": 2,
     "config._as_int": 1,
@@ -34,7 +35,6 @@ CHECK_HOMES = {
     "csvio._read_table": 6,
     "ensembles.OmegaParams.__post_init__": 1,
     "evolution.expectation": 1,
-    "models.ModelSpec.__post_init__": 6,
     "operators.HermitianOperator.__post_init__": 3,
     "operators.SpectralDecomposition.__post_init__": 6,
     "operators.eigendecompose": 1,

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from typlab.config import ModelSpec
 from typlab.errors import TyplabError
 from typlab.models import (
     OBSERVABLE_STREAM,
     PERTURBATION_STREAM,
-    ModelSpec,
     assemble_hamiltonian,
     build_model,
     build_observable_pm1,

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from typlab.config import ModelSpec
 from typlab.ensembles import OmegaParams, sample_uniform_states
 from typlab.errors import TyplabError
 from typlab.evolution import run_ensemble, trajectory_omegas
-from typlab.models import ModelSpec, build_model, build_observable_pm1
+from typlab.models import build_model, build_observable_pm1
 from typlab.operators import HermitianOperator, eigendecompose
 from typlab.stats import (
     exact_hv_series,
