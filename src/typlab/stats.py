@@ -31,6 +31,12 @@ A = 2 P_+ - I,
 
     C = (4 Tr G - 4 n_+ + n) / n
     F = (16 ||G||_F^2 - 16 Tr G + n) / n.
+
+A and A(t) are unitary involutions, so C is in [-1, 1], and X = A(t) A is
+unitary, so F = Tr{X^2}/n <= 1.  With C^2 >= 0 and d >= 0 this bounds
+(n + 1) HV(t) by 1 - tau^2 + 8 d max(tau, 0)/alpha + 4 d^2/alpha^2 for any H
+(:func:`sharp_variance_bound`), 1.38x below the paper's bound at tau = 0,
+d = 0.1.  At t = 0, C = F = 1, so (n + 1) HV(0) = 1 - tau^2 exactly.
 """
 from __future__ import annotations
 
@@ -81,25 +87,26 @@ def variance_bound(d: float, n: int) -> float:
     return (1.0 + 4 * d + 6 * d**2 + 4 * d**3 + d**4) / ((n + 1) * (1.0 + d**2) ** 2)
 
 
+def sharp_variance_bound(d: float, c1: float, n: int) -> float:
+    """The sharp bound on the exact variance, alpha = 1 + d^2 and d >= 0:
+    ``(1 - c_1^2 + 8 d max(c_1, 0) / alpha + 4 d^2 / alpha^2) / (n + 1)``."""
+    alpha = 1.0 + d**2
+    return (1 - c1**2 + 8 * d * max(c1, 0.0) / alpha + 4 * d**2 / alpha**2) / (n + 1)
+
+
 def exact_hv_series(
     dec: SpectralDecomposition, params: OmegaParams, times: np.ndarray
-) -> np.ndarray:
-    """The exact expectation-value variance of the substitute ensemble
-    ``params`` at each time, from the autocorrelation C(t) and the OTOC F(t).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact expectation-value variance HV(t) of the substitute ensemble
+    ``params`` at each time, and the autocorrelation C(t), which fixes the
+    exact mean tau + 2 d C(t)/alpha.
 
-    Per time point it forms the n_+ x n_+ block
-    ``Y = (U_+ e^{-iwt}) U_+^dagger`` and G = Y^dagger Y, then
-
-        C  = (4 Tr G - 4 n_+ + n) / n
-        F  = (16 ||G||_F^2 - 16 Tr G + n) / n
-        HV = [1 - tau^2 + 4 d tau (1 - C) / alpha
-              + 4 d^2 (F - C^2) / alpha^2] / (n + 1)
-
-    with tau = c_1 = (2 n_+ - n)/n and alpha = 1 + d^2 (derivation in the
-    module docstring).  This holds for balanced and unbalanced observables alike,
-    including +/-I.  It stays below :func:`variance_bound` (to rounding)
-    for d >= 0.  The tests pin the agreement with the dense per-time
-    composition and with the general energy-basis formula.
+    Per time point it forms ``Y = (U_+ e^{-iwt}) U_+^dagger`` and
+    G = Y^dagger Y, and reads C, the OTOC F and HV off Tr G and ||G||_F^2
+    as the module docstring derives, for balanced and unbalanced observables
+    alike, including +/-I.  HV stays below :func:`sharp_variance_bound` (to
+    rounding) for d >= 0.  The tests pin the agreement with the dense
+    per-time composition and with the general energy-basis formula.
     """
     d = params.d
     u_plus = plus_rows(params.observable, dec)
@@ -110,11 +117,12 @@ def exact_hv_series(
     alpha = 1.0 + d**2
 
     out = np.empty(len(times))
+    autocorrelation = np.empty(len(times))
     for k, t in enumerate(np.asarray(times, dtype=float)):
         y = (u_plus * np.exp(-1j * dec.eigenvalues * t)) @ u_plus_h
         g = y.conj().T @ y
         tr_g = float(np.trace(g).real)
-        c = (4.0 * tr_g - 4 * n_plus + n) / n
+        c = autocorrelation[k] = (4.0 * tr_g - 4 * n_plus + n) / n
         f = (16.0 * float(np.vdot(g, g).real) - 16.0 * tr_g + n) / n
         out[k] = (
             1.0
@@ -122,7 +130,7 @@ def exact_hv_series(
             + 4.0 * d * tau * (1.0 - c) / alpha
             + 4.0 * d**2 * (f - c**2) / alpha**2
         ) / (n + 1)
-    return out
+    return out, autocorrelation
 
 
 def sample_stats(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,13 +8,14 @@ from typlab.ensembles import OmegaParams, sample_uniform_states
 from typlab.errors import TyplabError
 from typlab.evolution import run_ensemble, trajectory_omegas
 from typlab.models import build_model, build_observable_pm1
-from typlab.operators import HermitianOperator, eigendecompose
+from typlab.operators import HermitianOperator, eigendecompose, heisenberg_observable
 from typlab.stats import (
     exact_hv_series,
     mean_expectation_analytic,
     norm_mean_analytic,
     norm_variance_analytic,
     sample_stats,
+    sharp_variance_bound,
     variance_bound,
 )
 
@@ -241,6 +242,13 @@ class TestVarianceBound:
         values = [variance_bound(d, 500) for d in grid]
         assert np.all(np.diff(values) > 0)
 
+    def test_sharp_bound_at_the_paper_parameters(self):
+        # (1 + 4 d^2/alpha^2)/(n + 1) at c1 = 0, 1.38x below the paper's
+        sharp = sharp_variance_bound(0.1, 0.0, 6000)
+        assert sharp == pytest.approx((1 + 0.04 / 1.01**2) / 6001, rel=1e-14)
+        assert variance_bound(0.1, 6000) / sharp == pytest.approx(1.381, abs=1e-3)
+        assert sharp_variance_bound(0.0, 0.0, 100) == variance_bound(0.0, 100)
+
 
 @pytest.fixture(scope="module")
 def small_model():
@@ -274,10 +282,24 @@ class TestExactTimeVariance:
     def test_series_matches_pointwise_composition(self, small_model):
         model, dec = small_model
         times = np.linspace(0.0, 12.0, 9)
-        series = exact_hv_series(dec, OmegaParams(d=0.1, observable=model.observable), times)
+        series, _ = exact_hv_series(dec, OmegaParams(d=0.1, observable=model.observable), times)
         a = dense_observable(model.observable)
         direct = [hv_at_time_exact(a, dec, 0.1, t) for t in times]
         assert np.allclose(series, direct, rtol=1e-10, atol=1e-16)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.7])
+    def test_autocorrelation_fixes_the_exact_mean(self, small_model, fraction):
+        # C(t) = Tr{A A(t)}/n, and the exact mean Tr{D(t)}/n = c1 + 2 d C/alpha
+        _, dec = small_model
+        signs = pm1_with_plus_fraction(60, fraction, seed=3)
+        times = np.linspace(0.0, 12.0, 9)
+        _, autocorrelation = exact_hv_series(dec, OmegaParams(d=0.1, observable=signs), times)
+        a = dense_observable(signs)
+        a_t = [heisenberg_observable(a, dec, t) for t in times]
+        direct = [np.vdot(a.matrix, x.matrix).real / 60 for x in a_t]
+        assert np.abs(autocorrelation - direct).max() <= 1e-12
+        means = [ha_uniform(moment_map(x, a, 0.1)) for x in a_t]
+        assert np.abs(np.mean(signs) + 0.2 * autocorrelation / 1.01 - means).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("observable", ["balanced", "unbalanced", "identity", "minus-identity"])
@@ -290,9 +312,23 @@ class TestExactTimeVariance:
             "minus-identity": -np.ones(60),
         }[observable]
         times = np.linspace(0.0, 40.0, 13)
-        series = exact_hv_series(dec, OmegaParams(d=d, observable=a), times)
+        series, _ = exact_hv_series(dec, OmegaParams(d=d, observable=a), times)
         reference = reference_hv_series(dense_observable(a), dec, d, times)
         assert np.abs(series - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [6, 16, 40])
+    @pytest.mark.parametrize("fraction", [0.5, 0.25, 0.75, 1.0])
+    def test_sharp_bound_and_the_identity_at_zero_on_random_models(self, n, fraction):
+        # Random dense H, balanced and unbalanced sign vectors (and A = I),
+        # t = 0 and 200 random times up to 1e4.
+        dec = eigendecompose(random_hermitian(n, seed=n))
+        signs = pm1_with_plus_fraction(n, fraction, seed=n + 1)
+        tau = float(np.mean(signs))
+        times = np.concatenate([[0.0], np.random.default_rng(n).uniform(0.0, 1e4, 200)])
+        for d in (0.0, 0.1, 0.3, 0.9):
+            series, _ = exact_hv_series(dec, OmegaParams(d=d, observable=signs), times)
+            assert series.max() <= sharp_variance_bound(d, tau, n) + 1e-15
+            assert abs((n + 1) * series[0] - (1 - tau**2)) <= 1e-12
 
     # exact_hv_series reads the observable through OmegaParams, whose gate
     # stops these before any work.

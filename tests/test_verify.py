@@ -13,9 +13,9 @@ from typlab.config import load_config, parse_config
 from typlab.ensembles import OmegaParams, make_omegas, sample_uniform_states
 from typlab.errors import TyplabError
 from typlab.models import build_model
-from typlab.operators import SpectralDecomposition
+from typlab.operators import SpectralDecomposition, eigendecompose
 from typlab.rng import child_seed
-from typlab.stats import variance_bound
+from typlab.stats import sharp_variance_bound, variance_bound
 from typlab.verify import (
     N_UNIFORM_SAMPLES,
     UNIFORM_MC_STREAM,
@@ -65,16 +65,24 @@ def test_expected_check_names(small_results):
         "uniform-variance",
         "deviation-map",
         "bound-exact",
+        "variance-at-zero",
+        "mean-sampled",
         "variance-sampled",
         "picture-equivalence",
-        "inverse-n-scaling",
     ]
 
 
 def test_report_format(small_results):
     report = format_report(small_results)
     assert report.count("[PASS]") == len(small_results)
-    assert "8/8 checks passed" in report
+    assert "9/9 checks passed" in report
+
+
+def test_passed_is_a_python_bool(small_results):
+    # errors computed with numpy are stored as floats, so the verdict is a
+    # bool that serialises, never an np.bool_
+    assert all(type(r.passed) is bool for r in small_results)
+    assert type(CheckResult("c", np.float64(0.5), np.float64(1.0), "", "").passed) is bool
 
 
 def test_zero_deviation_targets_zero_mean():
@@ -86,14 +94,10 @@ def test_zero_deviation_targets_zero_mean():
 
 def identity_observable(monkeypatch):
     # The config's model gets A = I: c1 = 1, trace-free gate broken.
-    config = parse_config(tiny_raw())
     original = typlab.verify.build_model
 
     def corrupted(spec):
-        model = original(spec)
-        if spec != config.model:
-            return model
-        return replace(model, observable=np.ones(spec.n))
+        return replace(original(spec), observable=np.ones(spec.n))
 
     monkeypatch.setattr(typlab.verify, "build_model", corrupted)
 
@@ -110,8 +114,10 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     assert not gate.passed
     assert gate.measured == "c1 = 1, n_plus = 60"
     assert gate.margin == 1.0 - 1.0 / 1e-12
-    # u = 1 for every state, so both identities and the closed forms hold
+    # u = 1 for every state, so both identities and the closed forms hold,
+    # and every trajectory sits at the exact mean 1 + 2d/alpha
     assert by_name["deviation-map"].passed
+    assert by_name["mean-sampled"].passed
     # Every trajectory is constant and the exact HV is 0 to rounding: over the
     # floored HV, the zero sampled variance reads sqrt((M - 1)/2) and fails.
     sampled = by_name["variance-sampled"]
@@ -146,6 +152,25 @@ def test_corrupted_kernel_fails_picture_equivalence(monkeypatch, corrupt):
     assert [r.name for r in results if not r.passed] == ["picture-equivalence"]
 
 
+def test_negated_kernel_fails_mean_and_picture_equivalence(monkeypatch):
+    # -A moves the sampled mean to -(c1 + 2d C/alpha) and keeps the variance.
+    minus_rows(monkeypatch)
+    results = run_verification(parse_config(tiny_raw()))
+    assert [r.name for r in results if not r.passed] == ["mean-sampled", "picture-equivalence"]
+
+
+def negated_hamiltonian(monkeypatch):
+    # The kernel propagates with -H, i.e. to -t: C(t) and F(t) are even in
+    # t, so every statistic holds and only the picture comparison sees it.
+    original = typlab.verify.run_ensemble
+
+    def corrupted(dec, *args):
+        minus_h = SpectralDecomposition(-dec.eigenvalues[::-1], dec.eigenvectors[:, ::-1])
+        return original(minus_h, *args)
+
+    monkeypatch.setattr(typlab.verify, "run_ensemble", corrupted)
+
+
 def test_negative_deviation_raises_typlab_error():
     # The config rejects d < 0 when it is built, by parse or by replace, so
     # run_verification never receives it.
@@ -153,21 +178,22 @@ def test_negative_deviation_raises_typlab_error():
         run_verification(replace(load_config(VERIFY_CONFIG), d=-0.1))
 
 
-def test_scaling_check_reuses_the_config_model(monkeypatch):
-    # n = 200 is one of the scaling sizes: its model and decomposition are
-    # the ones the config's checks already built.
+def test_one_model_and_decomposition_per_verification(monkeypatch):
+    # Every check reads the config's model at the config's n; the 1/n law
+    # is checked on its series, with no model of another size.
     calls = []
-    original = typlab.verify.eigendecompose
+    for name in ("build_model", "eigendecompose"):
+        original = getattr(typlab.verify, name)
 
-    def counting(op):
-        calls.append(op.dim)
-        return original(op)
+        def recording(arg, name=name, original=original):
+            calls.append((name, arg.n if name == "build_model" else arg.dim))
+            return original(arg)
 
-    monkeypatch.setattr(typlab.verify, "eigendecompose", counting)
+        monkeypatch.setattr(typlab.verify, name, recording)
     results = run_verification(load_config(VERIFY_CONFIG))
-    assert sorted(calls) == [100, 200, 400, 800]
-    scaling = {r.name: r for r in results}["inverse-n-scaling"]
-    assert "slope = -0.997" in scaling.measured
+    assert calls == [("build_model", 200), ("eigendecompose", 200)]
+    at_zero = {r.name: r for r in results}["variance-at-zero"]
+    assert "(n + 1) max HV = 1.0007 at n = 200" in at_zero.measured
 
 
 def test_heisenberg_observable_formed_once_per_time(monkeypatch):
@@ -260,28 +286,76 @@ def collapsed_sampler(monkeypatch):
     monkeypatch.setattr(typlab.verify, "trajectory_omegas", collapsed)
 
 
+def test_collapsed_sampler_fails_both_sampled_checks(monkeypatch):
+    # One trajectory M times: its mean is one draw, about sqrt(M) standard
+    # errors off, and its variance is zero.
+    collapsed_sampler(monkeypatch)
+    results = run_verification(parse_config(tiny_raw()))
+    assert [r.name for r in results if not r.passed] == ["mean-sampled", "variance-sampled"]
+
+
+def phase_only_sampler(monkeypatch):
+    # Each trajectory state's pre-image psi keeps its phases but takes the
+    # flat moduli 1/sqrt(n) (omega and psi share phases, as (1 + d A) > 0):
+    # E[psi psi^dagger] = I/n is kept, and with it every mean, but
+    # <psi|A|psi> = c1 for every state, so the variance at t = 0 is zero.
+    original = typlab.verify.trajectory_omegas
+
+    def phases_only(params, m, base_seed):
+        omegas = original(params, m, base_seed)
+        shift = (1 + params.d * params.observable[:, None]) / np.sqrt(1 + params.d**2)
+        return shift * (omegas / np.abs(omegas)) / np.sqrt(omegas.shape[0])
+
+    monkeypatch.setattr(typlab.verify, "trajectory_omegas", phases_only)
+
+
+def undeviated_sampler(monkeypatch):
+    # The trajectory states drawn at d = 0: the sampled mean misses the
+    # 2 d C(t)/alpha, while the variance barely moves.
+    original = typlab.verify.trajectory_omegas
+    monkeypatch.setattr(
+        typlab.verify,
+        "trajectory_omegas",
+        lambda params, m, base_seed: original(replace(params, d=0.0), m, base_seed),
+    )
+
+
 def hv_over_bound(monkeypatch):
-    # Every exact HV series scaled so its maximum is 1.01 times the bound.
+    # The exact series after t = 0 scaled so its maximum is 1.01 times the
+    # sharp bound, still below the paper's.
     original = typlab.verify.exact_hv_series
 
     def scaled(dec, params, times):
-        series = original(dec, params, times)
-        return series * (1.01 * variance_bound(params.d, params.observable.size) / series.max())
+        series, autocorrelation = original(dec, params, times)
+        sharp = sharp_variance_bound(params.d, params.moments[1], params.observable.size)
+        series[1:] *= 1.01 * sharp / series[1:].max()
+        return series, autocorrelation
 
     monkeypatch.setattr(typlab.verify, "exact_hv_series", scaled)
 
 
-def hv_times_n_plus_1(monkeypatch):
-    # The scaling models' series multiplied by n + 1: the log-log slope is 0.
+def test_sharp_bound_sees_what_the_paper_bound_cannot(monkeypatch):
+    # hv_over_bound fails bound-exact alone (CORRUPTIONS), at a series the
+    # paper's bound passes with room to spare
+    hv_over_bound(monkeypatch)
+    config = parse_config(tiny_raw())
+    model = build_model(config.model)
+    params = OmegaParams(d=config.d, observable=model.observable)
+    dec = eigendecompose(model.hamiltonian)
+    series, _ = typlab.verify.exact_hv_series(dec, params, config.times)
+    assert series.max() < 0.75 * variance_bound(config.d, config.model.n)
+
+
+def hv_scaled_down(monkeypatch):
+    # The exact series times 0.9: below both bounds, and within the sampled
+    # checks' reach, so only the identity at t = 0 sees it.
     original = typlab.verify.exact_hv_series
 
-    def flattened(dec, params, times):
-        series = original(dec, params, times)
-        if len(times) == typlab.verify.SCALING_GRID_POINTS:
-            return series * (params.observable.size + 1)
-        return series
+    def scaled(dec, params, times):
+        series, autocorrelation = original(dec, params, times)
+        return 0.9 * series, autocorrelation
 
-    monkeypatch.setattr(typlab.verify, "exact_hv_series", flattened)
+    monkeypatch.setattr(typlab.verify, "exact_hv_series", scaled)
 
 
 def reweighted_states(monkeypatch, weights):
@@ -320,9 +394,10 @@ CORRUPTIONS = {
     "uniform-variance": states_on_four_vectors,
     "deviation-map": opposite_map,
     "bound-exact": hv_over_bound,
-    "variance-sampled": collapsed_sampler,
-    "picture-equivalence": minus_rows,
-    "inverse-n-scaling": hv_times_n_plus_1,
+    "variance-at-zero": hv_scaled_down,
+    "mean-sampled": undeviated_sampler,
+    "variance-sampled": phase_only_sampler,
+    "picture-equivalence": negated_hamiltonian,
 }
 
 
@@ -371,5 +446,7 @@ def test_verification_holds_no_monte_carlo_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # below the (20000, 200) complex block of uniform states, 61 MiB
-    assert peak < N_UNIFORM_SAMPLES * config.model.n * 16
+    # 11.5 MiB measured: far below the (20000, 200) complex block of uniform
+    # states (61 MiB), and below the 44.7 MiB that a second model of n = 800
+    # brings
+    assert peak < 16 * 2**20
