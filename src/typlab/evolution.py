@@ -20,14 +20,23 @@ squares are taken (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 The spectrum is centred first, w -> w - (w_min + w_max)/2, as the global
 phase drops out of |.|^2.  :func:`propagation_plan` cuts the grid into
 blocks of at most ``GRID_BLOCK`` points, so no buffer grows with the grid,
-and gives each block the fewest nodes whose measured phase error
+and counts each block's nodes a priori.  On a block t = m + h x, x in
+[-1, 1], eigenvalue w_k has the phase exp(-i w_k m) exp(-i theta_k x),
+theta_k = |w_k h|, whose Chebyshev coefficients are 2 (-i)^j J_j(theta_k);
+interpolation at r Lobatto nodes errs by at most 4 sum_{j>=r} |J_j(theta_k)|
+(Trefethen, Approximation Theory and Approximation Practice, Thm 4.2).
+The band edge bounds every eigenvalue: J_j is positive and increasing on
+[0, j], so for r > theta = max|w| |h| no term at theta_k <= theta exceeds
+its value at theta.  Each block takes the fewest such r whose edge tail
 
-    eps = max_{k,t} |sum_q Q_tq exp(-i w_k tau_q) - exp(-i w_k t)|,
+    eps = 4 sum_{j>=r} |J_j(theta)|
 
-over the run's own centred spectrum and the block's grid points, is at
-most ``PHASE_ERROR_TOL`` = 1e-13.  Since ||U_+ x|| <= ||x||, that certifies
-|a_i(t) - exact| <= 2 ||omega_i||^2 (2 eps + eps^2)
+is at most ``PHASE_ERROR_TOL`` = 1e-13.  Since ||U_+ x|| <= ||x||, that
+bounds |a_i(t) - exact| <= 2 ||omega_i||^2 (2 eps + eps^2)
 (:func:`propagation_error_bound`, ``meta["health"]["propagation_error_bound"]``).
+The bound holds in exact arithmetic; rounding adds about
+u (r L + (1 + L) max|w| max|t|), with u = 2^-53 and L the largest row
+abs-sum of Q, and the direct path's phases round alike.
 A block that would need as many nodes as it has grid points, short or
 undersampled, is propagated directly at its grid points, without Q and with
 eps = 0; both kinds of block run through the same loop.  The end grid
@@ -56,10 +65,8 @@ IMAG_RESIDUE_RTOL = 1e-10
 GRID_BLOCK = 256
 # The largest phase error eps a block's interpolation may have.
 PHASE_ERROR_TOL = 1e-13
-# Grid points interpolated per product, and eigenvalues per slice of the
-# phase-error measurement.
+# Grid points interpolated per product.
 INTERPOLATION_ROWS = 64
-ERROR_COLUMNS = 64
 
 
 def expectation(a_op: HermitianOperator, phi: StateVector) -> float:
@@ -125,8 +132,9 @@ class TimeBlock:
     at ``nodes``; ``weights`` is the real (len(rows), len(nodes))
     interpolation matrix Q that maps node values to the grid points, or None
     when the nodes are the grid points themselves.  ``phase_error`` is the
-    measured eps = max_{k,t} |sum_q Q_tq exp(-i w_k tau_q) - exp(-i w_k t)|
-    over the centred spectrum w and the block's grid, 0.0 without Q.
+    a-priori tail bound eps on max_{k,t} |sum_q Q_tq exp(-i w_k tau_q) -
+    exp(-i w_k t)| over the centred spectrum w and the block's grid, in
+    exact arithmetic; 0.0 without Q.
     """
 
     rows: slice
@@ -160,48 +168,37 @@ def _lobatto_weights(grid: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _phase_error(grid: np.ndarray, nodes: np.ndarray, weights: np.ndarray, w: np.ndarray) -> float:
-    """max |weights @ exp(-i w nodes) - exp(-i w grid)| over the entries of
-    w, taken ``ERROR_COLUMNS`` eigenvalues at a time so no (len(grid), n)
-    array is held.  The node phases are formed as the kernel forms them, and
-    the real Q multiplies their float64 view."""
-    worst = 0.0
-    for lo in range(0, len(w), ERROR_COLUMNS):
-        part = -1j * w[lo : lo + ERROR_COLUMNS]
-        phases = np.exp(np.multiply.outer(nodes, part))
-        error = (weights @ phases.view(np.float64)).view(np.complex128)
-        error -= np.exp(np.multiply.outer(grid, part))
-        worst = max(worst, float(np.abs(error).max()))
-    return worst
+def _bessel_j(theta: float) -> np.ndarray:
+    """J_0(theta), ..., J_K(theta) for theta >= 0, with K = theta +
+    20 theta^(1/3) + 40 far enough past theta that J_K is negligible.
+
+    Miller's backward recurrence J_{k-1} = (2k/theta) J_k - J_{k+1}, run on
+    the ratios J_k/J_{k-1} so that nothing overflows, and normalised by
+    J_0 + 2 sum_k J_2k = 1."""
+    top = int(theta + 20 * theta ** (1 / 3) + 40)
+    ratios = np.empty(top + 1)
+    ratios[0] = rho = 1.0
+    for k in range(top, 0, -1):
+        rho = theta / (2 * k - theta * rho)
+        ratios[k] = rho
+    j = np.cumprod(ratios)
+    return j / (j[0] + 2 * j[2::2].sum())
 
 
 def _time_block(w: np.ndarray, grid: np.ndarray, rows: slice) -> TimeBlock:
-    """The block of ``rows`` with the fewest Chebyshev nodes whose measured
-    phase error is at most ``PHASE_ERROR_TOL``, or the direct block when
-    that takes as many nodes as the block has grid points."""
-    size = len(grid)
-    # With theta = max|w| times half the block's span, 1e-13 takes about
-    # theta + 10 theta^(1/3) nodes; the search starts a little below and
-    # steps.  The band edges set the error in practice, so the search reads
-    # them alone, and the whole spectrum certifies the count it ends on.
-    theta = float(np.abs(w).max(initial=0.0)) * (grid[-1] - grid[0]) / 2
-    r = max(2, int(theta + 9 * theta ** (1 / 3)))
-    edges = w[[0, -1]]
-
-    def edge_error(count: int) -> float:
-        return _phase_error(grid, *_lobatto_weights(grid, count), edges)
-
-    while r < size and edge_error(r) > PHASE_ERROR_TOL:
-        r += 1
-    while 2 < r < size and edge_error(r - 1) <= PHASE_ERROR_TOL:
-        r -= 1
-    while r < size:
-        nodes, weights = _lobatto_weights(grid, r)
-        error = _phase_error(grid, nodes, weights, w)
-        if error <= PHASE_ERROR_TOL:
-            return TimeBlock(rows, nodes, weights, error)
-        r += 1
-    return TimeBlock(rows, grid, None, 0.0)
+    """The block of ``rows`` with the fewest Chebyshev nodes r > theta whose
+    tail bound eps = 4 sum_{k>=r} |J_k(theta)| is at most ``PHASE_ERROR_TOL``,
+    or the direct block when that takes as many nodes as the block has grid
+    points; theta = max|w| times half the block's span."""
+    theta = float(np.abs(w).max(initial=0.0)) * abs(grid[-1] - grid[0]) / 2
+    # r > theta keeps every term of the tail on the rising side of J_k.
+    r = max(2, int(theta) + 1)
+    if r < len(grid):
+        tails = 4 * np.cumsum(np.abs(_bessel_j(theta))[::-1])[::-1]
+        r = max(r, int(np.argmax(tails <= PHASE_ERROR_TOL)))
+    if r >= len(grid):
+        return TimeBlock(rows, grid, None, 0.0)
+    return TimeBlock(rows, *_lobatto_weights(grid, r), float(tails[r]))
 
 
 def propagation_plan(eigenvalues: np.ndarray, times: np.ndarray) -> list[TimeBlock]:

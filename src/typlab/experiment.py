@@ -15,9 +15,9 @@ Outputs per run directory:
   the eigendecomposition, ``start_band_excursions``, the number of
   trajectories whose t = 0 value lies outside the start band
   ``mean_expectation +/- 3 sqrt(variance_bound)``, and
-  ``propagation_error_bound``, the certified bound on |a_i(t) - exact| of
-  the kernel's node interpolation (0.0 when every grid time is propagated
-  directly; see :mod:`typlab.evolution`);
+  ``propagation_error_bound``, the a-priori bound on |a_i(t) - exact| of
+  the kernel's node interpolation, in exact arithmetic (0.0 when every
+  grid time is propagated directly; see :mod:`typlab.evolution`);
 * ``plot.svg`` (optional) -- trajectories, mean, and the variance inset.
 
 Each file is written under a temporary name and renamed, so a failed run
@@ -30,8 +30,8 @@ count.  Across thread counts the BLAS sums in another order: on
 ``scenario_i``, ``OPENBLAS_NUM_THREADS=1`` and ``=2`` differed in 18945 of
 20000 trajectory cells, by at most 9.1e-15.  The node interpolation of the
 kernel moves values from those of per-grid-point propagation by at most
-``propagation_error_bound``; on the shipped configs they differ by at most
-8e-15.
+``propagation_error_bound`` plus rounding; on the shipped configs they
+differ by at most 8e-15.
 """
 from __future__ import annotations
 

@@ -59,9 +59,7 @@ class _Axes:
         return self.y0 + self.height - frac * self.height
 
     def polyline(self, x, y, style) -> str:
-        points = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in zip(self.px(x), self.py(y))
-        )
+        points = " ".join(map("{:.2f},{:.2f}".format, self.px(x).tolist(), self.py(y).tolist()))
         return f'<polyline {style} points="{points}"/>'
 
     def frame(self) -> str:

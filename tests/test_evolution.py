@@ -15,6 +15,8 @@ from typlab.ensembles import (
 )
 from typlab.errors import TyplabError
 from typlab.evolution import (
+    PHASE_ERROR_TOL,
+    _bessel_j,
     expectation,
     expectations,
     propagation_error_bound,
@@ -62,6 +64,35 @@ def per_point_series(dec, signs, omegas, times):
         evolved = u_plus @ (np.exp(-1j * dec.eigenvalues * t)[:, None] * coeff)
         values[:, k] = 2.0 * np.sum(np.abs(evolved) ** 2, axis=0) - norms_sq
     return values
+
+
+def phase_error(grid, nodes, weights, w):
+    """The measured max_{k,t} |sum_q Q_tq exp(-i w_k tau_q) - exp(-i w_k t)|
+    over the entries of w, with the node phases formed as the kernel forms
+    them and the real Q multiplying their float64 view; rounding included."""
+    part = -1j * w
+    phases = np.exp(np.multiply.outer(nodes, part))
+    error = (weights @ phases.view(np.float64)).view(np.complex128)
+    error -= np.exp(np.multiply.outer(grid, part))
+    return float(np.abs(error).max())
+
+
+def chebyshev_tails(theta):
+    """4 sum_{k>=r} |J_k(theta)| for r = 0, 1, ..., and the J_k, from the FFT
+    of exp(-i theta cos phi), whose k-th Fourier coefficient is
+    (-i)^k J_k(theta).  The grid is fine enough that aliasing is below
+    rounding, and the FFT runs in long double so that the rounding of its
+    ~1000 coefficients sums to well under the tolerance."""
+    if np.finfo(np.longdouble).eps > 2.0**-60:
+        pytest.skip("the FFT route needs an extended-precision long double")
+    size = 2 ** int(np.ceil(np.log2(4 * theta + 512)))
+    phi = np.arange(size, dtype=np.longdouble) * (8 * np.arctan(np.longdouble(1)) / size)
+    coeff = np.fft.fft(np.exp(-1j * np.longdouble(theta) * np.cos(phi)))[: size // 2] / size
+    j = (1j ** np.arange(size // 2) * coeff).real
+    # Coefficients at the FFT's rounding level would add up to ~1e-15 over
+    # the top orders; the true J_k there sum to less than 1e-16.
+    terms = np.where(np.abs(j) > 1e-17, np.abs(j), 0.0)
+    return 4 * np.cumsum(terms[::-1])[::-1], j
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +249,11 @@ class TestNodeInterpolation:
     """The kernel propagates at Chebyshev nodes and interpolates to the
     grid; the per-point kernel is the reference."""
 
-    @pytest.mark.parametrize("name", ["scenario_i", "scenario_ii", "scenario_iii"])
-    def test_scenarios_match_per_point_kernel(self, name):
+    @pytest.mark.parametrize(
+        "name, count",
+        [("verify_small", 44), ("scenario_i", 74), ("scenario_ii", 71), ("scenario_iii", 132)],
+    )
+    def test_scenarios_match_per_point_kernel(self, name, count):
         # scenario_iii's constant perturbation has an outlier level, which
         # widens the spectrum and takes the most nodes.
         config = load_config(CONFIGS / f"{name}.json")
@@ -230,7 +264,7 @@ class TestNodeInterpolation:
         times = config.times
         plan = propagation_plan(dec.eigenvalues, times)
         assert [block.weights is not None for block in plan] == [True]
-        assert len(plan[0].nodes) < len(times)
+        assert len(plan[0].nodes) == count
         values = run_ensemble(dec, params, omegas, times, plan)
         worst = np.abs(values - per_point_series(dec, model.observable, omegas, times)).max()
         # |delta a| <= 2 max ||omega||^2 (2 eps + eps^2), below 1e-12.
@@ -257,6 +291,24 @@ class TestNodeInterpolation:
         reference = per_point_series(dec, model.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
 
+    @pytest.mark.parametrize(
+        "times, count",
+        [(-np.linspace(0.0, 10.0, 41), 17), (np.linspace(-10.0, 10.0, 81), 22)],
+        ids=["descending", "symmetric"],
+    )
+    def test_grids_that_do_not_start_at_zero(self, dense_model, times, count):
+        # The count reads the block's |span|, so a descending grid takes the
+        # nodes of its mirror image, and t = -10..10 those of its length 20.
+        model, dec = dense_model
+        params = OmegaParams(d=0.1, observable=model.observable)
+        (block,) = propagation_plan(dec.eigenvalues, times)
+        assert len(block.nodes) == count
+        assert (block.nodes[0], block.nodes[-1]) == (times[0], times[-1])
+        omegas = trajectory_omegas(params, 4, base_seed=43)
+        values = run_ensemble(dec, params, omegas, times, [block])
+        reference = per_point_series(dec, model.observable, omegas, times)
+        assert np.abs(values - reference).max() <= 1e-13
+
     def test_two_points_are_propagated_directly(self, dense_model):
         model, dec = dense_model
         params = OmegaParams(d=0.1, observable=model.observable)
@@ -278,6 +330,8 @@ class TestNodeInterpolation:
         times = np.linspace(0.0, 600.0, 30)
         plan = propagation_plan(dec.eigenvalues, times)
         assert [b.weights for b in plan] == [None]
+        # A theta far past the 30 points skips the count: r > theta exceeds them.
+        assert [b.weights for b in propagation_plan(dec.eigenvalues, 1e4 * times)] == [None]
         assert np.array_equal(plan[0].nodes, times)
         omegas = trajectory_omegas(params, 3, base_seed=4)
         values = run_ensemble(dec, params, omegas, times)
@@ -316,6 +370,60 @@ class TestNodeInterpolation:
         values = run_ensemble(dec, params, omegas, times, plan)
         reference = per_point_series(dec, model.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
+
+
+class TestNodeCount:
+    """The a-priori node count against an independent route to the
+    Chebyshev coefficients of exp(-i theta x), and against the measured
+    phase error on random spectra."""
+
+    @pytest.mark.parametrize(
+        "theta", [*np.geomspace(1e-3, 300.0, 25), 17.0, 39.7, 37.3, 87.9]
+    )
+    def test_bessel_recurrence_matches_the_fft_coefficients(self, theta):
+        j = _bessel_j(theta)
+        tails, reference = chebyshev_tails(theta)
+        assert np.abs(j - reference[: len(j)]).max() <= 1e-15
+        # Past the recurrence's top order, the terms are the FFT's rounding.
+        assert np.abs(reference[len(j) :]).max() <= 1e-17
+        own = 4 * np.cumsum(np.abs(j)[::-1])[::-1]
+        r = int(np.argmax(own <= PHASE_ERROR_TOL))
+        # The FFT route's tails near the tolerance are good to about 0.2%.
+        assert own[r - 1 : r + 1] == pytest.approx(tails[r - 1 : r + 1], rel=1e-2)
+        assert tails[r - 1] > 0.99 * PHASE_ERROR_TOL
+
+    @pytest.mark.parametrize("offset", [False, True], ids=["from-zero", "offset"])
+    def test_count_is_the_fewest_and_bounds_the_measured_error(self, offset):
+        # The worst phase error of a random centred spectrum is at most the
+        # edge tail plus rounding, and one node fewer misses the tail bound.
+        rng = np.random.default_rng(2209 + offset)
+        u = 2.0**-53
+        interpolated = 0
+        for _ in range(100):
+            n = int(rng.integers(10, 401))
+            eigenvalues = np.sort(rng.uniform(-1.0, 1.0, n)) * rng.uniform(0.01, 2.0)
+            eigenvalues += rng.uniform(-5.0, 5.0)
+            start = rng.uniform(-50.0, 50.0) if offset else 0.0
+            grid = start + np.linspace(0.0, rng.uniform(0.0, 200.0), int(rng.integers(3, 257)))
+            (block,) = propagation_plan(eigenvalues, grid)
+            w = eigenvalues - (eigenvalues[0] + eigenvalues[-1]) / 2
+            theta = float(np.abs(w).max()) * abs(grid[-1] - grid[0]) / 2
+            tails, _ = chebyshev_tails(theta)
+            if block.weights is None:
+                assert len(grid) <= 2 or tails[len(grid) - 1] > 0.99 * PHASE_ERROR_TOL
+                continue
+            interpolated += 1
+            r = len(block.nodes)
+            assert r == 2 or tails[r - 1] > 0.99 * PHASE_ERROR_TOL
+            assert block.phase_error <= PHASE_ERROR_TOL
+            assert block.phase_error == pytest.approx(tails[r], rel=1e-2, abs=1e-16)
+            lebesgue = float(np.abs(block.weights).sum(axis=1).max())
+            rounding = (r + 1) * u * lebesgue + (1 + lebesgue) * u * float(
+                np.abs(w).max() * np.abs(grid).max()
+            )
+            measured = phase_error(grid, block.nodes, block.weights, w)
+            assert measured <= block.phase_error + rounding
+        assert interpolated >= 50
 
 
 class TestTrajectoryOmegas:
