@@ -18,6 +18,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config).with_overrides(out_dir=args.out, base_seed=args.seed)
+    config = load_config(args.config)
+    # replace re-runs the config's checks, so an override fails as at parse.
+    if args.out is not None:
+        config = replace(config, output=replace(config.output, directory=args.out))
+    if args.seed is not None:
+        config = replace(config, base_seed=args.seed)
     for path in execute_run(config):
         print(f"wrote {path}")
     return 0

@@ -2,26 +2,25 @@
 parameters.
 
 The schema is the dataclasses themselves: the keys of each object are its
-fields in declaration order, and each value is converted by the field's
-annotated type.  Unknown keys are errors (they are usually typos in physics
-parameters), every key is required, and :func:`parse_config` only converts
-JSON to the types.  The range rules live in the types: :class:`ModelSpec`
-checks the model, the types of its fields first with parse's converters,
-and :class:`ExperimentConfig` checks the rest when it is built, the types of
-its scalar fields first (storing them converted, as parse does), and last a
-bound on the run's size: its dense matrices, state and node blocks and
-trajectory arrays must fit in physical memory.
+fields in declaration order.  Unknown keys are errors (they are usually
+typos in physics parameters), every key is required, and
+:func:`parse_config` only matches keys to fields.  Each type converts its
+own scalar fields by their annotated types, stores them converted (an int
+``d`` as a float) and checks its ranges: :class:`ModelSpec` the model, and
+:class:`ExperimentConfig` the rest, last a bound on the run's size: its
+dense matrices, state and node blocks and trajectory arrays must fit in
+physical memory.  A section is built before the config that holds it, so
+a section's error comes before one of a root scalar, in code as at parse.
 ``dataclasses.replace`` re-runs those checks, so a config changed in code
 (``typlab run --seed``, ``--out``) passes the same rules as a parsed one.
-All failures raise :class:`TyplabError` naming the offending field.
+All failures raise :class:`TyplabError` naming the offending field path.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,22 +77,19 @@ class ModelSpec:
     seed: int
 
     def __post_init__(self):
-        # Parse's converters check the types before any comparison, with
-        # parse's messages; the fields are kept as given, and
-        # ExperimentConfig stores the converted copy.
-        _converted(self, "model.")
+        _store_converted(self, "model.")
         if self.n < 2:
-            raise TyplabError(f"dimension must be >= 2, got {self.n}")
+            raise TyplabError(f"field 'model.n' must be >= 2, got {self.n}")
         if self.n % 2:
-            raise TyplabError(f"dimension must be even, got {self.n}")
+            raise TyplabError(f"field 'model.n' must be even, got {self.n}")
         if not self.delta_e > 0:
-            raise TyplabError(f"level spacing must be > 0, got {self.delta_e}")
+            raise TyplabError(f"field 'model.delta_e' must be > 0, got {self.delta_e}")
         if self.v_kind not in V_KINDS:
-            raise TyplabError(f"v_kind must be one of {V_KINDS}, got {self.v_kind!r}")
+            raise TyplabError(f"field 'model.v_kind' must be one of {V_KINDS}, got {self.v_kind!r}")
         if self.v_scale < 0:
-            raise TyplabError(f"v_scale must be >= 0, got {self.v_scale}")
+            raise TyplabError(f"field 'model.v_scale' must be >= 0, got {self.v_scale}")
         if not 0 <= self.seed <= MASK64:
-            raise TyplabError(f"seed must fit in 64 bits, got {self.seed}")
+            raise TyplabError(f"field 'model.seed' must fit in 64 bits, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +97,18 @@ class TimeSettings:
     t_max: float
     points: int
 
+    def __post_init__(self):
+        _store_converted(self, "time.")
+
 
 @dataclass(frozen=True)
 class OutputSettings:
     directory: str
     emit_trajectories: bool
     emit_plot: bool
+
+    def __post_init__(self):
+        _store_converted(self, "output.")
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,7 @@ class ExperimentConfig:
     output: OutputSettings
 
     def __post_init__(self):
-        # Parse's converters first, so a wrong type fails as a parsed one does
-        # and a right one is stored as parse stores it (an int d as a float).
-        # The nested sections are rebuilt, not changed, as others may share them.
-        for name, value in _converted(self, "").items():
-            object.__setattr__(self, name, value)
-        for name in ("model", "time", "output"):
-            section = getattr(self, name)
-            object.__setattr__(self, name, replace(section, **_converted(section, f"{name}.")))
+        _store_converted(self, "")
         model, d, m = self.model, self.d, self.num_trajectories
         t_max, points = self.time.t_max, self.time.points
         # The variance bound is derived for d >= 0 only, and the closed forms
@@ -151,7 +146,7 @@ class ExperimentConfig:
                 f"(estimated max |energy| {e_max:.3g}), above {MAX_PHASE:.0e}, where their "
                 "rounding exceeds ~1e-8"
             )
-        if not 0 <= self.base_seed < 2**64:
+        if not 0 <= self.base_seed <= MASK64:
             raise TyplabError(f"field 'base_seed' must fit in 64 bits, got {self.base_seed}")
         # An empty path would resolve to the working directory.
         if not self.output.directory:
@@ -188,17 +183,6 @@ class ExperimentConfig:
         """The run's grid: ``time.points`` equidistant times from 0 to ``time.t_max``."""
         return np.linspace(0.0, self.time.t_max, self.time.points)
 
-    def with_overrides(
-        self, out_dir: str | None = None, base_seed: int | None = None
-    ) -> "ExperimentConfig":
-        """A copy with the given output directory and base seed, checked as at parse."""
-        cfg = self
-        if out_dir is not None:
-            cfg = replace(cfg, output=replace(cfg.output, directory=out_dir))
-        if base_seed is not None:
-            cfg = replace(cfg, base_seed=base_seed)
-        return cfg
-
 
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -234,50 +218,46 @@ def _as_bool(value, path: str) -> bool:
 _SCALARS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
 
 
-def _converted(section, prefix: str) -> dict:
-    """The scalar fields of a dataclass instance through parse's converters,
-    each under its field path."""
-    return {
-        f.name: _SCALARS[f.type](getattr(section, f.name), prefix + _KEY_NAMES.get(f.name, f.name))
-        for f in fields(section)
-        if f.type in _SCALARS
-    }
+def _store_converted(section, prefix: str) -> None:
+    """Convert each scalar field of a config dataclass by its annotated type,
+    under its field path ``prefix`` + key, and store the result."""
+    for f in fields(section):
+        if f.type in _SCALARS:
+            path = prefix + _KEY_NAMES.get(f.name, f.name)
+            object.__setattr__(section, f.name, _SCALARS[f.type](getattr(section, f.name), path))
+
+
+# Section annotation -> the type its JSON object builds.
+_SECTIONS = {c.__name__: c for c in (ModelSpec, TimeSettings, OutputSettings)}
 
 
 def _as_section(value, path: str, cls):
     """``cls`` built from the JSON object ``value`` at ``path`` ("" for the
     root).  Its keys are the fields of ``cls`` in declaration order, so the
-    first missing one is always the same, and every value is converted by
-    its field's annotated type."""
+    first missing one is always the same; ``cls`` converts and checks the
+    values."""
     if not isinstance(value, dict):
         where = f"field '{path}'" if path else "config root"
         raise TyplabError(f"{where} must be an object, got {type(value).__name__}")
     prefix = f"{path}." if path else ""
     keys = {_KEY_NAMES.get(f.name, f.name): f for f in fields(cls)}
-    for key in value:
-        if key not in keys:
-            raise TyplabError(f"unknown field '{prefix}{key}'")
-    for key in keys:
-        if key not in value:
-            raise TyplabError(f"missing field '{prefix}{key}'")
-    kwargs = {f.name: _CONVERTERS[f.type](value[key], prefix + key) for key, f in keys.items()}
-    try:
-        return cls(**kwargs)
-    except TyplabError as exc:
-        if not path:  # the root's rules name their fields themselves
-            raise
-        raise TyplabError(f"field '{path}': {exc}") from exc
-
-
-# Field annotation -> converter of a JSON value.
-_CONVERTERS = _SCALARS | {
-    c.__name__: partial(_as_section, cls=c) for c in (ModelSpec, TimeSettings, OutputSettings)
-}
+    # Unknown keys first, in document order, then missing ones in field order.
+    for key in (*value, *keys):
+        if key not in keys or key not in value:
+            raise TyplabError(f"{'unknown' if key in value else 'missing'} field '{prefix}{key}'")
+    return cls(
+        **{
+            f.name: _as_section(value[key], prefix + key, _SECTIONS[f.type])
+            if f.type in _SECTIONS
+            else value[key]
+            for key, f in keys.items()
+        }
+    )
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Convert a parsed JSON document into an :class:`ExperimentConfig`,
-    whose construction checks it."""
+    """Match a parsed JSON document's keys to an :class:`ExperimentConfig`'s
+    fields; its construction converts and checks the values."""
     return _as_section(raw, "", ExperimentConfig)
 
 

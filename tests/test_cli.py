@@ -158,7 +158,7 @@ def test_meta_records_reproducibility_data(tmp_path):
     assert 0.0 <= health["unitarity_residual"] <= UNITARITY_RTOL
     assert 0.0 <= health["reconstruction_residual"] <= RECONSTRUCTION_RTOL
     # 40 points over t = 30 take fewer nodes than points: the values are
-    # interpolated, within the certified bound.
+    # interpolated, within the a-priori bound.
     assert 0.0 < health["propagation_error_bound"] < 1e-12
 
 

@@ -115,10 +115,24 @@ def test_unknown_model_field_rejected():
         parse_config(raw)
 
 
-# Values that pass the type conversion and break a rule of ExperimentConfig.
-# The model's range case below is ModelSpec's, whose messages name no field
-# until parse prefixes them, so it is not among these.
+def _match(needle: str) -> str:
+    """A bare needle is a field path, which the error quotes."""
+    return needle if needle.startswith("field ") else f"field '{needle}'"
+
+
+# Values that pass the type conversion and break a range rule of ModelSpec
+# or ExperimentConfig.
 RANGE_CASES = [
+    pytest.param(lambda r: r["model"].__setitem__("n", 1), "model.n", id="n-below-2"),
+    pytest.param(lambda r: r["model"].__setitem__("n", 61), "model.n", id="n-odd"),
+    pytest.param(
+        lambda r: r["model"].__setitem__("delta_e", 0.0), "model.delta_e", id="zero-delta_e"
+    ),
+    pytest.param(lambda r: r["model"].__setitem__("v_kind", "banded"), "model.v_kind", id="v_kind"),
+    pytest.param(
+        lambda r: r["model"].__setitem__("v_scale", -1.0), "model.v_scale", id="negative-v_scale"
+    ),
+    pytest.param(lambda r: r["model"].__setitem__("seed", -1), "model.seed", id="negative-seed"),
     (lambda r: r.__setitem__("M", 1), "M"),
     (lambda r: r.__setitem__("d", 1.5), "d"),
     (lambda r: r["time"].__setitem__("points", 1), "time.points"),
@@ -148,7 +162,6 @@ RANGE_CASES = [
     [
         *RANGE_CASES,
         (lambda r: r["model"].__setitem__("n", "sixty"), "model.n"),
-        (lambda r: r["model"].__setitem__("n", 61), "model"),
         (lambda r: r["output"].__setitem__("emit_plot", "yes"), "output.emit_plot"),
         (lambda r: r.__setitem__("M", True), "M"),
         pytest.param(
@@ -181,13 +194,12 @@ RANGE_CASES = [
 def test_invalid_values_named(mutate, needle):
     raw = valid_raw()
     mutate(raw)
-    # A bare needle is a field path, which the error quotes.
-    match = needle if needle.startswith("field ") else f"field '{needle}'"
-    with pytest.raises(TyplabError, match=match):
+    with pytest.raises(TyplabError, match=_match(needle)):
         parse_config(raw)
 
 
-# Values of the wrong type: a config built in code meets parse's converters.
+# Values of the wrong type: a config built in code meets the converters a
+# parsed one meets.
 TYPE_CASES = [
     pytest.param(lambda r: r.__setitem__("M", 2.5), "M", id="M-float"),
     pytest.param(lambda r: r.__setitem__("M", True), "M", id="M-bool"),
@@ -199,6 +211,13 @@ TYPE_CASES = [
     ),
     pytest.param(lambda r: r["model"].__setitem__("seed", "7"), "model.seed", id="seed-str"),
     pytest.param(lambda r: r["model"].__setitem__("n", 200.0), "model.n", id="n-float"),
+    # A section is built before the root converts its scalars, in code as at
+    # parse, so the section's field is named first.
+    pytest.param(
+        lambda r: (r.__setitem__("d", "0.1"), r["time"].__setitem__("points", 2.5)),
+        "time.points",
+        id="d-str-and-points-float",
+    ),
 ]
 
 
@@ -210,7 +229,7 @@ def test_hand_built_config_fails_as_at_parse(tmp_path, monkeypatch, mutate, need
     valid = parse_config(valid_raw())
     raw = valid_raw()
     mutate(raw)
-    with pytest.raises(TyplabError) as parsed:
+    with pytest.raises(TyplabError, match=_match(needle)) as parsed:
         parse_config(raw)
     with pytest.raises(TyplabError) as built:
         execute_run(
@@ -248,8 +267,8 @@ def test_model_section_of_the_wrong_type_names_its_field(field, value, kind):
 
 def test_hand_built_config_writes_the_meta_of_its_parsed_twin(tmp_path, monkeypatch):
     # An int where a float belongs is stored as parse stores it, so the meta
-    # echo reads "d": 0.0, "t_max": 30.0 and "delta_e": 1.0; the sections
-    # passed in are rebuilt, not changed.
+    # echo reads "d": 0.0, "t_max": 30.0 and "delta_e": 1.0; each section
+    # stores its own converted values, and the config holds it as passed.
     parsed = parse_config(valid_raw())
     time = replace(parsed.time, t_max=30)
     model = replace(parsed.model, delta_e=1)
@@ -266,8 +285,8 @@ def test_hand_built_config_writes_the_meta_of_its_parsed_twin(tmp_path, monkeypa
     echo = json.loads(metas[0])["config"]
     assert (echo["d"], echo["time"]["t_max"], echo["model"]["delta_e"]) == (0.0, 30.0, 1.0)
     assert {type(echo["d"]), type(echo["time"]["t_max"]), type(echo["model"]["delta_e"])} == {float}
-    assert type(time.t_max) is int and built.time is not time
-    assert type(model.delta_e) is int and built.model is not model
+    assert type(time.t_max) is float and built.time is time
+    assert type(model.delta_e) is float and built.model is model
 
 
 def test_invalid_json_reports_line(tmp_path):
@@ -280,16 +299,6 @@ def test_invalid_json_reports_line(tmp_path):
 def test_missing_file():
     with pytest.raises(TyplabError, match="cannot read config /nonexistent/cfg.json"):
         load_config("/nonexistent/cfg.json")
-
-
-def test_overrides():
-    cfg = parse_config(valid_raw())
-    patched = cfg.with_overrides(out_dir="elsewhere", base_seed=99)
-    assert patched.output.directory == "elsewhere"
-    assert patched.base_seed == 99
-    # original untouched
-    assert cfg.output.directory == "out"
-    assert cfg.base_seed == 5
 
 
 def test_dimension_beyond_physical_memory_fails_at_parse():

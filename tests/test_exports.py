@@ -28,7 +28,7 @@ CHECK_HOMES = {
     "config._as_bool": 1,
     "config._as_float": 2,
     "config._as_int": 1,
-    "config._as_section": 4,
+    "config._as_section": 2,
     "config._as_str": 1,
     "config.load_config": 3,
     "csvio._parse_float": 2,

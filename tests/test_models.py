@@ -190,17 +190,17 @@ class TestAssemble:
 
 class TestModelSpecValidation:
     def test_odd_dimension(self):
-        with pytest.raises(TyplabError, match="dimension must be even, got 5"):
+        with pytest.raises(TyplabError, match="field 'model.n' must be even, got 5"):
             ModelSpec(n=5, delta_e=1.0, v_kind="gaussian", v_scale=0.0, seed=0)
 
     def test_bad_kind(self):
-        with pytest.raises(TyplabError, match="v_kind must be one of"):
+        with pytest.raises(TyplabError, match="field 'model.v_kind' must be one of"):
             ModelSpec(n=4, delta_e=1.0, v_kind="banded", v_scale=0.0, seed=0)
 
     def test_negative_scale(self):
-        with pytest.raises(TyplabError, match="v_scale must be >= 0"):
+        with pytest.raises(TyplabError, match="field 'model.v_scale' must be >= 0"):
             ModelSpec(n=4, delta_e=1.0, v_kind="gaussian", v_scale=-1.0, seed=0)
 
     def test_zero_spacing(self):
-        with pytest.raises(TyplabError, match="level spacing must be > 0"):
+        with pytest.raises(TyplabError, match="field 'model.delta_e' must be > 0"):
             ModelSpec(n=4, delta_e=0.0, v_kind="gaussian", v_scale=0.0, seed=0)

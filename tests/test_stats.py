@@ -12,7 +12,6 @@ from typlab.operators import HermitianOperator, eigendecompose, heisenberg_obser
 from typlab.stats import (
     exact_hv_series,
     mean_expectation_analytic,
-    norm_mean_analytic,
     norm_variance_analytic,
     sample_stats,
     sharp_variance_bound,
@@ -170,7 +169,6 @@ class TestAnalyticIdentities:
         composed_norm_mean = ha_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
         composed_norm_variance = hv_uniform(moment_map(HermitianOperator(np.eye(n)), a, d))
         assert abs(mean_expectation_analytic(d, c1) - composed_mean) <= 1e-12
-        assert abs(norm_mean_analytic(d, c1) - composed_norm_mean) <= 1e-12
         assert abs(norm_variance_analytic(d, c1, n) - composed_norm_variance) <= 1e-12
         assert composed_mean == pytest.approx(mean, abs=1e-4)
         assert composed_norm_mean == pytest.approx(norm_mean, abs=1e-4)
@@ -182,11 +180,6 @@ class TestAnalyticIdentities:
         expected = 0.04 / (6001 * 1.01**2)
         assert norm_variance_analytic(0.1, 0.0, 6000) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(6.534e-6, rel=1e-3)
-
-    @pytest.mark.parametrize("d", [0.0, 0.1, 0.3, 0.999])
-    def test_norm_mean_is_one_when_trace_free(self, d):
-        # the report's "analytic 1" and the norm band keep their bits at c1 = 0
-        assert norm_mean_analytic(d, 0.0) == 1.0
 
     def test_mean_expectation_values(self):
         assert mean_expectation_analytic(0.0, 0.0) == 0.0

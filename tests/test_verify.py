@@ -114,7 +114,7 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     assert not gate.passed
     assert gate.measured == "c1 = 1, n_plus = 60"
     assert gate.margin == 1.0 - 1.0 / 1e-12
-    # u = 1 for every state, so both identities and the closed forms hold,
+    # u = 1 for every state, so both identities and the closed form hold,
     # and every trajectory sits at the exact mean 1 + 2d/alpha
     assert by_name["deviation-map"].passed
     assert by_name["mean-sampled"].passed
