@@ -2,8 +2,8 @@
 parameters.
 
 The schema is the dataclasses themselves: the keys of each object are its
-fields in declaration order.  Unknown keys are errors (they are usually
-typos in physics parameters), every key is required, and
+fields in declaration order.  Unknown and repeated keys are errors (they
+are usually typos in physics parameters), every key is required, and
 :func:`parse_config` only matches keys to fields.  Each type converts its
 own scalar fields by their annotated types, stores them converted (an int
 ``d`` as a float) and checks its ranges: :class:`ModelSpec` the model, and
@@ -261,6 +261,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return _as_section(raw, "", ExperimentConfig)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; json would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise TyplabError(f"config key {key!r} appears more than once")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a JSON config file."""
     try:
@@ -268,7 +278,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise TyplabError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise TyplabError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -1,7 +1,8 @@
 """Pure-state ensembles: uniform (Haar) samples, the near-constrained
-substitute ensemble, and commuting unitaries.  No typlab code calls the
-last: they stay only because ``perfbench/tracer`` names them, until the
-benchmark's next revision drops that name.
+substitute ensemble, and commuting unitaries.  No typlab code calls
+:func:`commuting_unitary`, :func:`sample_uniform_states` or
+``operators.spectral_moments``: they stay only while ``perfbench/tracer``
+names them, until the benchmark's next revision.
 
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting
@@ -22,12 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import TyplabError
-from .operators import spectral_moments
 from .rng import SeedStream
 
 # Complex amplitudes per row block of uniform states (2 MiB, 655 rows at
@@ -80,11 +79,10 @@ class OmegaParams:
         signs.flags.writeable = False
         object.__setattr__(self, "observable", signs)
 
-    @cached_property
-    def moments(self) -> dict[int, float]:
-        """The observable's spectral moments ``{i: c_i}``, i = 1..8; for a
-        sign vector the even ones are 1 and the odd ones equal c_1."""
-        return spectral_moments(self.observable)
+    @property
+    def c1(self) -> float:
+        """Tr{A}/n; as A^2 = I, the even moments c_i are 1 and the odd ones c1."""
+        return float(np.mean(self.observable))
 
 
 def sample_uniform_state(n: int, seed: int) -> StateVector:
@@ -153,11 +151,7 @@ def make_omegas(psis: np.ndarray, params: OmegaParams) -> np.ndarray:
 
 def commuting_unitary(signs: np.ndarray, seed: int) -> np.ndarray:
     """A random unitary ``e^{iB}`` with diagonal real B, commuting with the
-    diagonal observable of sign vector ``signs``, returned as its (n,)
-    diagonal: the phase vector ``exp(i * angles)``.
-
-    The angles are uniform in [0, 2*pi) from the seed's stream.  Apply it
-    to a state elementwise, ``phases * psi``; ``np.diag(phases)`` commutes
-    with A identically.
-    """
-    return np.exp(1j * SeedStream(seed).angles(len(signs)))
+    diagonal observable of sign vector ``signs``, as its (n,) diagonal
+    ``exp(i * angles)``, angles ``2*pi*u`` from the seed's uniforms u.  Apply
+    it to a state elementwise, ``phases * psi``."""
+    return np.exp(1j * ((2.0 * np.pi) * SeedStream(seed).uniform(len(signs))))

@@ -211,26 +211,23 @@ def propagation_plan(eigenvalues: np.ndarray, times: np.ndarray) -> list[TimeBlo
     return [_time_block(w, times[lo:hi], slice(lo, hi)) for lo, hi in zip(edges, edges[1:])]
 
 
-def propagation_error_bound(plan: list[TimeBlock], omegas: np.ndarray) -> float:
-    """2 max_i ||omega_i||^2 (2 eps + eps^2), with eps the plan's largest
-    phase error: a bound on |a_i(t) - exact| over the states in the columns
-    of ``omegas``; 0.0 when every grid time is propagated directly."""
-    eps = max(block.phase_error for block in plan)
+def propagation_error_bound(
+    eigenvalues: np.ndarray, times: np.ndarray, omegas: np.ndarray
+) -> float:
+    """2 max_i ||omega_i||^2 (2 eps + eps^2), with eps the largest phase error
+    of ``propagation_plan(eigenvalues, times)``: a bound on |a_i(t) - exact|
+    over the columns of ``omegas``; 0.0 when every grid time is propagated directly."""
+    eps = max(block.phase_error for block in propagation_plan(eigenvalues, times))
     return 2.0 * float(_norms_sq(omegas).max()) * (2 * eps + eps**2)
 
 
 def run_ensemble(
-    dec: SpectralDecomposition,
-    params: OmegaParams,
-    omegas: np.ndarray,
-    times: np.ndarray,
-    plan: list[TimeBlock] | None = None,
+    dec: SpectralDecomposition, params: OmegaParams, omegas: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """The (M, T) array a_i(t_k) = <omega_i(t_k)|A|omega_i(t_k)> of the
     states in the M columns of ``omegas`` at the T entries of ``times``,
-    with A = ``params.observable``; the run's grid is ``ExperimentConfig.times``.
-    ``plan`` is :func:`propagation_plan` of ``dec.eigenvalues`` and
-    ``times``, built here when not given.
+    with A = ``params.observable``; the run's grid is ``ExperimentConfig.times``,
+    cut into the blocks of :func:`propagation_plan`.
 
     All states are rotated into the energy eigenbasis at once,
     c_i = U^dagger omega_i.  A is the validated sign vector, A = 2 P_+ - I, so
@@ -242,8 +239,7 @@ def run_ensemble(
     product gives z = U_+ exp(-i w tau) c_i at the block's r nodes; the
     block's Q maps z, as float64, to the grid points before the squares.
     """
-    if plan is None:
-        plan = propagation_plan(dec.eigenvalues, times)
+    plan = propagation_plan(dec.eigenvalues, times)
     u_plus = plus_rows(params.observable, dec)
     # (omega^dagger U)^* rows are U^dagger omega, without a conjugated copy of U.
     coeff = omegas.conj().T @ dec.eigenvectors

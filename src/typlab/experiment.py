@@ -45,12 +45,7 @@ import numpy as np
 from .config import ExperimentConfig, config_as_dict
 from .csvio import write_stats_csv, write_trajectories_csv
 from .ensembles import OmegaParams
-from .evolution import (
-    propagation_error_bound,
-    propagation_plan,
-    run_ensemble,
-    trajectory_omegas,
-)
+from .evolution import propagation_error_bound, run_ensemble, trajectory_omegas
 from .models import OBSERVABLE_STREAM, PERTURBATION_STREAM, build_model
 from .operators import eigendecompose
 from .rng import RNG_ALGORITHM, SEED_DERIVATION, child_seed
@@ -87,16 +82,15 @@ def execute_run(config: ExperimentConfig) -> list[Path]:
     dec = eigendecompose(model.hamiltonian)
     params = OmegaParams(d=config.d, observable=model.observable)
     times = config.times
-    plan = propagation_plan(dec.eigenvalues, times)
     omegas = trajectory_omegas(params, config.num_trajectories, config.base_seed)
-    error_bound = propagation_error_bound(plan, omegas)
-    trajectories = run_ensemble(dec, params, omegas, times, plan)
+    error_bound = propagation_error_bound(dec.eigenvalues, times, omegas)
+    trajectories = run_ensemble(dec, params, omegas, times)
     del omegas  # nothing after propagation reads the states
     mean, variance = sample_stats(trajectories)
     bound = variance_bound(config.d, config.model.n)
     stats = {"t": times, "mean": mean, "variance": variance, "bound": np.full_like(times, bound)}
 
-    c1 = params.moments[1]
+    c1 = params.c1
     start_mean = mean_expectation_analytic(config.d, c1)
     start_spread = 3.0 * np.sqrt(bound)
     # The grid starts at t = 0, so column 0 holds the start values.

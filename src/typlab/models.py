@@ -114,7 +114,6 @@ def assemble_hamiltonian(spec: ModelSpec) -> HermitianOperator:
 class ModelSystem:
     """A built model: the observable's sign vector and the Hamiltonian."""
 
-    spec: ModelSpec
     observable: SignVector
     hamiltonian: HermitianOperator
 
@@ -122,7 +121,6 @@ class ModelSystem:
 def build_model(spec: ModelSpec) -> ModelSystem:
     """Build the observable's sign vector and the Hamiltonian for a spec."""
     return ModelSystem(
-        spec=spec,
         observable=build_observable_pm1(spec.n, child_seed(spec.seed, OBSERVABLE_STREAM)),
         hamiltonian=assemble_hamiltonian(spec),
     )

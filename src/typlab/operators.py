@@ -1,11 +1,10 @@
 """Dense complex Hermitian operator algebra.
 
 Construction and validation of Hermitian operators, eigendecomposition with
-its residual checks, the spectral moments of a real spectrum as an
-``{order: value}`` dict, the +1 block of the eigenvector matrix for a
-diagonal +/-1 observable given by its sign vector, and the dense
-Heisenberg-picture A(t) that verify checks the propagation kernel against.
-Operators are dense complex128; values are immutable after construction.
+its residual checks, the +1 block of the eigenvector matrix for a diagonal
++/-1 observable given by its sign vector, and the dense Heisenberg-picture
+A(t) that verify checks the propagation kernel against.  Operators are
+dense complex128; values are immutable after construction.
 
 Memory contract: set-up holds no n x n temporary beyond ``eigh``'s own.
 Validation works on row panels of ``VALIDATION_PANEL_ENTRIES`` entries,
@@ -24,7 +23,6 @@ from .errors import TyplabError
 HERMITICITY_ATOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-8
 UNITARITY_RTOL = 1e-10
-MOMENT_ORDERS = tuple(range(1, 9))
 VALIDATION_PANEL_ENTRIES = 1 << 16
 PEAK_MATRICES = 6
 
@@ -171,12 +169,10 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
 
 
 def spectral_moments(spectrum: np.ndarray) -> dict[int, float]:
-    """The moments c_i = Tr{A^i}/n = mean(lambda^i), i = 1..8, of an
-    operator given by its real spectrum (the sign vector for the model's
-    diagonal +/-1 observable), as a plain ``{order: value}`` dict.
-    """
+    """The moments c_i = Tr{A^i}/n = mean(lambda^i), i = 1..8, of a real
+    spectrum as an ``{order: value}`` dict; no typlab code calls it."""
     values = np.asarray(spectrum, dtype=np.float64)
-    return {i: float(np.mean(values**i)) for i in MOMENT_ORDERS}
+    return {i: float(np.mean(values**i)) for i in range(1, 9)}
 
 
 def plus_rows(signs: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:

@@ -12,7 +12,7 @@ stream:
   words j and half + j, output position p < half is the cosine of pair p
   and position p >= half the sine of pair p - half);
 * shuffles: descending Fisher-Yates with ``j = floor(u * (i + 1))``;
-* angles: ``2*pi*u``.
+* angles, in :func:`~typlab.ensembles.commuting_unitary`: ``2*pi*u``.
 
 numpy's ``Generator`` convenience methods are deliberately not used: their
 mapping from bits to variates may change between numpy releases, whereas
@@ -78,7 +78,6 @@ class SeedStream:
         seed = int(seed)
         if not 0 <= seed <= MASK64:
             raise TyplabError(f"seed must fit in 64 bits, got {seed}")
-        self.seed = seed
         self._bits = np.random.Philox(key=seed)
 
     def raw(self, count: int) -> np.ndarray:
@@ -114,10 +113,6 @@ class SeedStream:
             np.multiply(radius, np.cos(theta), out=out[s:e])
             np.multiply(radius, np.sin(theta), out=out[half + s : half + e])
         return out[:count]
-
-    def angles(self, count: int) -> np.ndarray:
-        """Uniform angles in [0, 2*pi)."""
-        return (2.0 * np.pi) * self.uniform(count)
 
     def shuffled_indices(self, n: int) -> np.ndarray:
         """A uniformly shuffled ``arange(n)`` (descending Fisher-Yates).

@@ -107,7 +107,7 @@ def exact_hv_series(
     u_plus_h = u_plus.conj().T
     n = dec.dim
     n_plus = u_plus.shape[0]
-    tau = params.moments[1]
+    tau = params.c1
     alpha = 1.0 + d**2
 
     out = np.empty(len(times))

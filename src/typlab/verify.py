@@ -117,7 +117,7 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
 
     # The observable gate: A must be trace-free.  For a sign vector it is the
     # only moment gate, as the even moments are exactly 1 and the odd ones c1.
-    c1 = params.moments[1]
+    c1 = params.c1
     results.append(
         CheckResult(
             "moment-gate",

@@ -115,6 +115,23 @@ def test_unknown_model_field_rejected():
         parse_config(raw)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"d": 0.1, "d": 0.9}', "d"),
+        ('{"model": {"seed": 7, "n": 60, "seed": 8}}', "seed"),
+        ('{"output": {}, "output": {}}', "output"),
+    ],
+    ids=["root", "model", "section"],
+)
+def test_repeated_key_rejected(tmp_path, text, key):
+    # json.loads alone would keep the last value without a word.
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(TyplabError, match=f"config key '{key}' appears more than once"):
+        load_config(path)
+
+
 def _match(needle: str) -> str:
     """A bare needle is a field path, which the error quotes."""
     return needle if needle.startswith("field ") else f"field '{needle}'"

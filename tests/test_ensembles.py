@@ -20,6 +20,7 @@ from typlab.ensembles import (
 from typlab.errors import TyplabError
 from typlab.evolution import expectation, expectations
 from typlab.models import build_observable_pm1
+from typlab.operators import spectral_moments
 from typlab.rng import SeedStream
 from typlab.stats import norm_variance_analytic
 
@@ -195,6 +196,16 @@ class TestOmega:
         with pytest.raises(TyplabError, match="must be a sign vector of entries"):
             OmegaParams(d=0.1, observable=observable())
 
+    @pytest.mark.parametrize(
+        "signs, c1",
+        [([1, -1, -1, 1], 0.0), ([1, 1, -1], 1 / 3), ([1] * 4, 1.0), ([-1] * 4, -1.0)],
+        ids=["balanced", "unbalanced", "identity", "minus-identity"],
+    )
+    def test_c1_is_the_trace_per_dimension(self, signs, c1):
+        params = OmegaParams(d=0.1, observable=np.array(signs))
+        assert type(params.c1) is float and params.c1 == c1
+        assert params.c1 == spectral_moments(params.observable)[1]
+
     def test_observable_stored_as_read_only_copy(self):
         signs = np.array([1, -1, -1, 1])
         params = OmegaParams(d=0.1, observable=signs)
@@ -252,6 +263,16 @@ class TestCommutingUnitary:
         assert np.abs(np.abs(phases) - 1.0).max() <= np.finfo(float).eps
         u = np.diag(phases)
         assert np.allclose(u @ u.conj().T, np.eye(12), atol=1e-14)
+
+    def test_bits_pinned(self):
+        # The phases are exp(i 2 pi u) of the seed's uniforms, bit for bit.
+        a = build_observable_pm1(200, seed=3)
+        phases = commuting_unitary(a, seed=11)
+        inline = np.exp(1j * ((2.0 * np.pi) * SeedStream(11).uniform(200)))
+        assert phases.tobytes() == inline.tobytes()
+        assert array_sha256(phases) == (
+            "331a7950050e8230ef7b0c47e188cab1591628ab22126eff02eab620253d8534"
+        )
 
     def test_exact_commutation(self):
         a = build_observable_pm1(20, seed=2)

@@ -265,10 +265,10 @@ class TestNodeInterpolation:
         plan = propagation_plan(dec.eigenvalues, times)
         assert [block.weights is not None for block in plan] == [True]
         assert len(plan[0].nodes) == count
-        values = run_ensemble(dec, params, omegas, times, plan)
+        values = run_ensemble(dec, params, omegas, times)
         worst = np.abs(values - per_point_series(dec, model.observable, omegas, times)).max()
         # |delta a| <= 2 max ||omega||^2 (2 eps + eps^2), below 1e-12.
-        bound = propagation_error_bound(plan, omegas)
+        bound = propagation_error_bound(dec.eigenvalues, times, omegas)
         eps = plan[0].phase_error
         max_norm_sq = np.max(np.sum(np.abs(omegas) ** 2, axis=0))
         assert bound == pytest.approx(2 * max_norm_sq * (2 * eps + eps**2), rel=1e-12, abs=0)
@@ -287,7 +287,7 @@ class TestNodeInterpolation:
         assert block.nodes[8] == times[20]
         assert np.array_equal(block.weights[20], np.eye(17)[8])
         omegas = trajectory_omegas(params, 4, base_seed=41)
-        values = run_ensemble(dec, params, omegas, times, [block])
+        values = run_ensemble(dec, params, omegas, times)
         reference = per_point_series(dec, model.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
 
@@ -305,7 +305,7 @@ class TestNodeInterpolation:
         assert len(block.nodes) == count
         assert (block.nodes[0], block.nodes[-1]) == (times[0], times[-1])
         omegas = trajectory_omegas(params, 4, base_seed=43)
-        values = run_ensemble(dec, params, omegas, times, [block])
+        values = run_ensemble(dec, params, omegas, times)
         reference = per_point_series(dec, model.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
 
@@ -320,7 +320,7 @@ class TestNodeInterpolation:
         assert values.shape == (3, 2)
         reference = per_point_series(dec, model.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
-        assert propagation_error_bound(plan, omegas) == 0.0
+        assert propagation_error_bound(dec.eigenvalues, times, omegas) == 0.0
 
     def test_undersampled_grid_is_propagated_directly(self, dense_model):
         # 30 points over t = 600: 16 rad of the spectral width per step, past
@@ -347,10 +347,10 @@ class TestNodeInterpolation:
         plan = propagation_plan(dec.eigenvalues, times)
         assert all(block.weights is not None for block in plan)
         omegas = trajectory_omegas(params, 3, base_seed=6)
-        values = run_ensemble(dec, params, omegas, times, plan)
+        values = run_ensemble(dec, params, omegas, times)
         norms_sq = np.sum(np.abs(omegas) ** 2, axis=0)
         assert np.abs(values - sign * norms_sq[:, None]).max() <= max(
-            propagation_error_bound(plan, omegas), 1e-14
+            propagation_error_bound(dec.eigenvalues, times, omegas), 1e-14
         )
         reference = per_point_series(dec, params.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
@@ -367,7 +367,7 @@ class TestNodeInterpolation:
         assert plan[-1].rows.stop == len(times)
         assert all(0.0 < b.phase_error <= 1e-13 for b in plan)
         omegas = trajectory_omegas(params, 3, base_seed=8)
-        values = run_ensemble(dec, params, omegas, times, plan)
+        values = run_ensemble(dec, params, omegas, times)
         reference = per_point_series(dec, model.observable, omegas, times)
         assert np.abs(values - reference).max() <= 1e-13
 

@@ -18,6 +18,15 @@ EXPORTS = [
 # The CLI's subcommands.  A command enters or leaves only by editing this list.
 SUBCOMMANDS = ["plot", "run", "verify"]
 
+# Functions that no src code calls: they stay only while the benchmark's
+# tracer names them, and go with its next revision.  A src caller
+# would put benchmark-only code back on the run path.
+BENCHMARK_ONLY = [
+    "ensembles.commuting_unitary",
+    "ensembles.sample_uniform_states",
+    "operators.spectral_moments",
+]
+
 # Each function of src/typlab that raises TyplabError, with its number of
 # raise sites.  Every check has one home, the type or function that first
 # meets the value, so a re-check enters only by editing this list.
@@ -30,6 +39,7 @@ CHECK_HOMES = {
     "config._as_int": 1,
     "config._as_section": 2,
     "config._as_str": 1,
+    "config._unique_keys": 1,
     "config.load_config": 3,
     "csvio._parse_float": 2,
     "csvio._read_table": 6,
@@ -79,3 +89,30 @@ def test_check_homes_are_the_pinned_list():
                     if isinstance(node, ast.FunctionDef) and (count := _typlab_error_raises(node)):
                         homes[name] = count
     assert homes == CHECK_HOMES
+
+
+def _references(path: Path, name: str, home: str) -> list[str]:
+    """``module:line`` of each use of ``name`` in a src file, as a name, an
+    attribute or an import, outside its own definition in module ``home``."""
+    found, nodes = [], [ast.parse(path.read_text())]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == name and path.stem == home:
+            continue
+        if (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+        ):
+            found.append(f"{path.stem}:{node.lineno}")
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("target", BENCHMARK_ONLY)
+def test_benchmark_only_names_have_no_src_caller(target):
+    home, name = target.split(".")
+    src = Path(typlab.__file__).parent
+    defined = ast.parse((src / f"{home}.py").read_text()).body
+    assert any(isinstance(node, ast.FunctionDef) and node.name == name for node in defined)
+    assert [ref for path in sorted(src.glob("*.py")) for ref in _references(path, name, home)] == []

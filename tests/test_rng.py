@@ -120,7 +120,10 @@ def test_normal_matches_unblocked_reference(count):
 
 
 def test_angles_range():
-    a = SeedStream(5).angles(10_000)
+    # commuting_unitary's angles 2*pi*u, down to u = 0 and up to the largest
+    # uniform 1 - 2^-53, stay in [0, 2*pi).
+    u = np.concatenate([SeedStream(5).uniform(10_000), [0.0, 1.0 - 2.0**-53]])
+    a = (2.0 * np.pi) * u
     assert a.min() >= 0.0
     assert a.max() < 2 * np.pi
 

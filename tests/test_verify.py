@@ -327,7 +327,7 @@ def hv_over_bound(monkeypatch):
 
     def scaled(dec, params, times):
         series, autocorrelation = original(dec, params, times)
-        sharp = sharp_variance_bound(params.d, params.moments[1], params.observable.size)
+        sharp = sharp_variance_bound(params.d, params.c1, params.observable.size)
         series[1:] *= 1.01 * sharp / series[1:].max()
         return series, autocorrelation
 
