@@ -6,10 +6,10 @@ names them, until the benchmark's next revision.
 
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting
-distribution on the unit sphere is invariant under every unitary.  A batch
-is drawn in row blocks (:func:`uniform_state_blocks`), each the next draw of
-one stream, so a consumer that reduces each block as it comes holds one
-block, never the batch.  The substitute ensemble
+distribution on the unit sphere is invariant under every unitary.
+:func:`sample_uniform_state` draws one state per seed; ``typlab run`` draws
+its trajectory states with it, and ``typlab verify``'s Monte Carlo pass
+draws its uniform states with it too.  The substitute ensemble
 applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state and is deliberately
 not renormalized: its norm spread is part of what the closed-form
 statistics describe.  Sampling checks no drawn state; a run's one per-state
@@ -21,7 +21,6 @@ states of its dim.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,10 @@ from .errors import TyplabError
 from .rng import SeedStream
 
 # Complex amplitudes per row block of uniform states (2 MiB, 655 rows at
-# verify's n = 200).  There, on 2 cores, verify's Monte Carlo stage timed
-# alike with blocks of 64 to 2048 rows and 1.7x slower with 4096 rows.  Each
-# block is its own draw, so this size is part of verify's sample layout:
-# changing it changes every Monte Carlo state after the first block.
+# n = 200).  It has two uses: verify's Monte Carlo pass stacks this many
+# amplitudes of states into one chunk before it reduces them, and each block
+# of :func:`sample_uniform_states` is its own draw, so there the size is part
+# of the batch's bits.
 STATE_BLOCK_AMPLITUDES = 1 << 17
 
 
@@ -96,42 +95,27 @@ def sample_uniform_state(n: int, seed: int) -> StateVector:
     return StateVector(amp / np.linalg.norm(amp))
 
 
-def uniform_state_blocks(n: int, count: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of :func:`sample_uniform_states` ``(n, count, seed)`` as
-    ``(first_row, block)`` pairs, one (rows, n) block at a time.
+def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
+    """``count`` uniform states as rows of a (count, n) array, all from one
+    ``SeedStream(seed)``.
 
-    Blocks have ``max(1, STATE_BLOCK_AMPLITUDES // n)`` rows, the last
-    fewer.  Each is built from the next ``normal(2 * n * rows)`` of one
-    ``SeedStream(seed)``: row i of the block from its normals
-    ``[2 n i, 2 n (i + 1))``, the first n the real parts and the last n the
-    imaginary parts.  No (count, n) array is ever held, and a block is freed
-    as soon as its consumer drops it; n >= 1.
+    Rows are drawn in blocks of ``max(1, STATE_BLOCK_AMPLITUDES // n)``, the
+    last fewer.  Each block is the next ``normal(2 * n * rows)`` of the
+    stream: row i of the block from its normals ``[2 n i, 2 n (i + 1))``,
+    the first n the real parts and the last n the imaginary parts.  This
+    batch layout differs from repeated single-state calls and exists for
+    Monte Carlo estimates where only the joint distribution matters.  The
+    call needs little memory beyond its result; n >= 1.
     """
+    states = np.empty((count, n), dtype=np.complex128)
     stream = SeedStream(seed)
     rows = max(1, STATE_BLOCK_AMPLITUDES // n)
     for first in range(0, count, rows):
         z = stream.normal(2 * n * min(rows, count - first)).reshape(-1, 2 * n)
-        block = np.empty((len(z), n), dtype=np.complex128)
+        block = states[first : first + len(z)]
         block.real = z[:, :n]
         block.imag = z[:, n:]
         block /= np.linalg.norm(block, axis=1)[:, None]
-        yield first, block
-
-
-def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` uniform states as rows of a (count, n) array: the gather of
-    :func:`uniform_state_blocks`.
-
-    All states come from one stream, drawn block by block, so a batch that
-    fits in one block is one (count, 2n) normal draw and a longer one is
-    the concatenation of such draws.  This batch layout differs from
-    repeated single-state calls and exists for Monte Carlo estimates where
-    only the joint distribution matters.  The call needs little memory
-    beyond its result; n >= 1.
-    """
-    states = np.empty((count, n), dtype=np.complex128)
-    for first, block in uniform_state_blocks(n, count, seed):
-        states[first : first + len(block)] = block
     return states
 
 

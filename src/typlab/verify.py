@@ -14,7 +14,7 @@ picture equivalence, against the dense ``<omega|A(t)|omega>`` of their
 first states at a few grid points.
 
 Each check is deterministic given the config's base seed; the Monte Carlo
-stream uses a dedicated child index far above the trajectory range.
+states' child seeds branch from a child index far above the trajectory range.
 
 The substitute ensemble's closed forms are affine images of one Haar
 scalar u = <psi|A|psi>: for A^2 = I and alpha = 1 + d^2, the map
@@ -24,10 +24,11 @@ for the uniform checks, and ``deviation-map`` checks those two identities
 per state and the norm variance's closed form against the image of u's
 variance (the mean closed forms are those images written out).
 
-verify holds no Monte Carlo block: the pass draws its states with
-:func:`~typlab.ensembles.uniform_state_blocks` and reduces each row block
-to its per-state scalars as it is drawn, so its largest arrays are the
-config's Hamiltonian, eigenvectors and dense A(t).
+The Monte Carlo pass draws state i with the sampler ``typlab run`` ships,
+``sample_uniform_state(n, child_seed(seed, i))`` as in
+:func:`~typlab.evolution.trajectory_omegas`, and reduces the states chunk by
+chunk to their scalars, so verify holds no Monte Carlo block: its largest
+arrays are the config's Hamiltonian, eigenvectors and dense A(t).
 """
 from __future__ import annotations
 
@@ -36,7 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .ensembles import OmegaParams, StateVector, make_omegas, uniform_state_blocks
+from .ensembles import (
+    STATE_BLOCK_AMPLITUDES,
+    OmegaParams,
+    StateVector,
+    make_omegas,
+    sample_uniform_state,
+)
 from .evolution import expectation, expectations, run_ensemble, trajectory_omegas
 from .models import build_model
 from .operators import HermitianOperator, eigendecompose, heisenberg_observable
@@ -49,7 +56,7 @@ from .stats import (
     variance_bound,
 )
 
-N_UNIFORM_SAMPLES = 20_000
+N_UNIFORM_SAMPLES = 5_000
 N_PICTURE_STATES = 5
 N_PICTURE_TIMES = 8
 
@@ -84,15 +91,21 @@ class CheckResult:
 
 
 def _haar_scalars(params: OmegaParams, seed: int) -> tuple[np.ndarray, float]:
-    """u = <psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states drawn from
-    ``seed``, and the worst residual of ||omega||^2 = 1 + 2 d u/alpha and
-    <omega|A|omega> = u + 2 d/alpha over their images ``make_omegas(psi)``,
-    alpha = 1 + d^2; each block of states is reduced as it is drawn."""
+    """u = <psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states, state i being
+    ``sample_uniform_state(n, child_seed(seed, i))``, and the worst residual
+    of ||omega||^2 = 1 + 2 d u/alpha and <omega|A|omega> = u + 2 d/alpha over
+    their images ``make_omegas(psi)``, alpha = 1 + d^2; the states are
+    stacked into chunks of ``max(1, STATE_BLOCK_AMPLITUDES // n)`` rows, each
+    reduced as it is drawn."""
     a, d = params.observable, params.d
+    n = a.size
     alpha = 1 + d**2
+    rows = max(1, STATE_BLOCK_AMPLITUDES // n)
     vals = np.empty(N_UNIFORM_SAMPLES)
     worst = 0.0
-    for first, block in uniform_state_blocks(a.size, N_UNIFORM_SAMPLES, seed):
+    for first in range(0, N_UNIFORM_SAMPLES, rows):
+        chunk = range(first, min(first + rows, N_UNIFORM_SAMPLES))
+        block = np.array([sample_uniform_state(n, child_seed(seed, i)).amplitudes for i in chunk])
         u = expectations(a, block)
         vals[first : first + len(block)] = u
         omegas = make_omegas(block, params)
@@ -139,7 +152,7 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
             abs(vals.mean() - c1),
             3 * se,
             f"sample {vals.mean():.6f} vs analytic {c1:.6f}",
-            f"|diff| <= 3 SE = {3 * se:.2e} ({N_UNIFORM_SAMPLES} states)",
+            f"|diff| <= 3 SE = {3 * se:.2e} ({N_UNIFORM_SAMPLES} states of the run's sampler)",
         )
     )
     results.append(

@@ -15,7 +15,6 @@ from typlab.ensembles import (
     make_omegas,
     sample_uniform_state,
     sample_uniform_states,
-    uniform_state_blocks,
 )
 from typlab.errors import TyplabError
 from typlab.evolution import expectation, expectations
@@ -111,7 +110,7 @@ class TestUniformSampling:
     @pytest.mark.parametrize(
         "n, count, seed",
         [
-            (200, 20_000, 7),  # verify's sizes, many blocks
+            (200, 20_000, 7),  # many blocks
             (201, 77, 13),  # odd count: the middle row straddles the cosine/sine boundary
             (9000, 3, 11),  # large n, a few rows in one block
             (140_000, 3, 5),  # n above the block size: one row per block
@@ -120,14 +119,6 @@ class TestUniformSampling:
     )
     def test_blocks_are_consecutive_draws_of_one_stream(self, n, count, seed):
         reference = block_draw_states(n, count, seed)
-        rows = max(1, STATE_BLOCK_AMPLITUDES // n)
-        drawn = 0
-        for first, block in uniform_state_blocks(n, count, seed):
-            assert first == drawn
-            assert len(block) == min(rows, count - first)
-            assert np.array_equal(block, reference[first : first + len(block)])
-            drawn += len(block)
-        assert drawn == count
         assert np.array_equal(sample_uniform_states(n, count, seed), reference)
 
     def test_batch_peak_memory_near_result_size(self):

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 import typlab
+import typlab.ensembles
+import typlab.evolution
+import typlab.verify
 from typlab.cli import _build_parser, main
 
 # The public API, sorted.  A name enters or leaves only by editing this list.
@@ -26,6 +29,11 @@ BENCHMARK_ONLY = [
     "ensembles.sample_uniform_states",
     "operators.spectral_moments",
 ]
+
+# The src modules that may name rng.SeedStream: the stream itself, the
+# model build and the ensembles' samplers.  Every other module draws through
+# those samplers, so verify's Monte Carlo pass tests the sampler the run uses.
+STREAM_HOMES = ["ensembles", "models", "rng"]
 
 # Each function of src/typlab that raises TyplabError, with its number of
 # raise sites.  Every check has one home, the type or function that first
@@ -116,3 +124,14 @@ def test_benchmark_only_names_have_no_src_caller(target):
     defined = ast.parse((src / f"{home}.py").read_text()).body
     assert any(isinstance(node, ast.FunctionDef) and node.name == name for node in defined)
     assert [ref for path in sorted(src.glob("*.py")) for ref in _references(path, name, home)] == []
+
+
+def test_verify_draws_through_the_run_sampler():
+    assert (
+        typlab.verify.sample_uniform_state
+        is typlab.evolution.sample_uniform_state
+        is typlab.ensembles.sample_uniform_state
+    )
+    src = Path(typlab.__file__).parent
+    users = {path.stem for path in src.glob("*.py") if _references(path, "SeedStream", "rng")}
+    assert users <= set(STREAM_HOMES)

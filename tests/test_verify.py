@@ -10,8 +10,9 @@ import typlab.ensembles
 import typlab.evolution
 import typlab.verify
 from typlab.config import load_config, parse_config
-from typlab.ensembles import OmegaParams, make_omegas, sample_uniform_states
+from typlab.ensembles import OmegaParams, StateVector, make_omegas, sample_uniform_state
 from typlab.errors import TyplabError
+from typlab.evolution import expectations
 from typlab.models import build_model
 from typlab.operators import SpectralDecomposition, eigendecompose
 from typlab.rng import child_seed
@@ -258,14 +259,20 @@ def scaled_omegas(monkeypatch):
     )
 
 
+def patched_sampler(monkeypatch, transform, modules):
+    # sample_uniform_state with transform applied to each state's
+    # amplitudes, as the given modules see it.
+    original = typlab.ensembles.sample_uniform_state
+
+    def sampler(n, seed):
+        return StateVector(transform(original(n, seed).amplitudes))
+
+    for module in modules:
+        monkeypatch.setattr(module, "sample_uniform_state", sampler)
+
+
 def unnormalized_states(monkeypatch):
-    original = typlab.verify.uniform_state_blocks
-
-    def scaled(*args):
-        for first, block in original(*args):
-            yield first, (1 + 1e-6) * block
-
-    monkeypatch.setattr(typlab.verify, "uniform_state_blocks", scaled)
+    patched_sampler(monkeypatch, lambda amp: (1 + 1e-6) * amp, [typlab.verify])
 
 
 @pytest.mark.parametrize("corrupt", [scaled_omegas, unnormalized_states])
@@ -358,33 +365,31 @@ def hv_scaled_down(monkeypatch):
     monkeypatch.setattr(typlab.verify, "exact_hv_series", scaled)
 
 
-def reweighted_states(monkeypatch, weights):
-    # Each uniform state's amplitudes times weights(a), then renormalised.
-    original = typlab.verify.uniform_state_blocks
-    w = weights(build_model(parse_config(tiny_raw()).model).observable)
-
-    def reweighted(*args):
-        for first, block in original(*args):
-            block = block * w
-            yield first, block / np.linalg.norm(block, axis=1)[:, None]
-
-    monkeypatch.setattr(typlab.verify, "uniform_state_blocks", reweighted)
+def reweighted_states(monkeypatch, weights, modules, spec=None):
+    # Each uniform state's amplitudes times weights(a), then renormalised;
+    # a is the observable of the model spec, by default the tiny config's.
+    w = weights(build_model(spec or parse_config(tiny_raw()).model).observable)
+    patched_sampler(monkeypatch, lambda amp: amp * w / np.linalg.norm(amp * w), modules)
 
 
-def states_biased_to_plus(monkeypatch):
-    # The +1 amplitudes grow by 1 %: the mean of u moves by about 0.01.
-    reweighted_states(monkeypatch, lambda a: np.where(a > 0, 1.01, 1.0))
+def states_biased_to_plus(monkeypatch, spec=None):
+    # The +1 amplitudes grow by 1 %: the mean of u moves by about 0.01.  The
+    # run's sampler is biased, so the trajectories are too; at M = 100 that
+    # is within mean-sampled's reach, and only uniform-mean sees it.
+    modules = [typlab.verify, typlab.evolution]
+    reweighted_states(monkeypatch, lambda a: np.where(a > 0, 1.01, 1.0), modules, spec)
 
 
 def states_on_four_vectors(monkeypatch):
     # Two +1 and two -1 basis vectors: u keeps its mean 0, but its variance
-    # is 1/5, not 1/(n + 1).
+    # is 1/5, not 1/(n + 1).  Only verify's draws are corrupted: trajectories
+    # on four vectors would fail variance-sampled as well.
     def four(a):
         keep = np.zeros(a.size)
         keep[np.flatnonzero(a > 0)[:2]] = keep[np.flatnonzero(a < 0)[:2]] = 1.0
         return keep
 
-    reweighted_states(monkeypatch, four)
+    reweighted_states(monkeypatch, four, [typlab.verify])
 
 
 # One corruption per check, in report order: every check can fail.
@@ -415,27 +420,46 @@ def test_corruption_fails_its_check(monkeypatch, corrupt, check):
     assert failed == [check] + (["variance-sampled"] if check == "moment-gate" else [])
 
 
-@pytest.mark.parametrize("rows", [64, 512, 1000])
-def test_monte_carlo_values_equal_the_whole_block_ones(monkeypatch, rows):
-    # The one pass reduces each block as it is drawn; the same reductions
-    # over the gathered (count, n) block give the same bits.
+@pytest.mark.parametrize("path", [None, VERIFY_CONFIG])
+def test_biased_run_sampler_fails_uniform_mean(monkeypatch, path):
+    # The bias in the sampler typlab run ships reaches verify's Monte Carlo
+    # pass, which draws through it, and fails uniform-mean alone.
+    config = load_config(path) if path else parse_config(tiny_raw())
+    states_biased_to_plus(monkeypatch, config.model)
+    results = run_verification(config)
+    assert [r.name for r in results if not r.passed] == ["uniform-mean"]
+
+
+@pytest.mark.parametrize("rows", [64, 999])
+def test_monte_carlo_values_are_the_run_samplers(monkeypatch, rows):
+    # State i of the pass is the run's sample_uniform_state at child seed i:
+    # its u and the worst residual are bit-equal to the same reductions over
+    # chunks of those states.  The chunks are cut as the pass cuts them, as
+    # a matrix-vector product's bits depend on its row count (BLAS treats
+    # rows in groups).
     config = load_config(VERIFY_CONFIG)
     params = OmegaParams(d=config.d, observable=build_model(config.model).observable)
     a, n, d = params.observable, params.observable.size, params.d
     seed = child_seed(config.base_seed, UNIFORM_MC_STREAM)
-    monkeypatch.setattr(typlab.ensembles, "STATE_BLOCK_AMPLITUDES", rows * n)
-    states = sample_uniform_states(n, N_UNIFORM_SAMPLES, seed)
-    vals = (states.real**2 + states.imag**2) @ a
-    omegas = make_omegas(states, params)
-    del states
-    norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
-    worst = max(
-        float(np.abs(norms - (1 + 2 * d * vals / (1 + d**2))).max()),
-        float(np.abs((omegas.real**2 + omegas.imag**2) @ a - (vals + 2 * d / (1 + d**2))).max()),
+    assert N_UNIFORM_SAMPLES % rows
+    monkeypatch.setattr(typlab.verify, "STATE_BLOCK_AMPLITUDES", rows * n)
+    states = np.array(
+        [sample_uniform_state(n, child_seed(seed, i)).amplitudes for i in range(N_UNIFORM_SAMPLES)]
     )
-    block_vals, block_worst = _haar_scalars(params, seed)
-    assert np.array_equal(block_vals, vals)
-    assert block_worst == worst
+    vals, worst = np.empty(N_UNIFORM_SAMPLES), 0.0
+    for first in range(0, N_UNIFORM_SAMPLES, rows):
+        chunk = states[first : first + rows]
+        vals[first : first + rows] = u = expectations(a, chunk)
+        omegas = make_omegas(chunk, params)
+        norms = np.sum(omegas.real**2 + omegas.imag**2, axis=1)
+        worst = max(
+            worst,
+            float(np.abs(norms - (1 + 2 * d * u / (1 + d**2))).max()),
+            float(np.abs(expectations(a, omegas) - (u + 2 * d / (1 + d**2))).max()),
+        )
+    chunk_vals, chunk_worst = _haar_scalars(params, seed)
+    assert np.array_equal(chunk_vals, vals)
+    assert chunk_worst == worst
 
 
 def test_verification_holds_no_monte_carlo_block():
@@ -446,7 +470,8 @@ def test_verification_holds_no_monte_carlo_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 11.5 MiB measured: far below the (20000, 200) complex block of uniform
-    # states (61 MiB), and below the 44.7 MiB that a second model of n = 800
-    # brings
-    assert peak < 16 * 2**20
+    # 9.5 MiB measured on a first call (8.8 MiB on later ones), with the
+    # pass's 655-row chunks; the bound leaves 2.5 MiB of margin and stays
+    # below the (5000, 200) complex block of all the Monte Carlo states
+    # (15.3 MiB) and the 44.7 MiB that a second model of n = 800 brings
+    assert peak < 12 * 2**20
