@@ -7,20 +7,27 @@ names them, until the benchmark's next revision.
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting
 distribution on the unit sphere is invariant under every unitary.
-:func:`sample_uniform_state` draws one state per seed; ``typlab run`` draws
-its trajectory states with it, and ``typlab verify``'s Monte Carlo pass
-draws its uniform states with it too.  The substitute ensemble
-applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform state and is deliberately
-not renormalized: its norm spread is part of what the closed-form
-statistics describe.  Sampling checks no drawn state; a run's one per-state
-diagnostic, the start band, is counted in :mod:`typlab.experiment`.  The
-observable is diagonal +/-1 and is carried as its sign vector, so the map
-acts elementwise; :class:`OmegaParams` is the one place that checks that
-form, and the other functions take a sign vector (never a matrix) and
-states of its dim.
+:func:`uniform_states` is the one Haar sampler: it draws one state per seed,
+a chunk of seeds in one call.  ``typlab verify``'s Monte Carlo pass draws
+its states with it a chunk at a time.  :func:`sample_uniform_state` is its
+one-seed form, and ``typlab run`` draws each trajectory state with it,
+seed by seed, in :func:`~typlab.evolution.trajectory_omegas`: its M <= 100
+draws are under 1% of a ``scenario_i`` run, and the benchmark's tracer
+(``perfbench/tracer.py``) and the CLI tests reach the run's states through
+that per-seed call.  Both paths give state i the same bits.
+
+The substitute ensemble applies ``(1 + d A)/sqrt(1 + d^2)`` to a uniform
+state and is deliberately not renormalized: its norm spread is part of what
+the closed-form statistics describe.  Sampling checks no drawn state; a
+run's one per-state diagnostic, the start band, is counted in
+:mod:`typlab.experiment`.  The observable is diagonal +/-1 and is carried
+as its sign vector, so the map acts elementwise; :class:`OmegaParams` is
+the one place that checks that form, and the other functions take a sign
+vector (never a matrix) and states of its dim.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +36,10 @@ from .errors import TyplabError
 from .rng import SeedStream
 
 # Complex amplitudes per row block of uniform states (2 MiB, 655 rows at
-# n = 200).  It has two uses: verify's Monte Carlo pass stacks this many
-# amplitudes of states into one chunk before it reduces them, and each block
-# of :func:`sample_uniform_states` is its own draw, so there the size is part
-# of the batch's bits.
+# n = 200).  It has two uses: verify's Monte Carlo pass draws this many
+# amplitudes of states as one chunk of :func:`uniform_states` before it
+# reduces them, and each block of :func:`sample_uniform_states` is its own
+# draw, so there the size is part of the batch's bits.
 STATE_BLOCK_AMPLITUDES = 1 << 17
 
 
@@ -84,15 +91,31 @@ class OmegaParams:
         return float(np.mean(self.observable))
 
 
-def sample_uniform_state(n: int, seed: int) -> StateVector:
-    """One state from the uniform distribution of normalized states.
+def uniform_states(n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Uniform states as the rows of a (k, n) array, one per seed.
 
-    Draws 2n standard normals from the seed's stream (first n are the real
-    parts, next n the imaginary parts) and normalizes to unit norm; n >= 1.
+    Row i is drawn from ``SeedStream(seeds[i])``: 2n standard normals, the
+    first n the real parts and the next n the imaginary parts, normalized
+    to unit norm.  All rows come from one multi-seed ``normal`` call, and
+    each row of states is written over its own row of normals, so the call
+    holds one (k, 2n) block.  Each row is divided by its own 1-d
+    ``np.linalg.norm``, not by a norm along ``axis=1``, whose sums round
+    differently, so row i has the bits of a one-seed draw; n >= 1.
     """
-    z = SeedStream(seed).normal(2 * n)
-    amp = z[:n] + 1j * z[n:]
-    return StateVector(amp / np.linalg.norm(amp))
+    z = SeedStream(seeds).normal(2 * n)
+    states = z.view(np.complex128)  # over the normals' own buffer
+    for normals, row in zip(z, states):
+        parts = normals.copy()  # the packed row overwrites what it reads
+        row.real = parts[:n]
+        row.imag = parts[n:]
+        row /= np.linalg.norm(row)
+    return states
+
+
+def sample_uniform_state(n: int, seed: int) -> StateVector:
+    """One state from the uniform distribution of normalized states: the
+    one row of ``uniform_states(n, [seed])``; n >= 1."""
+    return StateVector(uniform_states(n, [seed])[0])
 
 
 def sample_uniform_states(n: int, count: int, seed: int) -> np.ndarray:

@@ -37,9 +37,18 @@ unitary, so F = Tr{X^2}/n <= 1.  With C^2 >= 0 and d >= 0 this bounds
 (n + 1) HV(t) by 1 - tau^2 + 8 d max(tau, 0)/alpha + 4 d^2/alpha^2 for any H
 (:func:`sharp_variance_bound`), 1.38x below the paper's bound at tau = 0,
 d = 0.1.  At t = 0, C = F = 1, so (n + 1) HV(0) = 1 - tau^2 exactly.
+
+The sampled statistics of M trajectories have known laws against the exact
+ones: the mean's z-score is near N(0, 1), and (M - 1) var/HV near chi^2 with
+M - 1 degrees of freedom, a_i(t) being a Haar quadratic form, Gaussian up to
+O(1/n).  :func:`normal_quantile` and :func:`chi2_quantile` give the
+thresholds that a family-wise false-failure rate sets for those laws; both
+invert their distribution function by bisection, with no scipy.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,3 +145,53 @@ def sample_stats(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.asarray(trajectories, dtype=np.float64)
     return values.mean(axis=0), values.var(axis=0, ddof=1)
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The root of a nondecreasing f with f(lo) <= 0 <= f(hi), halving the
+    bracket until its midpoint is one of its ends."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def normal_quantile(p: float) -> float:
+    """Phi^{-1}(p) for 0 <= p <= 1, with Phi(x) = erfc(-x/sqrt 2)/2.
+
+    Past what doubles resolve, p = 0 gives -40 and p = 1 about 8.3.
+    """
+    return _bisect(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)) - p, -40.0, 40.0)
+
+
+def chi2_cdf(x: float, k: int) -> float:
+    """P(X <= x) for X ~ chi^2_k, k >= 1: the regularised lower incomplete
+    gamma P(s, y) at s = k/2, y = x/2, from its series
+    ``y^s e^{-y} / Gamma(s + 1) * sum_j y^j / ((s + 1) ... (s + j))``.
+
+    The terms rise while s + j < y and then fall; the sum stops once they
+    add nothing.  Where the leading term underflows, P is 0 below the mode
+    and 1 above it to double precision.
+    """
+    if x <= 0:
+        return 0.0
+    s, y = k / 2, x / 2
+    term = math.exp(s * math.log(y) - y - math.lgamma(s + 1))
+    if term == 0.0:
+        return 0.0 if y < s else 1.0
+    total, j = term, 0
+    while term > 1e-17 * total:
+        j += 1
+        term *= y / (s + j)
+        total += term
+    return min(total, 1.0)
+
+
+def chi2_quantile(p: float, k: int) -> float:
+    """The x with chi2_cdf(x, k) = p, for 0 < p < 1 and k >= 1."""
+    hi = float(k)
+    while chi2_cdf(hi, k) < p:
+        hi *= 2
+    return _bisect(lambda x: chi2_cdf(x, k) - p, 0.0, hi)

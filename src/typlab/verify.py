@@ -15,6 +15,10 @@ first states at a few grid points.
 
 Each check is deterministic given the config's base seed; the Monte Carlo
 states' child seeds branch from a child index far above the trajectory range.
+The two sampled checks take their thresholds from M, the number of grid
+points T and one family-wise false-failure rate, ``SAMPLED_ALPHA``, through
+the laws of their statistics (:mod:`typlab.stats`), so a correct program
+fails each at about that rate at any M and T that parse accepts.
 
 The substitute ensemble's closed forms are affine images of one Haar
 scalar u = <psi|A|psi>: for A^2 = I and alpha = 1 + d^2, the map
@@ -25,10 +29,12 @@ per state and the norm variance's closed form against the image of u's
 variance (the mean closed forms are those images written out).
 
 The Monte Carlo pass draws state i with the sampler ``typlab run`` ships,
-``sample_uniform_state(n, child_seed(seed, i))`` as in
-:func:`~typlab.evolution.trajectory_omegas`, and reduces the states chunk by
-chunk to their scalars, so verify holds no Monte Carlo block: its largest
-arrays are the config's Hamiltonian, eigenvectors and dense A(t).
+from seed ``child_seed(seed, i)`` as in
+:func:`~typlab.evolution.trajectory_omegas`, with the same bits.  It draws
+each chunk of states with one :func:`~typlab.ensembles.uniform_states` call
+and reduces it to its scalars before the next, so verify holds no Monte
+Carlo block: its largest arrays are the config's Hamiltonian, eigenvectors
+and dense A(t).
 """
 from __future__ import annotations
 
@@ -42,15 +48,18 @@ from .ensembles import (
     OmegaParams,
     StateVector,
     make_omegas,
-    sample_uniform_state,
+    uniform_states,
 )
 from .evolution import expectation, expectations, run_ensemble, trajectory_omegas
 from .models import build_model
 from .operators import HermitianOperator, eigendecompose, heisenberg_observable
 from .rng import child_seed
 from .stats import (
+    chi2_cdf,
+    chi2_quantile,
     exact_hv_series,
     norm_variance_analytic,
+    normal_quantile,
     sample_stats,
     sharp_variance_bound,
     variance_bound,
@@ -61,6 +70,10 @@ N_PICTURE_STATES = 5
 N_PICTURE_TIMES = 8
 
 UNIFORM_MC_STREAM = 0x7E000001
+
+# The family-wise rate at which mean-sampled and variance-sampled may each
+# fail a correct program, over all grid points together.
+SAMPLED_ALPHA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -91,12 +104,12 @@ class CheckResult:
 
 
 def _haar_scalars(params: OmegaParams, seed: int) -> tuple[np.ndarray, float]:
-    """u = <psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states, state i being
-    ``sample_uniform_state(n, child_seed(seed, i))``, and the worst residual
-    of ||omega||^2 = 1 + 2 d u/alpha and <omega|A|omega> = u + 2 d/alpha over
-    their images ``make_omegas(psi)``, alpha = 1 + d^2; the states are
-    stacked into chunks of ``max(1, STATE_BLOCK_AMPLITUDES // n)`` rows, each
-    reduced as it is drawn."""
+    """u = <psi|A|psi> of ``N_UNIFORM_SAMPLES`` uniform states, state i drawn
+    from ``child_seed(seed, i)``, and the worst residual of
+    ||omega||^2 = 1 + 2 d u/alpha and <omega|A|omega> = u + 2 d/alpha over
+    their images ``make_omegas(psi)``, alpha = 1 + d^2; the states are drawn
+    in chunks of ``max(1, STATE_BLOCK_AMPLITUDES // n)`` rows, one
+    ``uniform_states`` call each, each chunk reduced as it is drawn."""
     a, d = params.observable, params.d
     n = a.size
     alpha = 1 + d**2
@@ -105,7 +118,7 @@ def _haar_scalars(params: OmegaParams, seed: int) -> tuple[np.ndarray, float]:
     worst = 0.0
     for first in range(0, N_UNIFORM_SAMPLES, rows):
         chunk = range(first, min(first + rows, N_UNIFORM_SAMPLES))
-        block = np.array([sample_uniform_state(n, child_seed(seed, i)).amplitudes for i in chunk])
+        block = uniform_states(n, [child_seed(seed, i) for i in chunk])
         u = expectations(a, block)
         vals[first : first + len(block)] = u
         omegas = make_omegas(block, params)
@@ -116,6 +129,58 @@ def _haar_scalars(params: OmegaParams, seed: int) -> tuple[np.ndarray, float]:
             float(np.abs(expectations(a, omegas) - (u + 2 * d / alpha)).max()),
         )
     return vals, worst
+
+
+def _sampled_checks(
+    trajectories: np.ndarray,
+    series: np.ndarray,
+    autocorrelation: np.ndarray,
+    params: OmegaParams,
+) -> list[CheckResult]:
+    """``mean-sampled`` and ``variance-sampled`` of an (M, T) trajectory
+    array against the exact HV(t) ``series`` and the exact mean
+    c1 + 2 d C(t)/alpha, with a family-wise false-failure rate of
+    ``SAMPLED_ALPHA`` over the T grid points (Bonferroni, valid for
+    correlated points): q = SAMPLED_ALPHA/(2T) in each tail at each point.
+
+    Both checks read normal scores against Phi^{-1}(1 - q).  The mean's
+    score is z = |mean - exact|/sqrt(HV/M).  The variance's is
+    Phi^{-1}(F(x)) of x = (M - 1) var/HV under the chi^2_{M-1} distribution
+    function F, taken at the smallest and the largest var/HV, so it passes
+    exactly when every x lies between the chi^2_{M-1} quantiles at q and
+    1 - q.  HV is floored at 1e-12 times the paper's bound, which keeps the
+    ratios finite for A = +/-I, where it is 0.
+    """
+    m, points = trajectories.shape
+    d, c1, n = params.d, params.c1, params.observable.size
+    q = SAMPLED_ALPHA / (2 * points)
+    z_max = normal_quantile(1 - q)
+    family = f"alpha = {SAMPLED_ALPHA:g} over {points} grid points (M = {m})"
+    mean, variance = sample_stats(trajectories)
+    floored = np.maximum(series, 1e-12 * variance_bound(d, n))
+
+    z = np.abs(mean - (c1 + 2 * d * autocorrelation / (1 + d**2))) / np.sqrt(floored / m)
+    mean_check = CheckResult(
+        "mean-sampled",
+        z.max(),
+        z_max,
+        f"max |mean - (c1 + 2d C/alpha)| / sqrt(HV/M) = {z.max():.2f}",
+        f"<= Phi^-1(1 - alpha/2T) = {z_max:.2f}, {family}",
+    )
+
+    k = m - 1
+    ratio = variance / floored
+    low, high = (normal_quantile(chi2_cdf(k * r, k)) for r in (ratio.min(), ratio.max()))
+    window = [chi2_quantile(p, k) / k for p in (q, 1 - q)]
+    variance_check = CheckResult(
+        "variance-sampled",
+        max(-low, high),
+        z_max,
+        f"var/HV in [{ratio.min():.3g}, {ratio.max():.3g}], normal scores {low:.2f}, {high:.2f}",
+        f"|score| <= {z_max:.2f}: var/HV in the chi^2_{k} window "
+        f"[{window[0]:.3g}, {window[1]:.3g}], {family}",
+    )
+    return [mean_check, variance_check]
 
 
 def run_verification(config: ExperimentConfig) -> list[CheckResult]:
@@ -210,38 +275,12 @@ def run_verification(config: ExperimentConfig) -> list[CheckResult]:
         )
     )
 
-    # The sampled mean against the exact c1 + 2 d C(t)/alpha in units of
-    # sqrt(HV/M), and var/HV against 1 in units of its standard error
-    # sqrt(2/(M - 1)) for near-Gaussian a_i(t).  4.5 is a family-wise
-    # threshold over the correlated grid points: on verify_small a correct
-    # sampler reads 2.47 and 1.78, an undeviated one 28.8 on the mean, and a
-    # zero variance sqrt((M - 1)/2) = 7.04 at M = 100.  Flooring HV at
-    # 1e-12 bound keeps the ratios finite for A = +/-I, where it is 0.
+    # The sampled mean and variance of the config's M trajectories against
+    # the exact ones, at thresholds set by M, T and SAMPLED_ALPHA.
     m = config.num_trajectories
     omegas = trajectory_omegas(params, m, base)
     trajectories = run_ensemble(dec, params, omegas, times)
-    mean, variance = sample_stats(trajectories)
-    floored = np.maximum(series, 1e-12 * eq_bound)
-    z_mean = np.abs(mean - (c1 + 2 * d * autocorrelation / alpha)) / np.sqrt(floored / m)
-    results.append(
-        CheckResult(
-            "mean-sampled",
-            z_mean.max(),
-            4.5,
-            f"max |mean - (c1 + 2d C/alpha)| / sqrt(HV/M) = {z_mean.max():.2f}",
-            f"<= 4.5 over {len(times)} grid points (M = {m})",
-        )
-    )
-    z = (np.abs(variance / floored - 1) / np.sqrt(2 / (m - 1))).max()
-    results.append(
-        CheckResult(
-            "variance-sampled",
-            z,
-            4.5,
-            f"max |var/HV - 1| / sqrt(2/(M - 1)) = {z:.2f}",
-            f"<= 4.5 over {len(times)} grid points (M = {m})",
-        )
-    )
+    results.extend(_sampled_checks(trajectories, series, autocorrelation, params))
 
     # The shipped propagation kernel, run_ensemble, against the dense
     # Heisenberg picture <omega|A(t)|omega> of the first trajectory states at

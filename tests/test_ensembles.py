@@ -15,12 +15,13 @@ from typlab.ensembles import (
     make_omegas,
     sample_uniform_state,
     sample_uniform_states,
+    uniform_states,
 )
 from typlab.errors import TyplabError
 from typlab.evolution import expectation, expectations
 from typlab.models import build_observable_pm1
 from typlab.operators import spectral_moments
-from typlab.rng import SeedStream
+from typlab.rng import NORMAL_BLOCK_PAIRS, SeedStream, child_seed
 from typlab.stats import norm_variance_analytic
 
 from conftest import (
@@ -61,7 +62,36 @@ def block_draw_states(n: int, count: int, seed: int) -> np.ndarray:
     return normalized_rows(z.reshape(count, 2 * n))
 
 
+def one_seed_state(n: int, seed: int) -> np.ndarray:
+    """A uniform state from its own one-seed stream, assembled as a 1-d
+    array (the reference for the rows of ``uniform_states``)."""
+    z = SeedStream(seed).normal(2 * n)
+    amp = z[:n] + 1j * z[n:]
+    return amp / np.linalg.norm(amp)
+
+
 class TestUniformSampling:
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            (1, NORMAL_BLOCK_PAIRS + 3),  # half = 1: a full block of rows, and 3 more
+            (3, 2 * (NORMAL_BLOCK_PAIRS // 3) + 3),  # half = 3: two full row blocks, and 3 more
+            (NORMAL_BLOCK_PAIRS + 1, 3),  # half above the block: two column blocks per row
+            (37, 11),  # odd n
+            (200, 655),  # one of verify's chunks at n = 200
+        ],
+    )
+    def test_rows_are_the_one_seed_states(self, n, count):
+        seeds = [child_seed(2024, i) for i in range(count)]
+        states = uniform_states(n, seeds)
+        assert states.shape == (count, n) and states.flags.c_contiguous
+        for seed, row in zip(seeds, states):
+            assert row.tobytes() == one_seed_state(n, seed).tobytes()
+            assert row.tobytes() == sample_uniform_state(n, seed).amplitudes.tobytes()
+
+    def test_no_seeds_no_states(self):
+        assert uniform_states(4, []).shape == (0, 4)
+
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32))
     def test_unit_norm(self, n, seed):
         psi = sample_uniform_state(n, seed)

@@ -126,12 +126,22 @@ def test_benchmark_only_names_have_no_src_caller(target):
     assert [ref for path in sorted(src.glob("*.py")) for ref in _references(path, name, home)] == []
 
 
-def test_verify_draws_through_the_run_sampler():
-    assert (
-        typlab.verify.sample_uniform_state
-        is typlab.evolution.sample_uniform_state
-        is typlab.ensembles.sample_uniform_state
-    )
+def test_verify_draws_through_the_run_sampler(monkeypatch):
+    # verify draws its chunks, and the run its states one seed at a time,
+    # through the one Haar sampler.
+    assert typlab.verify.uniform_states is typlab.ensembles.uniform_states
+    assert typlab.evolution.sample_uniform_state is typlab.ensembles.sample_uniform_state
+    calls = []
+    original = typlab.ensembles.uniform_states
+
+    def recording(n, seeds):
+        calls.append((n, list(seeds)))
+        return original(n, seeds)
+
+    monkeypatch.setattr(typlab.ensembles, "uniform_states", recording)
+    state = typlab.evolution.sample_uniform_state(5, 11)
+    assert calls == [(5, [11])]
+    assert state.amplitudes.tobytes() == original(5, [11])[0].tobytes()
     src = Path(typlab.__file__).parent
     users = {path.stem for path in src.glob("*.py") if _references(path, "SeedStream", "rng")}
     assert users <= set(STREAM_HOMES)

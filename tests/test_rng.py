@@ -119,6 +119,56 @@ def test_normal_matches_unblocked_reference(count):
     assert np.array_equal(stream.raw(3), reference.raw(3))  # same stream position
 
 
+# Successive draws of every kind: odd counts leave each stream inside a
+# block of 4 Philox words, count 0 draws nothing, and 16385 normals take two
+# Box-Muller column blocks per row.
+DRAW_SEQUENCES = [
+    [("raw", 3), ("uniform", 5), ("normal", 7), ("raw", 1), ("normal", 2)],
+    [("normal", 0), ("raw", 0), ("uniform", 0), ("normal", 1), ("raw", 6), ("uniform", 9)],
+    [("uniform", 1), ("normal", 2 * NORMAL_BLOCK_PAIRS + 1), ("raw", 2), ("normal", 3)],
+]
+
+
+@pytest.mark.parametrize("draws", DRAW_SEQUENCES)
+def test_rows_are_the_one_seed_streams(draws):
+    seeds = [child_seed(31, i) for i in range(5)] + [0, MASK64]
+    rows, singles = SeedStream(seeds), [SeedStream(seed) for seed in seeds]
+    for kind, count in draws:
+        block = getattr(rows, kind)(count)
+        assert block.shape == (len(seeds), count)
+        for row, single in zip(block, singles):
+            assert row.tobytes() == getattr(single, kind)(count).tobytes()
+
+
+@pytest.mark.parametrize(
+    "count, k",
+    [
+        (2, NORMAL_BLOCK_PAIRS + 3),  # one pair per row: full row blocks and a short one
+        (6, 2 * (NORMAL_BLOCK_PAIRS // 3) + 1),  # three pairs per row
+        (2 * NORMAL_BLOCK_PAIRS + 2, 2),  # one row per block, two column blocks
+    ],
+)
+def test_rows_match_one_seed_normals_at_block_edges(count, k):
+    seeds = [child_seed(77, i) for i in range(k)]
+    block = SeedStream(seeds).normal(count)
+    reference = np.array([SeedStream(seed).normal(count) for seed in seeds])
+    assert block.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count", sorted(NORMAL_PINS))
+def test_row_bits_pinned(count):
+    # A row drawn beside other streams has the one-seed stream's pinned bits.
+    rows = SeedStream([7, 2024])
+    values, following = rows.normal(count)[1], rows.normal(7)[1]
+    digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (values, following))
+    assert digests == NORMAL_PINS[count]
+
+
+def test_seed_stream_rejects_an_out_of_range_seed_in_a_sequence():
+    with pytest.raises(TyplabError, match="seed must fit in 64 bits, got -1"):
+        SeedStream([3, -1])
+
+
 def test_angles_range():
     # commuting_unitary's angles 2*pi*u, down to u = 0 and up to the largest
     # uniform 1 - 2^-53, stay in [0, 2*pi).

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,10 +16,14 @@ from typlab.operators import (
     heisenberg_observable,
     spectral_moments,
 )
+from typlab.rng import SeedStream
 from typlab.stats import (
+    chi2_cdf,
+    chi2_quantile,
     exact_hv_series,
     mean_expectation_analytic,
     norm_variance_analytic,
+    normal_quantile,
     sample_stats,
     sharp_variance_bound,
     variance_bound,
@@ -390,3 +396,53 @@ def test_mapped_operator_stays_hermitian(n, seed, d):
     a_op = random_hermitian(n, seed + 1)
     mapped = moment_map(c_op, a_op, d)
     assert np.abs(mapped.matrix - mapped.matrix.conj().T).max() <= 1e-12
+
+
+class TestQuantiles:
+    @pytest.mark.parametrize("x", [1e-9, 0.01, 0.5, 1.0, 3.0, 10.0, 40.0, 90.0])
+    def test_chi2_cdf_closed_forms(self, x):
+        # chi^2_2 is exponential, and chi^2_1 is the square of a normal
+        assert chi2_cdf(x, 2) == pytest.approx(-math.expm1(-x / 2), rel=1e-13, abs=1e-16)
+        assert chi2_cdf(x, 1) == pytest.approx(math.erf(math.sqrt(x / 2)), rel=1e-13)
+
+    def test_chi2_cdf_ends(self):
+        assert chi2_cdf(0.0, 5) == 0.0
+        assert chi2_cdf(1e6, 3) == 1.0  # the leading term underflows above the mode
+        assert chi2_cdf(1e-3, 2000) == 0.0  # and below it
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 99, 2999])
+    @pytest.mark.parametrize("p", [1e-7, 0.05, 0.5, 0.95, 1 - 1e-7])
+    def test_chi2_quantile_inverts_the_cdf(self, k, p):
+        assert chi2_cdf(chi2_quantile(p, k), k) == pytest.approx(p, rel=1e-9)
+
+    def test_normal_quantile(self):
+        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert normal_quantile(0.975) == pytest.approx(1.959963984540054, rel=1e-12)
+        assert normal_quantile(0.025) == pytest.approx(-1.959963984540054, rel=1e-12)
+
+    @pytest.mark.parametrize("points, threshold", [(150, "4.50"), (200, "4.56"), (3000, "5.10")])
+    def test_mean_threshold_keeps_the_old_value_where_it_was_set(self, points, threshold):
+        # Bonferroni over T points at a family-wise 1e-3: the old fixed 4.5 was
+        # set on 150 points
+        assert f"{normal_quantile(1 - 1e-3 / (2 * points)):.2f}" == threshold
+
+    @pytest.mark.parametrize(
+        "m, points, window",
+        [
+            (100, 150, ("0.484", "1.77")),
+            (3, 3000, ("1.67e-07", "15.6")),
+            (10, 3000, ("0.0169", "5.44")),
+        ],
+    )
+    def test_variance_windows(self, m, points, window):
+        q = 1e-3 / (2 * points)
+        lo, hi = (chi2_quantile(p, m - 1) / (m - 1) for p in (q, 1 - q))
+        assert (f"{lo:.3g}", f"{hi:.3g}") == window
+
+    def test_chi2_quantiles_against_a_seeded_monte_carlo(self):
+        # sums of k squared normals: the fraction below each quantile is p
+        k, count = 5, 200_000
+        samples = (SeedStream(41).normal(k * count).reshape(count, k) ** 2).sum(axis=1)
+        for p in (0.01, 0.5, 0.99):
+            below = np.mean(samples <= chi2_quantile(p, k))
+            assert abs(below - p) < 4 * math.sqrt(p * (1 - p) / count)

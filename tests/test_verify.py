@@ -8,20 +8,27 @@ import pytest
 
 import typlab.ensembles
 import typlab.evolution
+import typlab.rng
 import typlab.verify
 from typlab.config import load_config, parse_config
-from typlab.ensembles import OmegaParams, StateVector, make_omegas, sample_uniform_state
+from typlab.ensembles import (
+    STATE_BLOCK_AMPLITUDES,
+    OmegaParams,
+    make_omegas,
+    sample_uniform_state,
+)
 from typlab.errors import TyplabError
-from typlab.evolution import expectations
+from typlab.evolution import expectations, run_ensemble, trajectory_omegas
 from typlab.models import build_model
 from typlab.operators import SpectralDecomposition, eigendecompose
 from typlab.rng import child_seed
-from typlab.stats import sharp_variance_bound, variance_bound
+from typlab.stats import exact_hv_series, sharp_variance_bound, variance_bound
 from typlab.verify import (
     N_UNIFORM_SAMPLES,
     UNIFORM_MC_STREAM,
     CheckResult,
     _haar_scalars,
+    _sampled_checks,
     format_report,
     run_verification,
 )
@@ -120,10 +127,14 @@ def test_corrupted_observable_fails_moment_gate(monkeypatch, caplog):
     assert by_name["deviation-map"].passed
     assert by_name["mean-sampled"].passed
     # Every trajectory is constant and the exact HV is 0 to rounding: over the
-    # floored HV, the zero sampled variance reads sqrt((M - 1)/2) and fails.
+    # floored HV, the sampled variance reads var/HV ~ 1e-16, far below the
+    # chi^2_99 window [0.505, 1.73]; its chi^2 probability is 0 in doubles,
+    # whose normal score reads a finite 40, and fails.
     sampled = by_name["variance-sampled"]
     assert np.isfinite(sampled.error) and not sampled.passed
-    assert sampled.measured.endswith("= 7.04")
+    assert f"{sampled.error:.2f}" == "40.00"
+    assert sampled.measured.endswith("normal scores -40.00, -40.00")
+    assert "chi^2_99 window [0.505, 1.73]" in sampled.criterion
     assert [r.name for r in results if not r.passed] == ["moment-gate", "variance-sampled"]
     report = format_report(results)
     assert "first failing: moment-gate" in report
@@ -260,15 +271,16 @@ def scaled_omegas(monkeypatch):
 
 
 def patched_sampler(monkeypatch, transform, modules):
-    # sample_uniform_state with transform applied to each state's
-    # amplitudes, as the given modules see it.
-    original = typlab.ensembles.sample_uniform_state
+    # uniform_states with transform applied to each state's amplitudes, as
+    # the given modules see it: typlab.verify for verify's Monte Carlo
+    # chunks, typlab.ensembles for the run's sample_uniform_state too.
+    original = typlab.ensembles.uniform_states
 
-    def sampler(n, seed):
-        return StateVector(transform(original(n, seed).amplitudes))
+    def sampler(n, seeds):
+        return np.array([transform(amp) for amp in original(n, seeds)])
 
     for module in modules:
-        monkeypatch.setattr(module, "sample_uniform_state", sampler)
+        monkeypatch.setattr(module, "uniform_states", sampler)
 
 
 def unnormalized_states(monkeypatch):
@@ -376,7 +388,7 @@ def states_biased_to_plus(monkeypatch, spec=None):
     # The +1 amplitudes grow by 1 %: the mean of u moves by about 0.01.  The
     # run's sampler is biased, so the trajectories are too; at M = 100 that
     # is within mean-sampled's reach, and only uniform-mean sees it.
-    modules = [typlab.verify, typlab.evolution]
+    modules = [typlab.verify, typlab.ensembles]
     reweighted_states(monkeypatch, lambda a: np.where(a > 0, 1.01, 1.0), modules, spec)
 
 
@@ -462,6 +474,60 @@ def test_monte_carlo_values_are_the_run_samplers(monkeypatch, rows):
     assert chunk_worst == worst
 
 
+def test_monte_carlo_pass_draws_each_chunk_in_one_call(monkeypatch):
+    # One multi-seed normal draw per chunk of 655 states at n = 200, not one
+    # per state.
+    config = load_config(VERIFY_CONFIG)
+    params = OmegaParams(d=config.d, observable=build_model(config.model).observable)
+    calls = []
+    original = typlab.rng.SeedStream.normal
+
+    def counting(stream, count):
+        calls.append(count)
+        return original(stream, count)
+
+    monkeypatch.setattr(typlab.rng.SeedStream, "normal", counting)
+    _haar_scalars(params, child_seed(config.base_seed, UNIFORM_MC_STREAM))
+    rows = STATE_BLOCK_AMPLITUDES // params.observable.size
+    assert rows == 655
+    assert len(calls) == -(-N_UNIFORM_SAMPLES // rows) == 8
+    assert calls == [2 * params.observable.size] * 8
+
+
+@pytest.fixture(scope="module")
+def small_decomposition():
+    config = load_config(VERIFY_CONFIG)
+    model = build_model(config.model)
+    params = OmegaParams(d=config.d, observable=model.observable)
+    return config, params, eigendecompose(model.hamiltonian)
+
+
+@pytest.fixture(scope="module")
+def small_exact_series(small_decomposition):
+    # verify_small's exact series on its shipped 150-point grid and on 3000
+    # points over t_max = 5000
+    config, params, dec = small_decomposition
+    long = replace(config, time=replace(config.time, t_max=5000.0, points=3000))
+    grids = {"shipped": config.times, "long": long.times}
+    return {name: (times, *exact_hv_series(dec, params, times)) for name, times in grids.items()}
+
+
+@pytest.mark.parametrize("base_seed", range(100, 106))
+@pytest.mark.parametrize("m, grid", [(3, "long"), (10, "long"), (3, "shipped"), (100, "long")])
+def test_sampled_checks_pass_correct_runs(
+    small_decomposition, small_exact_series, m, grid, base_seed
+):
+    # Few trajectories on many grid points: the old fixed threshold of 4.5
+    # failed 10 of these 24 correct runs; the thresholds set by M and T pass
+    # them all.
+    _, params, dec = small_decomposition
+    times, series, autocorrelation = small_exact_series[grid]
+    trajectories = run_ensemble(dec, params, trajectory_omegas(params, m, base_seed), times)
+    checks = _sampled_checks(trajectories, series, autocorrelation, params)
+    assert [c.name for c in checks] == ["mean-sampled", "variance-sampled"]
+    assert [c.name for c in checks if not c.passed] == []
+
+
 def test_verification_holds_no_monte_carlo_block():
     config = load_config(VERIFY_CONFIG)
     tracemalloc.start()
@@ -470,8 +536,9 @@ def test_verification_holds_no_monte_carlo_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 9.5 MiB measured on a first call (8.8 MiB on later ones), with the
-    # pass's 655-row chunks; the bound leaves 2.5 MiB of margin and stays
+    # 8.7 MiB measured on a first call (7.0 MiB on later ones), with the
+    # pass's 655-row chunks each drawn in one call; the bound leaves 3.3 MiB
+    # of margin and stays
     # below the (5000, 200) complex block of all the Monte Carlo states
     # (15.3 MiB) and the 44.7 MiB that a second model of n = 800 brings
     assert peak < 12 * 2**20
