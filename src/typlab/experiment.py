@@ -12,8 +12,10 @@ Outputs per run directory:
   dimension ``c1`` and its number ``n_plus`` of +1 entries (with n they fix
   every spectral moment of a sign vector), the analytic ensemble values, and
   the run's health: the relative unitarity and reconstruction residuals of
-  the eigendecomposition, ``start_band_excursions``, the number of
-  trajectories whose t = 0 value lies outside the start band
+  the eigendecomposition, as the probe estimates that
+  :class:`~typlab.operators.SpectralDecomposition` checks,
+  ``start_band_excursions``, the number of trajectories whose t = 0 value
+  lies outside the start band
   ``mean_expectation +/- 3 sqrt(variance_bound)``, and
   ``propagation_error_bound``, the a-priori bound on |a_i(t) - exact| of
   the kernel's node interpolation, in exact arithmetic (0.0 when every

@@ -60,21 +60,27 @@ def build_v_gaussian(n: int, mean_sq: float, seed: int) -> np.ndarray:
 
     Stream consumption order: upper-triangle real parts (row-major j < k),
     upper-triangle imaginary parts, then the diagonal.
-    The scaled draws are written into both triangles by index, so the only
-    n x n array is V itself; H's validation checks it.
+    The scaled draws are written one row j at a time, into V[j, j+1:] and,
+    conjugated, into the column V[j+1:, j], so the only n x n array is V
+    itself; H's validation checks it.
     """
     v = np.zeros((n, n), dtype=np.complex128)
     if mean_sq == 0:
         return v
     stream = SeedStream(seed)
     m = n * (n - 1) // 2
-    rows, cols = np.triu_indices(n, k=1)
     x, y = stream.normal(m), stream.normal(m)
     sigma = np.sqrt(mean_sq / 2.0)
-    v.real[rows, cols] = v.real[cols, rows] = np.multiply(x, sigma, out=x)
-    v.imag[rows, cols] = np.multiply(y, sigma, out=y)
-    v.imag[cols, rows] = np.negative(y, out=y)
-    del rows, cols, x, y  # freed before H's validation copies V
+    np.multiply(x, sigma, out=x)
+    np.multiply(y, sigma, out=y)
+    start = 0
+    for j in range(n - 1):
+        stop = start + n - 1 - j
+        v.real[j, j + 1 :] = x[start:stop]
+        v.imag[j, j + 1 :] = y[start:stop]
+        np.conjugate(v[j, j + 1 :], out=v[j + 1 :, j])
+        start = stop
+    del x, y  # freed before H's validation copies V
     np.fill_diagonal(v, np.sqrt(mean_sq) * stream.normal(n))
     return v
 

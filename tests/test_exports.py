@@ -31,9 +31,11 @@ BENCHMARK_ONLY = [
 ]
 
 # The src modules that may name rng.SeedStream: the stream itself, the
-# model build and the ensembles' samplers.  Every other module draws through
-# those samplers, so verify's Monte Carlo pass tests the sampler the run uses.
-STREAM_HOMES = ["ensembles", "models", "rng"]
+# model build, the ensembles' samplers and the eigendecomposition's fixed
+# probe stream.  The probes check eigh and never draw trajectory states, and
+# every other module draws through the ensembles' samplers, so verify's Monte
+# Carlo pass tests the sampler the run uses.
+STREAM_HOMES = ["ensembles", "models", "operators", "rng"]
 
 # Each function of src/typlab that raises TyplabError, with its number of
 # raise sites.  Every check has one home, the type or function that first

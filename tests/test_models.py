@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,17 @@ class TestGaussianPerturbation:
         a = build_v_gaussian(25, 1e-3, seed=8)
         b = build_v_gaussian(25, 1e-3, seed=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "n, mean_sq, seed, digest",
+        [
+            (7, 0.25, 11, "aa167ff55882693e1c22bf3045f961108f73fe1aabed827707aefafae6d1c00c"),
+            (300, 2.25e-6, 2024, "060a2f7f92bb9921f56dc645cc60b8f57b91625ea2486f6b09763a41106e9131"),
+        ],
+    )
+    def test_bytes_pinned(self, n, mean_sq, seed, digest):
+        # digests of the index-scatter fill that the row-wise fill replaced
+        assert hashlib.sha256(build_v_gaussian(n, mean_sq, seed).tobytes()).hexdigest() == digest
 
 
 class TestConstantPerturbation:

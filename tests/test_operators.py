@@ -18,6 +18,7 @@ from typlab.operators import (
     heisenberg_observable,
     spectral_moments,
 )
+from typlab.rng import SeedStream
 
 from conftest import hilbert_schmidt_inner, is_diagonal, random_hermitian
 
@@ -31,6 +32,21 @@ def power_trace_moments(op: HermitianOperator) -> list[float]:
         power = power @ op.matrix
         moments.append(float(np.trace(power).real) / op.dim)
     return moments
+
+
+def one_column_off_norm(u: np.ndarray) -> np.ndarray:
+    """U with its first column scaled by 1 + delta, so U^dagger U - I is the
+    rank-1 diag(2 delta + delta^2, 0, ...) at 10 times ``UNITARITY_RTOL``: the
+    hardest error for a few probes."""
+    n = u.shape[0]
+    delta = np.sqrt(1 + 10 * UNITARITY_RTOL * np.sqrt(n)) - 1
+    return u * np.append(1 + delta, np.ones(n - 1))
+
+
+def top_eigenvalue_off(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w with its top eigenvalue raised so that U diag(w) U^dagger - H is
+    rank 1 at 10 times ``RECONSTRUCTION_RTOL`` ||H||_F; the order is kept."""
+    return np.append(w[:-1], w[-1] + 10 * RECONSTRUCTION_RTOL * np.linalg.norm(h))
 
 
 class TestValidation:
@@ -251,16 +267,63 @@ class TestEigendecompose:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda w, u: (w, u * 1.001), "not unitary"),
-            (lambda w, u: (w * (1 + 1e-6), u), "reconstruction residual"),
+            (lambda h, w, u: (w, u * 1.001), "not unitary"),
+            (lambda h, w, u: (w * (1 + 1e-6), u), "reconstruction residual"),
+            (lambda h, w, u: (w, one_column_off_norm(u)), "not unitary"),
+            (lambda h, w, u: (top_eigenvalue_off(h, w), u), "reconstruction residual"),
         ],
-        ids=["eigenvectors", "eigenvalues"],
+        ids=["eigenvectors", "eigenvalues", "one-column", "one-eigenvalue"],
     )
     def test_corrupted_solver_output_rejected(self, monkeypatch, corrupt, message):
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda h: corrupt(*eigh(h)))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: corrupt(h, *eigh(h)))
         with pytest.raises(TyplabError, match=message):
             eigendecompose(random_hermitian(30, seed=6))
+
+    @staticmethod
+    def noisy_decomposition(n: int):
+        """(w, U, H) from eigh with known errors: eigenvalue noise of
+        ||E||_F = 1e-10 ||H||_F in the reconstruction and column norms off by
+        about 1e-12, so both residuals sit far above rounding and below the
+        tolerances."""
+        op = random_hermitian(n, seed=n + 1)
+        w, u = np.linalg.eigh(op.matrix)
+        noise = SeedStream(n).normal(2 * n)
+        w = w + noise[:n] * (1e-10 * np.linalg.norm(op.matrix) / np.linalg.norm(noise[:n]))
+        u = u * (1 + 1e-12 * noise[n:])
+        return w, u, op
+
+    @pytest.mark.parametrize("n", [30, 200, 600])
+    def test_estimates_track_the_exact_residuals(self, n):
+        w, u, op = self.noisy_decomposition(n)
+        dec = SpectralDecomposition(w, u, source=op)
+        h = op.matrix
+        exact_unitarity = np.linalg.norm(u.conj().T @ u - np.eye(n)) / np.sqrt(n)
+        exact_reconstruction = np.linalg.norm((u * w) @ u.conj().T - h) / np.linalg.norm(h)
+        assert 1e-13 < exact_unitarity < UNITARITY_RTOL
+        assert 1e-11 < exact_reconstruction < RECONSTRUCTION_RTOL
+        assert 0.5 <= dec.unitarity_residual / exact_unitarity <= 2.0
+        assert 0.5 <= dec.reconstruction_residual / exact_reconstruction <= 2.0
+
+    def test_residuals_repeat_bit_for_bit(self):
+        w, u, op = self.noisy_decomposition(200)
+        first = SpectralDecomposition(w, u, source=op)
+        second = SpectralDecomposition(w, u, source=op)
+        assert first.unitarity_residual == second.unitarity_residual
+        assert first.reconstruction_residual == second.reconstruction_residual
+
+    def test_checks_hold_no_dense_temporary(self):
+        n = 600
+        op = random_hermitian(n, seed=12)
+        w, u = np.linalg.eigh(op.matrix)
+        u.flags.writeable = False  # kept without a copy, as eigendecompose does
+        tracemalloc.start()
+        try:
+            SpectralDecomposition(w, u, source=op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 16 * n**2
 
     def test_caller_arrays_cannot_change_the_decomposition(self):
         w = np.array([0.0, 1.0, 2.0])
