@@ -1,8 +1,8 @@
 """Pure-state ensembles: uniform (Haar) samples, the near-constrained
-substitute ensemble, and commuting unitaries.  No typlab code calls
-:func:`commuting_unitary`, :func:`sample_uniform_states` or
-``operators.spectral_moments``: they stay only while ``perfbench/tracer``
-names them, until the benchmark's next revision.
+substitute ensemble, and commuting unitaries.  The functions here that no
+typlab code calls stay only while ``perfbench/tracer`` names them, until
+the benchmark's next revision; ``BENCHMARK_ONLY`` in
+``tests/test_exports.py`` is the one list of such names.
 
 Uniform states are sampled by drawing all real and imaginary amplitude
 components as independent standard normals and normalizing; the resulting

@@ -44,9 +44,9 @@ points of a block are nodes, so t = 0 is always propagated directly.
 
 The batch :func:`expectations` are likewise the sign-weighted squared
 amplitudes, real by construction.  The single-state :func:`expectation`
-takes any Hermitian operator (the picture-equivalence check feeds it the
-dense A(t), its reference for the kernel) and checks its imaginary residue,
-never silently discarding it.
+takes any Hermitian operator and checks its imaginary residue; it serves
+only the benchmark's tracer and the tests, which feed it the dense A(t)
+(``BENCHMARK_ONLY`` in ``tests/test_exports.py``).
 """
 from __future__ import annotations
 

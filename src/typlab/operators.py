@@ -1,10 +1,11 @@
 """Dense complex Hermitian operator algebra.
 
 Construction and validation of Hermitian operators, eigendecomposition with
-its residual checks, the +1 block of the eigenvector matrix for a diagonal
-+/-1 observable given by its sign vector, and the dense Heisenberg-picture
-A(t) that verify checks the propagation kernel against.  Operators are
-dense complex128; values are immutable after construction.
+its residual checks, and the +1 block of the eigenvector matrix for a
+diagonal +/-1 observable given by its sign vector.  The dense
+Heisenberg-picture A(t) serves only the benchmark's tracer and the tests
+(``BENCHMARK_ONLY`` in ``tests/test_exports.py``).  Operators are dense
+complex128; values are immutable after construction.
 
 Memory contract: beyond H and its eigenvectors U, set-up's only n x n
 temporaries are ``eigh``'s own, the copy of H it factors and its workspace.

@@ -23,10 +23,13 @@ SUBCOMMANDS = ["plot", "run", "verify"]
 
 # Functions that no src code calls: they stay only while the benchmark's
 # tracer names them, and go with its next revision.  A src caller
-# would put benchmark-only code back on the run path.
+# would put benchmark-only code back on the run path.  This is the one list
+# of these names; the src docstrings point here.
 BENCHMARK_ONLY = [
     "ensembles.commuting_unitary",
     "ensembles.sample_uniform_states",
+    "evolution.expectation",
+    "operators.heisenberg_observable",
     "operators.spectral_moments",
 ]
 

@@ -8,19 +8,26 @@ import pytest
 
 import typlab.ensembles
 import typlab.evolution
+import typlab.operators
 import typlab.rng
 import typlab.verify
 from typlab.config import load_config, parse_config
 from typlab.ensembles import (
     STATE_BLOCK_AMPLITUDES,
     OmegaParams,
+    StateVector,
     make_omegas,
     sample_uniform_state,
 )
 from typlab.errors import TyplabError
-from typlab.evolution import expectations, run_ensemble, trajectory_omegas
+from typlab.evolution import expectation, expectations, run_ensemble, trajectory_omegas
 from typlab.models import build_model
-from typlab.operators import SpectralDecomposition, eigendecompose
+from typlab.operators import (
+    HermitianOperator,
+    SpectralDecomposition,
+    eigendecompose,
+    heisenberg_observable,
+)
 from typlab.rng import child_seed
 from typlab.stats import exact_hv_series, sharp_variance_bound, variance_bound
 from typlab.verify import (
@@ -157,7 +164,26 @@ def conjugated_eigenvectors(monkeypatch):
     monkeypatch.setattr(typlab.verify, "run_ensemble", corrupted)
 
 
-@pytest.mark.parametrize("corrupt", [conjugated_eigenvectors])
+def one_grid_row_off(monkeypatch):
+    # The kernel maps its nodes to the grid with row 1 of every
+    # interpolation matrix scaled by 1 + 1e-6: one grid point per block is
+    # off, which a check that samples a few grid points need not see.
+    original = typlab.evolution._lobatto_weights
+
+    def corrupted(grid, r):
+        nodes, weights = original(grid, r)
+        weights[1] *= 1 + 1e-6
+        return nodes, weights
+
+    monkeypatch.setattr(typlab.evolution, "_lobatto_weights", corrupted)
+
+
+def coarse_nodes(monkeypatch):
+    # The kernel takes too few Chebyshev nodes: a phase error of 1e-6.
+    monkeypatch.setattr(typlab.evolution, "PHASE_ERROR_TOL", 1e-6)
+
+
+@pytest.mark.parametrize("corrupt", [conjugated_eigenvectors, one_grid_row_off, coarse_nodes])
 def test_corrupted_kernel_fails_picture_equivalence(monkeypatch, corrupt):
     corrupt(monkeypatch)
     results = run_verification(parse_config(tiny_raw()))
@@ -208,19 +234,39 @@ def test_one_model_and_decomposition_per_verification(monkeypatch):
     assert "(n + 1) max HV = 1.0007 at n = 200" in at_zero.measured
 
 
-def test_heisenberg_observable_formed_once_per_time(monkeypatch):
-    # Picture equivalence forms the dense A(t) once for its 8 times, not
-    # once per (state, time) pair.
+def test_picture_equivalence_matches_the_dense_heisenberg_picture():
+    # The dense route is the reference: <omega|A(t)|omega> with A(t) formed
+    # as an n x n matrix at every grid point, over the first 5 states.
+    config = parse_config(tiny_raw())
+    model = build_model(config.model)
+    params = OmegaParams(d=config.d, observable=model.observable)
+    dec = eigendecompose(model.hamiltonian)
+    omegas = trajectory_omegas(params, config.num_trajectories, config.base_seed)
+    trajectories = run_ensemble(dec, params, omegas, config.times)
+    dense_a = HermitianOperator(np.diag(params.observable))
+    worst = 0.0
+    for k, t in enumerate(config.times):
+        a_t = heisenberg_observable(dense_a, dec, t)
+        for i, omega in enumerate(omegas.T[:5]):
+            worst = max(worst, abs(trajectories[i, k] - expectation(a_t, StateVector(omega))))
+    picture = {r.name: r for r in run_verification(config)}["picture-equivalence"]
+    assert picture.criterion.endswith("at n = 60, 5 states x 50 times")
+    assert abs(picture.error - worst) <= 1e-13
+
+
+def test_verification_forms_no_dense_observable(monkeypatch):
+    # The one Hermitian operator verify validates is H: picture equivalence
+    # forms A~ = U^dagger A U from the sign vector, and no dense A or A(t).
     calls = []
-    original = typlab.verify.heisenberg_observable
+    original = typlab.operators.HermitianOperator.__post_init__
 
-    def counting(op, dec, t):
-        calls.append(t)
-        return original(op, dec, t)
+    def counting(op):
+        original(op)
+        calls.append(op.matrix.shape)
 
-    monkeypatch.setattr(typlab.verify, "heisenberg_observable", counting)
+    monkeypatch.setattr(typlab.operators.HermitianOperator, "__post_init__", counting)
     run_verification(parse_config(tiny_raw()))
-    assert len(calls) == 8 == len(set(calls))
+    assert calls == [(60, 60)]
 
 
 def test_one_trajectory_ensemble_per_verification(monkeypatch):
