@@ -36,15 +36,16 @@ _KEY_NAMES = {"num_trajectories": "M"}
 # Propagation evaluates phases exp(-i E t); in double precision their
 # rounding grows like 1e-16 * |E| t, so beyond 1e8 rad it exceeds ~1e-8.
 MAX_PHASE = 1e8
-# Beyond PEAK_MATRICES n x n matrices, propagation holds STATE_BLOCKS complex
-# (n, M) blocks (the states, their eigenbasis coefficients and, while those
-# are formed, the conjugated states or the squares of their norms) and
-# NODE_BLOCKS complex (r, n) blocks of r <= min(T, GRID_BLOCK) nodes (the
-# node phases, one state's phased coefficients, and its evolved +1 rows
-# with their interpolated grid rows); aggregation holds TRAJECTORY_ARRAYS
-# float (M, T) arrays (the trajectories, their centred copy and its square).
+# Propagation holds H, U and U_+ (its n/2 rows where A = +1), 2.5 of the
+# PEAK_MATRICES n x n matrices, STATE_BLOCKS complex (n, M) blocks (the
+# states, their eigenbasis coefficients and the conjugated states or the
+# squares of their norms) and temporaries of NODE_BLOCKS complex (r, n)
+# blocks of r <= min(T, GRID_BLOCK) nodes (the node phases, the last
+# block's while they form, one state's phased coefficients, its evolved +1
+# rows and the last state's, and numpy's ufunc buffers); aggregation holds
+# TRAJECTORY_ARRAYS float (M, T) arrays (trajectories, centred, squared).
 STATE_BLOCKS = 3
-NODE_BLOCKS = 3
+NODE_BLOCKS = 4
 TRAJECTORY_ARRAYS = 3
 
 

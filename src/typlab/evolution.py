@@ -19,7 +19,7 @@ barycentric interpolation matrix Q, z(t) ~ sum_q Q_tq z(tau_q), before the
 squares are taken (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 The spectrum is centred first, w -> w - (w_min + w_max)/2, as the global
 phase drops out of |.|^2.  :func:`propagation_plan` cuts the grid into
-blocks of at most ``GRID_BLOCK`` points, so no buffer grows with the grid,
+blocks of at most ``GRID_BLOCK`` points, so no temporary grows with the grid,
 and counts each block's nodes a priori.  On a block t = m + h x, x in
 [-1, 1], eigenvalue w_k has the phase exp(-i w_k m) exp(-i theta_k x),
 theta_k = |w_k h|, whose Chebyshev coefficients are 2 (-i)^j J_j(theta_k);
@@ -60,12 +60,11 @@ from .operators import HermitianOperator, SpectralDecomposition, plus_rows
 from .rng import child_seed
 
 IMAG_RESIDUE_RTOL = 1e-10
-# Grid points per propagation block: every kernel buffer is at most
-# (GRID_BLOCK x n), however long the grid.
+# Grid points per propagation block, so no kernel temporary exceeds (GRID_BLOCK x n).
 GRID_BLOCK = 256
 # The largest phase error eps a block's interpolation may have.
 PHASE_ERROR_TOL = 1e-13
-# Grid points interpolated per product.
+# Grid points squared per chunk, which bounds the interpolated rows held.
 INTERPOLATION_ROWS = 64
 
 
@@ -236,41 +235,25 @@ def run_ensemble(
 
     with U_+ the n_+ rows of U where A = +1, and the values are real by
     construction.  Per block and trajectory, one (r x n) by (n x n_+)
-    product gives z = U_+ exp(-i w tau) c_i at the block's r nodes; the
-    block's Q maps z, as float64, to the grid points before the squares.
+    product gives z = U_+ exp(-i w tau) c_i at the block's r nodes; its grid
+    rows, z's own or Q z, are squared ``INTERPOLATION_ROWS`` at a time.
     """
     plan = propagation_plan(dec.eigenvalues, times)
     u_plus = plus_rows(params.observable, dec)
     # (omega^dagger U)^* rows are U^dagger omega, without a conjugated copy of U.
     coeff = omegas.conj().T @ dec.eigenvectors
     np.conjugate(coeff, out=coeff)
-    norms_sq = _norms_sq(omegas)
     w = _centred(dec.eigenvalues)
-
-    # Every buffer is allocated once and filled in place: the node blocks
-    # are at most (GRID_BLOCK x n), the interpolated rows (INTERPOLATION_ROWS x 2 n_+).
-    r_max = max(len(block.nodes) for block in plan)
-    phases = np.empty((r_max, len(w)), dtype=np.complex128)
-    phased = np.empty_like(phases)
-    evolved = np.empty((r_max, len(u_plus)), dtype=np.complex128)
-    grid_rows = max((len(b.weights) for b in plan if b.weights is not None), default=0)
-    interpolated = np.empty((min(grid_rows, INTERPOLATION_ROWS), 2 * len(u_plus)))
     values = np.empty((len(coeff), len(times)))
     for block in plan:
-        r = len(block.nodes)
-        np.multiply.outer(block.nodes, -1j * w, out=phases[:r])
-        np.exp(phases[:r], out=phases[:r])
+        phases = np.exp(np.multiply.outer(block.nodes, -1j * w))
+        block_values = values[:, block.rows]
         for i, c in enumerate(coeff):
-            np.multiply(phases[:r], c, out=phased[:r])
-            z = np.matmul(phased[:r], u_plus.T, out=evolved[:r]).view(np.float64)
-            if block.weights is None:
-                values[i, block.rows] = np.einsum("tj,tj->t", z, z)
-                continue
-            for lo in range(0, len(block.weights), INTERPOLATION_ROWS):
-                weights = block.weights[lo : lo + INTERPOLATION_ROWS]
-                y = np.matmul(weights, z, out=interpolated[: len(weights)])
-                start = block.rows.start + lo
-                values[i, start : start + len(weights)] = np.einsum("tj,tj->t", y, y)
+            z = ((phases * c) @ u_plus.T).view(np.float64)
+            for lo in range(0, block_values.shape[1], INTERPOLATION_ROWS):
+                rows = slice(lo, lo + INTERPOLATION_ROWS)
+                y = z[rows] if block.weights is None else block.weights[rows] @ z
+                block_values[i, rows] = np.einsum("tj,tj->t", y, y)
     values *= 2.0
-    values -= norms_sq[:, None]
+    values -= _norms_sq(omegas)[:, None]
     return values

@@ -19,7 +19,8 @@ Outputs per run directory:
   ``mean_expectation +/- 3 sqrt(variance_bound)``, and
   ``propagation_error_bound``, the a-priori bound on |a_i(t) - exact| of
   the kernel's node interpolation, in exact arithmetic (0.0 when every
-  grid time is propagated directly; see :mod:`typlab.evolution`);
+  grid time is propagated directly; see :mod:`typlab.evolution`), but no
+  imaginary residue: 2 ||U_+ e^{-iwt} c||^2 - ||omega||^2 is real by construction;
 * ``plot.svg`` (optional) -- trajectories, mean, and the variance inset.
 
 Each file is written under a temporary name and renamed, so a failed run

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from typlab.config import ModelSpec, load_config
+from typlab.config import NODE_BLOCKS, STATE_BLOCKS, TRAJECTORY_ARRAYS, ModelSpec, load_config
 from typlab.ensembles import (
     OmegaParams,
     StateVector,
@@ -15,6 +15,7 @@ from typlab.ensembles import (
 )
 from typlab.errors import TyplabError
 from typlab.evolution import (
+    GRID_BLOCK,
     PHASE_ERROR_TOL,
     _bessel_j,
     expectation,
@@ -243,6 +244,43 @@ class TestEnsembleRuns:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * n**2
+
+    @pytest.mark.parametrize(
+        "n, m, points, t_max, direct",
+        [
+            (200, 3, 40, 300.0, True),
+            (200, 100, 150, 300.0, False),
+            (400, 4, 4000, 300.0, False),
+            (600, 100, 200, 300.0, False),
+            (600, 3, 512, 3000.0, True),
+        ],
+    )
+    def test_memory_census_bounds_propagation(self, n, m, points, t_max, direct):
+        # config.py's census of the states, node temporaries and trajectory
+        # arrays bounds what sampling, propagation and aggregation allocate,
+        # with U_+ (8 n^2 bytes) counted in PEAK_MATRICES.  Direct blocks
+        # take as many nodes as grid points, and two of them in a row hold
+        # the most node temporaries at once.
+        model = build_model(
+            ModelSpec(n=n, delta_e=0.5 / n, v_kind="gaussian", v_scale=0.81 / n**2, seed=5)
+        )
+        dec = eigendecompose(model.hamiltonian)
+        params = OmegaParams(d=0.1, observable=model.observable)
+        times = np.linspace(0.0, t_max, points)
+        plan = propagation_plan(dec.eigenvalues, times)
+        assert {block.weights is None for block in plan} == {direct}
+        tracemalloc.start()
+        try:
+            sample_stats(run_ensemble(dec, params, trajectory_omegas(params, m, 8), times))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (
+            8 * n**2
+            + STATE_BLOCKS * 16 * n * m
+            + NODE_BLOCKS * 16 * n * min(points, GRID_BLOCK)
+            + TRAJECTORY_ARRAYS * 8 * m * points
+        )
 
 
 class TestNodeInterpolation:
